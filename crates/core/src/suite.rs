@@ -70,15 +70,18 @@
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 
+use std::any::Any;
 use std::collections::BTreeMap;
 use std::fmt;
 use std::hash::Hash;
 use std::num::NonZeroUsize;
+use std::ops::Range;
 use std::panic;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Condvar, Mutex, OnceLock};
 use std::thread;
 use std::time::Instant;
+use std::vec;
 
 use setagree_conditions::{ConditionOracle, MaxCondition};
 use setagree_types::{InputVector, ProposalValue};
@@ -574,53 +577,103 @@ fn suite_metrics() -> &'static SuiteMetrics {
     })
 }
 
-/// Gates how far workers may run ahead of the consumer's emission
-/// frontier. Claims are sequential, so admitting only cases within
-/// `window` of the frontier bounds the reorder buffer at `window`
-/// cells — channel backpressure alone would not: a slow cell at the
-/// front of grid order forces the consumer to drain every later
-/// completion into the buffer, freeing channel slots and letting the
-/// grid race arbitrarily far ahead.
+/// How a parallel run cuts the grid into contiguous blocks of cells —
+/// the unit workers claim, send and the consumer reorders. A pure
+/// function of the grid size and the worker count: a quarter of a
+/// worker's even share, so the tail of a run idles a worker for at most
+/// that, capped at 64 cells so a huge grid still streams; grids of at
+/// most `4 × workers` cells get one-cell blocks.
+#[derive(Debug, Clone, Copy)]
+struct Blocks {
+    total: usize,
+    size: usize,
+}
+
+impl Blocks {
+    fn new(total: usize, workers: usize) -> Blocks {
+        Blocks {
+            total,
+            size: (total / (4 * workers)).clamp(1, 64),
+        }
+    }
+
+    fn count(&self) -> usize {
+        self.total.div_ceil(self.size)
+    }
+
+    fn cells(&self, block: usize) -> Range<usize> {
+        let start = block * self.size;
+        start..(start + self.size).min(self.total)
+    }
+}
+
+/// Hands out blocks and gates how far workers may run ahead of the
+/// consumer's emission frontier. Claims are sequential, so admitting
+/// only blocks within `window` of the frontier bounds the reorder
+/// buffer at `window` blocks — channel backpressure alone would not: a
+/// slow cell at the front of grid order forces the consumer to drain
+/// every later completion into the buffer, freeing channel slots and
+/// letting the grid race arbitrarily far ahead.
 #[derive(Debug, Default)]
 struct ClaimWindow {
-    /// (cases emitted so far, consumer hung up).
-    frontier: Mutex<(usize, bool)>,
+    /// The next unclaimed block.
+    next: AtomicUsize,
+    /// The consumer hung up. Written before `advanced` is notified
+    /// under the `frontier` lock, read under it by waiters and lock-free
+    /// by workers between cells.
+    closed: AtomicBool,
+    /// Blocks the consumer has taken out of the reorder buffer so far.
+    frontier: Mutex<usize>,
     advanced: Condvar,
 }
 
 impl ClaimWindow {
-    /// Blocks until `case` is within `window` of the frontier; `false`
+    /// Claims the next block (which may lie past the grid's end).
+    fn claim(&self) -> usize {
+        self.next.fetch_add(1, Ordering::Relaxed)
+    }
+
+    fn is_closed(&self) -> bool {
+        self.closed.load(Ordering::Acquire)
+    }
+
+    /// Blocks until `block` is within `window` of the frontier; `false`
     /// means the consumer is gone and the worker should stop.
     ///
-    /// No deadlock: the very next case the consumer needs was claimed
+    /// No deadlock: the very next block the consumer needs was claimed
     /// before every later one and always satisfies
-    /// `case < frontier + window`, so its holder is never blocked here.
-    fn admit(&self, case: usize, window: usize) -> bool {
-        let mut state = self.frontier.lock().expect("window lock poisoned");
-        if !state.1 && case >= state.0 + window {
+    /// `block < frontier + window`, so its holder is never blocked here.
+    fn admit(&self, block: usize, window: usize) -> bool {
+        let mut frontier = self.frontier.lock().expect("window lock poisoned");
+        if !self.is_closed() && block >= *frontier + window {
             // The worker is about to block at the window's edge — that
             // wait is the suite's queue-wait metric.
             let blocked_at = setagree_obs::enabled().then(Instant::now);
-            while !state.1 && case >= state.0 + window {
-                state = self.advanced.wait(state).expect("window lock poisoned");
+            while !self.is_closed() && block >= *frontier + window {
+                frontier = self.advanced.wait(frontier).expect("window lock poisoned");
             }
             if let Some(at) = blocked_at {
                 let us = u64::try_from(at.elapsed().as_micros()).unwrap_or(u64::MAX);
                 suite_metrics().queue_wait_us.record(us);
             }
         }
-        !state.1
+        !self.is_closed()
     }
 
-    /// Records one emitted case, releasing workers waiting at the edge.
+    /// Records one block taken for emission, releasing workers waiting
+    /// at the edge.
     fn advance(&self) {
-        self.frontier.lock().expect("window lock poisoned").0 += 1;
+        *self.frontier.lock().expect("window lock poisoned") += 1;
         self.advanced.notify_all();
     }
 
     /// Marks the consumer gone, releasing every waiting worker.
     fn close(&self) {
-        self.frontier.lock().expect("window lock poisoned").1 = true;
+        self.closed.store(true, Ordering::Release);
+        // Taking the lock orders the store before any waiter's next
+        // check, so the wake-up cannot be missed. Runs in `Drop`, hence
+        // no `expect`: a poisoned lock still serializes.
+        drop(self.frontier.lock());
         self.advanced.notify_all();
     }
 }
@@ -743,7 +796,7 @@ where
         // whole grid — mirroring how the threaded executor already
         // degrades (per-case ProcessPanicked).
         let _cell_span = setagree_obs::Span::start("suite", "cell")
-            .with_histogram(Arc::clone(&suite_metrics().cell_latency_us))
+            .with_histogram(&suite_metrics().cell_latency_us)
             .with_detail(case as u64);
         let result = panic::catch_unwind(panic::AssertUnwindSafe(|| scenario.run()))
             .unwrap_or_else(|payload| {
@@ -828,11 +881,16 @@ where
     /// over its cases, in deterministic grid order, as they complete.
     ///
     /// Cells execute on a worker pool (sized like
-    /// [`ScenarioSuite::run`]'s); a bounded reorder buffer — at most
-    /// `2 × workers` completed cells in flight — puts completions back
-    /// into grid order, so memory stays bounded however large the sweep
-    /// is. Dropping the iterator early stops the run: workers finish
-    /// their in-progress cell and exit.
+    /// [`ScenarioSuite::run`]'s). Workers claim the grid in contiguous
+    /// *blocks* of cells — `cells / (4 × workers)`, at least 1 and at
+    /// most 64, so a grid of up to `4 × workers` cells is dispatched
+    /// cell by cell — and hand each block over whole, which makes the
+    /// claim, the wake-up and the channel send per-block costs. A
+    /// bounded reorder buffer — at most `2 × workers` completed blocks
+    /// in flight — puts completions back into grid order, so memory
+    /// stays bounded however large the sweep is. Dropping the iterator
+    /// early stops the run: workers finish their in-progress cell (not
+    /// their block) and exit.
     pub fn stream(&self) -> SuiteRun<V> {
         let plan = Arc::new(self.plan());
         let total = plan.total;
@@ -842,49 +900,61 @@ where
             let moved = plan;
             RunSource::Inline(Box::new(move |case| moved.run_case(case)))
         } else {
-            // The claim window keeps every claimed-but-unemitted case
+            let blocks = Blocks::new(total, worker_count);
+            // The claim window keeps every claimed-but-unemitted block
             // within `2 × workers` of the consumer's frontier, which
             // bounds the reorder buffer (and the channel occupancy) at
             // that window however the pool schedules.
             let window_size = worker_count * 2;
             let (tx, rx) = mpsc::sync_channel(window_size);
-            let next = Arc::new(AtomicUsize::new(0));
             let window = Arc::new(ClaimWindow::default());
             let handles = (0..worker_count)
                 .map(|_| {
                     let plan = Arc::clone(&plan);
-                    let next = Arc::clone(&next);
                     let window = Arc::clone(&window);
                     let tx = tx.clone();
                     // Pooled: a sweep-heavy binary opening many suites
                     // back to back reuses the same OS threads instead of
                     // spawning `workers` fresh ones per suite.
                     setagree_runtime::pool::spawn(move || loop {
-                        let case = next.fetch_add(1, Ordering::Relaxed);
-                        if case >= plan.total {
+                        let block = window.claim();
+                        if block >= blocks.count() {
                             break;
                         }
-                        // Both exits mean the consumer hung up (dropped
-                        // the iterator): stop claiming work.
-                        if !window.admit(case, window_size) {
+                        // Every exit below means the consumer hung up
+                        // (dropped the iterator): stop claiming work.
+                        if !window.admit(block, window_size) {
                             break;
                         }
-                        if tx.send((case, plan.run_case(case))).is_err() {
+                        let cells = blocks.cells(block);
+                        let mut cases = Vec::with_capacity(cells.len());
+                        for case in cells {
+                            if window.is_closed() {
+                                return;
+                            }
+                            cases.push(plan.run_case(case));
+                        }
+                        if tx.send((block, cases)).is_err() {
                             break;
                         }
                     })
                 })
                 .collect();
-            RunSource::Workers {
-                rx: Some(rx),
-                window,
+            RunSource::Workers(WorkerSource {
                 handles,
-            }
+                rx,
+                window,
+                _plan: plan,
+                pending: BTreeMap::new(),
+                next_block: 0,
+                current: Vec::new().into_iter(),
+                #[cfg(test)]
+                pending_high_water: 0,
+            })
         };
         SuiteRun {
             total,
             next_emit: 0,
-            pending: BTreeMap::new(),
             source,
             counters,
         }
@@ -935,13 +1005,83 @@ enum RunSource<V: Ord> {
     /// Sequential: cells run lazily on the consuming thread, one per
     /// `next()` call.
     Inline(Box<dyn FnMut(usize) -> SuiteCase<V> + Send>),
-    /// Parallel: a worker pool sends completions through a bounded
+    /// Parallel: a worker pool sends completed blocks through a bounded
     /// channel, gated by the claim window; the consumer reorders them.
-    Workers {
-        rx: Option<mpsc::Receiver<(usize, SuiteCase<V>)>>,
-        window: Arc<ClaimWindow>,
-        handles: Vec<setagree_runtime::PooledJoinHandle<()>>,
-    },
+    Workers(WorkerSource<V>),
+}
+
+/// The consumer's half of a parallel run.
+///
+/// Ownership rule: everything the run allocated on the consuming
+/// thread — the plan, the claim window, the channel — is also freed on
+/// it, after the workers are joined. The workers hold clones; were one
+/// of them to drop the last, the blocks would land in that worker's
+/// malloc cache and be handed out again there while still belonging to
+/// the consumer's arena, and from then on the two threads serialize on
+/// one arena lock for every `realloc` and cache refill (measured: a
+/// two-worker sweep at 0.4× the speed of a one-worker sweep). So the
+/// consumer keeps its own handle on each until [`SuiteRun`]'s `Drop`
+/// has joined the workers.
+struct WorkerSource<V: Ord> {
+    handles: Vec<setagree_runtime::PooledJoinHandle<()>>,
+    rx: mpsc::Receiver<(usize, Vec<SuiteCase<V>>)>,
+    window: Arc<ClaimWindow>,
+    /// The workers' `Arc<GridPlan<V, O>>`, kept only to be dropped last.
+    _plan: Arc<dyn Any + Send + Sync>,
+    /// Completed blocks waiting for their turn, by block index.
+    pending: BTreeMap<usize, Vec<SuiteCase<V>>>,
+    next_block: usize,
+    /// The block being emitted.
+    current: vec::IntoIter<SuiteCase<V>>,
+    #[cfg(test)]
+    pending_high_water: usize,
+}
+
+impl<V: Ord> WorkerSource<V> {
+    /// The next case in grid order, pulling the next block out of the
+    /// reorder buffer (or waiting for it) when the current one is spent.
+    fn next_case(&mut self, total: usize) -> SuiteCase<V> {
+        loop {
+            if let Some(case) = self.current.next() {
+                return case;
+            }
+            let block = loop {
+                if let Some(block) = self.pending.remove(&self.next_block) {
+                    break block;
+                }
+                match self.rx.recv() {
+                    Ok((index, block)) => {
+                        self.pending.insert(index, block);
+                        #[cfg(test)]
+                        {
+                            self.pending_high_water =
+                                self.pending_high_water.max(self.pending.len());
+                        }
+                    }
+                    Err(_) => panic!(
+                        "suite worker died before completing the grid \
+                         (block {} of a {total}-cell grid never arrived)",
+                        self.next_block
+                    ),
+                }
+            };
+            self.next_block += 1;
+            self.window.advance();
+            self.current = block.into_iter();
+        }
+    }
+
+    /// Stops the run: hangs up, lets the workers run out, reaps them.
+    fn shut_down(&mut self) {
+        self.window.close();
+        // Drain to disconnection rather than dropping the receiver: a
+        // worker blocked on a full channel gets its slot, and the
+        // channel outlives every sender (see the ownership rule).
+        while self.rx.recv().is_ok() {}
+        for handle in self.handles.drain(..) {
+            let _ = handle.join();
+        }
+    }
 }
 
 /// A streaming suite execution: an iterator yielding every [`SuiteCase`]
@@ -951,20 +1091,30 @@ enum RunSource<V: Ord> {
 /// The iterator is exact-size; [`SuiteRun::cache_hits`] /
 /// [`SuiteRun::cache_misses`] read the run's cache counters at any
 /// point (they are final once the iterator is exhausted).
+///
+/// Dropping a parallel run — exhausted or not — closes the claim window,
+/// drains the channel until every worker has let go of it and joins the
+/// workers, and only then frees the state the workers shared: what the
+/// consuming thread allocated for the run is freed on the consuming
+/// thread. The rule exists for speed, not safety; `WorkerSource` in the
+/// source says what breaking it costs.
 pub struct SuiteRun<V: Ord> {
     total: usize,
     next_emit: usize,
-    pending: BTreeMap<usize, SuiteCase<V>>,
     source: RunSource<V>,
     counters: Arc<RunCounters>,
 }
 
 impl<V: ProposalValue> fmt::Debug for SuiteRun<V> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let buffered_blocks = match &self.source {
+            RunSource::Inline(_) => 0,
+            RunSource::Workers(workers) => workers.pending.len(),
+        };
         f.debug_struct("SuiteRun")
             .field("total", &self.total)
             .field("emitted", &self.next_emit)
-            .field("buffered", &self.pending.len())
+            .field("buffered_blocks", &buffered_blocks)
             .finish()
     }
 }
@@ -979,6 +1129,15 @@ impl<V: ProposalValue> SuiteRun<V> {
     pub fn cache_misses(&self) -> u64 {
         self.counters.misses.load(Ordering::Relaxed)
     }
+
+    /// The consumer's half of a parallel run.
+    #[cfg(test)]
+    fn workers(&self) -> &WorkerSource<V> {
+        match &self.source {
+            RunSource::Workers(workers) => workers,
+            RunSource::Inline(_) => panic!("an inline run has no workers"),
+        }
+    }
 }
 
 impl<V: ProposalValue> Iterator for SuiteRun<V> {
@@ -990,26 +1149,7 @@ impl<V: ProposalValue> Iterator for SuiteRun<V> {
         }
         let case = match &mut self.source {
             RunSource::Inline(run) => run(self.next_emit),
-            RunSource::Workers { rx, window, .. } => {
-                let case = loop {
-                    if let Some(case) = self.pending.remove(&self.next_emit) {
-                        break case;
-                    }
-                    let rx = rx.as_ref().expect("receiver lives until drop");
-                    match rx.recv() {
-                        Ok((index, case)) => {
-                            self.pending.insert(index, case);
-                        }
-                        Err(_) => panic!(
-                            "suite worker died before completing the grid \
-                             (case {} of {} never arrived)",
-                            self.next_emit, self.total
-                        ),
-                    }
-                };
-                window.advance();
-                case
-            }
+            RunSource::Workers(workers) => workers.next_case(self.total),
         };
         self.next_emit += 1;
         Some(case)
@@ -1025,20 +1165,8 @@ impl<V: ProposalValue> ExactSizeIterator for SuiteRun<V> {}
 
 impl<V: Ord> Drop for SuiteRun<V> {
     fn drop(&mut self) {
-        if let RunSource::Workers {
-            rx,
-            window,
-            handles,
-        } = &mut self.source
-        {
-            // Hang up first — close the claim window and drop the
-            // receiver — so both blocked waits fail fast, then reap the
-            // workers (each finishes at most its in-progress cell).
-            window.close();
-            drop(rx.take());
-            for handle in handles.drain(..) {
-                let _ = handle.join();
-            }
+        if let RunSource::Workers(workers) = &mut self.source {
+            workers.shut_down();
         }
     }
 }
@@ -1188,7 +1316,10 @@ impl<V: ProposalValue> SuiteReport<V> {
 mod tests {
     use super::*;
     use crate::config::ConditionBasedConfig;
+    use setagree_conditions::LegalityParams;
     use setagree_sync::FailurePattern;
+    use setagree_types::View;
+    use std::collections::BTreeSet;
 
     fn config() -> ConditionBasedConfig {
         ConditionBasedConfig::builder(6, 3, 2)
@@ -1211,6 +1342,109 @@ mod tests {
             .input(vec![1u32, 2, 3, 4, 5, 6])
             .pattern(FailurePattern::none(6))
             .pattern(FailurePattern::staircase(6, 3, 2))
+    }
+
+    /// The (4, 2, 1) system the oracle-driven tests below run on.
+    fn small_config() -> ConditionBasedConfig {
+        ConditionBasedConfig::builder(4, 2, 1)
+            .condition_degree(1)
+            .ell(1)
+            .build()
+            .unwrap()
+    }
+
+    fn decode_max(view: &View<u32>) -> Option<BTreeSet<u32>> {
+        view.iter()
+            .flatten()
+            .max()
+            .map(|&v| [v].into_iter().collect())
+    }
+
+    /// Panics on inputs containing 13; behaves like nothing otherwise.
+    #[derive(Debug, Clone, Copy)]
+    struct Grenade;
+    impl ConditionOracle<u32> for Grenade {
+        fn params(&self) -> LegalityParams {
+            LegalityParams::new(1, 1).unwrap()
+        }
+        fn matches(&self, view: &View<u32>) -> bool {
+            assert!(!view.iter().flatten().any(|&v| v == 13), "oracle bug on 13");
+            true
+        }
+        fn decode_view(&self, view: &View<u32>) -> Option<BTreeSet<u32>> {
+            decode_max(view)
+        }
+    }
+
+    /// Records which inputs reach it (by their largest value) and parks
+    /// every thread presenting `hold` until [`Gate::release`] — forcing
+    /// the worker interleavings the chunked-dispatch tests check.
+    #[derive(Debug, Clone)]
+    struct Gate {
+        hold: u32,
+        state: Arc<(Mutex<GateState>, Condvar)>,
+    }
+
+    #[derive(Debug, Default)]
+    struct GateState {
+        seen: BTreeSet<u32>,
+        released: bool,
+    }
+
+    impl Gate {
+        fn holding(hold: u32) -> Gate {
+            Gate {
+                hold,
+                state: Arc::default(),
+            }
+        }
+
+        /// A grid of `total` one-valued inputs `1..=total` over this
+        /// oracle: cell `i` presents the value `i + 1`.
+        fn suite(&self, total: u32) -> ScenarioSuite<u32, Gate> {
+            ScenarioSuite::new()
+                .spec(ProtocolSpec::condition_based(small_config(), self.clone()))
+                .inputs((1..=total).map(|v| InputVector::new(vec![v; 4])))
+        }
+
+        fn wait_until_seen(&self, value: u32) {
+            let (state, changed) = &*self.state;
+            let mut state = state.lock().unwrap();
+            while !state.seen.contains(&value) {
+                state = changed.wait(state).unwrap();
+            }
+        }
+
+        fn release(&self) {
+            let (state, changed) = &*self.state;
+            state.lock().unwrap().released = true;
+            changed.notify_all();
+        }
+
+        fn seen(&self) -> BTreeSet<u32> {
+            self.state.0.lock().unwrap().seen.clone()
+        }
+    }
+
+    impl ConditionOracle<u32> for Gate {
+        fn params(&self) -> LegalityParams {
+            LegalityParams::new(1, 1).unwrap()
+        }
+        fn matches(&self, view: &View<u32>) -> bool {
+            if let Some(&value) = view.iter().flatten().max() {
+                let (state, changed) = &*self.state;
+                let mut state = state.lock().unwrap();
+                state.seen.insert(value);
+                changed.notify_all();
+                while value == self.hold && !state.released {
+                    state = changed.wait(state).unwrap();
+                }
+            }
+            true
+        }
+        fn decode_view(&self, view: &View<u32>) -> Option<BTreeSet<u32>> {
+            decode_max(view)
+        }
     }
 
     #[test]
@@ -1286,6 +1520,92 @@ mod tests {
     }
 
     #[test]
+    fn blocks_tile_the_grid_and_small_grids_go_cell_by_cell() {
+        for (total, workers, size) in [
+            (1, 2, 1),
+            (7, 2, 1),
+            (8, 2, 1),
+            (15, 2, 1),
+            (16, 2, 2),
+            (192, 2, 24),
+            (200, 8, 6),
+            (511, 2, 63),
+            (512, 2, 64),
+            (100_000, 2, 64),
+        ] {
+            let blocks = Blocks::new(total, workers);
+            assert_eq!(blocks.size, size, "{total} cells over {workers} workers");
+            let tiled: Vec<usize> = (0..blocks.count()).flat_map(|b| blocks.cells(b)).collect();
+            assert!(tiled.iter().copied().eq(0..total), "contiguous, complete");
+            assert!(!blocks.cells(blocks.count() - 1).is_empty());
+        }
+    }
+
+    #[test]
+    fn a_panic_mid_block_costs_only_its_own_cell() {
+        // 32 cells over 2 workers: blocks of 4; the input of 13s is the
+        // second cell of block 3.
+        assert_eq!(Blocks::new(32, 2).size, 4);
+        let outcome = ScenarioSuite::new()
+            .spec(ProtocolSpec::condition_based(small_config(), Grenade))
+            .inputs((0..32u32).map(|v| InputVector::new(vec![v; 4])))
+            .threads(2)
+            .run();
+        assert_eq!(outcome.len(), 32);
+        let failed: Vec<usize> = outcome.failures().map(|(c, _)| c.input_index).collect();
+        assert_eq!(failed, [13], "the rest of the block ran and was emitted");
+        for (i, case) in outcome.cases().iter().enumerate() {
+            assert_eq!(case.input_index, i);
+        }
+    }
+
+    #[test]
+    fn dropping_mid_block_stops_at_the_next_cell() {
+        // Blocks of 4. Whichever worker claimed block 0 is parked inside
+        // its second cell (value 2) when the consumer hangs up.
+        assert_eq!(Blocks::new(32, 2).size, 4);
+        let gate = Gate::holding(2);
+        let suite = gate.suite(32).threads(2);
+        let stream = suite.stream();
+        gate.wait_until_seen(2);
+        // What `Drop` does first — done by hand so the gate can open
+        // after the hang-up and before the join `Drop` blocks in.
+        stream.workers().window.close();
+        gate.release();
+        drop(stream);
+        let seen = gate.seen();
+        assert!(seen.contains(&1) && seen.contains(&2));
+        assert!(
+            !seen.contains(&3) && !seen.contains(&4),
+            "the worker finished its cell, not its block: ran {seen:?}"
+        );
+    }
+
+    #[test]
+    fn reorder_buffer_holds_at_most_two_blocks_per_worker() {
+        // Blocks of 8, window of 4 blocks. The worker holding block 0 is
+        // parked in the grid's first cell while the other one runs as
+        // far ahead as the window lets it: blocks 1 to 3, then the edge.
+        const WORKERS: usize = 2;
+        assert_eq!(Blocks::new(64, WORKERS).size, 8);
+        let gate = Gate::holding(1);
+        let suite = gate.suite(64).threads(WORKERS);
+        let mut stream = suite.stream();
+        // The last cell of block 3 has started, so blocks 1 and 2 are in
+        // the channel, ahead of block 0.
+        gate.wait_until_seen(32);
+        gate.release();
+        let emitted: Vec<usize> = stream.by_ref().map(|case| case.input_index).collect();
+        assert!(emitted.iter().copied().eq(0..64), "grid order");
+        let high_water = stream.workers().pending_high_water;
+        assert!(
+            (2..=2 * WORKERS).contains(&high_water),
+            "buffered up to {high_water} blocks"
+        );
+        assert!(stream.workers().pending.is_empty(), "all of it emitted");
+    }
+
+    #[test]
     fn pattern_less_suites_run_failure_free() {
         let outcome = ScenarioSuite::<u32>::new()
             .spec(ProtocolSpec::flood_set(4, 2, 1))
@@ -1333,36 +1653,8 @@ mod tests {
 
     #[test]
     fn panicking_case_costs_its_cell_not_the_grid() {
-        use setagree_conditions::{ConditionOracle, LegalityParams};
-        use setagree_types::View;
-        use std::collections::BTreeSet;
-
-        /// Panics on inputs containing 13; behaves like nothing otherwise.
-        #[derive(Debug, Clone, Copy)]
-        struct Grenade;
-        impl ConditionOracle<u32> for Grenade {
-            fn params(&self) -> LegalityParams {
-                LegalityParams::new(1, 1).unwrap()
-            }
-            fn matches(&self, view: &View<u32>) -> bool {
-                assert!(!view.iter().flatten().any(|&v| v == 13), "oracle bug on 13");
-                true
-            }
-            fn decode_view(&self, view: &View<u32>) -> Option<BTreeSet<u32>> {
-                view.iter()
-                    .flatten()
-                    .max()
-                    .map(|&v| [v].into_iter().collect())
-            }
-        }
-
-        let cfg = ConditionBasedConfig::builder(4, 2, 1)
-            .condition_degree(1)
-            .ell(1)
-            .build()
-            .unwrap();
         let outcome = ScenarioSuite::new()
-            .spec(ProtocolSpec::condition_based(cfg, Grenade))
+            .spec(ProtocolSpec::condition_based(small_config(), Grenade))
             .input(vec![5u32, 5, 5, 5])
             .input(vec![13u32, 13, 13, 13]) // detonates
             .run();

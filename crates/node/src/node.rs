@@ -77,7 +77,7 @@ where
         let mut panicked = false;
         let _round_span = round_hist.as_ref().map(|h| {
             setagree_obs::Span::start("node", "round")
-                .with_histogram(std::sync::Arc::clone(h))
+                .with_histogram(h)
                 .with_detail(round as u64)
         });
 

@@ -169,10 +169,12 @@ impl Span {
         }
     }
 
-    /// Routes the elapsed microseconds into `histogram` at drop.
-    pub fn with_histogram(mut self, histogram: Arc<Histogram>) -> Span {
+    /// Routes the elapsed microseconds into `histogram` at drop. The
+    /// handle is cloned only when the span is live, so a disabled span
+    /// never touches the (process-shared) reference count.
+    pub fn with_histogram(mut self, histogram: &Arc<Histogram>) -> Span {
         if self.start.is_some() {
-            self.histogram = Some(histogram);
+            self.histogram = Some(Arc::clone(histogram));
         }
         self
     }
@@ -226,8 +228,10 @@ mod tests {
     #[test]
     fn disabled_spans_take_no_timestamp() {
         crate::set_enabled(false);
-        let span = Span::start("test", "noop");
+        let h = Arc::new(Histogram::new());
+        let span = Span::start("test", "noop").with_histogram(&h);
         assert!(span.elapsed_us().is_none());
+        assert_eq!(Arc::strong_count(&h), 1, "a dead span clones no handle");
     }
 
     #[test]
@@ -235,7 +239,7 @@ mod tests {
         crate::set_enabled(true);
         let h = Arc::new(Histogram::new());
         {
-            let _span = Span::start("test", "timed").with_histogram(Arc::clone(&h));
+            let _span = Span::start("test", "timed").with_histogram(&h);
         }
         assert_eq!(h.count(), 1);
         crate::set_enabled(false);

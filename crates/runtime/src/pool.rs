@@ -18,12 +18,16 @@
 //! after [`idle_expiry`] (default [`IDLE_EXPIRY`], overridable via
 //! `SETAGREE_POOL_IDLE_MS`) so an idle program holds no threads.
 //!
-//! Each idle worker parks on its own slot (a `Mutex<Option<Task>>` +
-//! `Condvar` pair) and the global idle list is a stack, so hand-off is
-//! one lock, one move, one wake — there is no shared run queue to
-//! starve. Panics in a task are caught and surface through
-//! [`PooledJoinHandle::join`] as the familiar `Err(payload)`, and the
-//! worker survives to serve the next task.
+//! Each worker owns one slot for its whole life (a
+//! `Mutex<Option<Task>>` + `Condvar` pair) and parks on it; the global
+//! idle list is a stack, so hand-off is one lock, one move, one wake —
+//! there is no shared run queue to starve. A worker lists its slot as
+//! idle *before* its task's result becomes visible to
+//! [`PooledJoinHandle::join`], so a caller that joins and spawns again
+//! always finds the worker it just joined (a sweep opening suites back
+//! to back keeps its two workers instead of growing a third). Panics in
+//! a task are caught and surface through `join` as the familiar
+//! `Err(payload)`, and the worker survives to serve the next task.
 //!
 //! When `setagree_obs` instrumentation is enabled, the pool reports
 //! `pool_workers_spawned` / `pool_workers_reused` / `pool_workers_expired`
@@ -31,8 +35,8 @@
 //! worker waited before its next task arrived).
 
 use std::any::Any;
+use std::fmt;
 use std::panic::{self, AssertUnwindSafe};
-use std::sync::mpsc;
 use std::sync::{Arc, Condvar, Mutex, OnceLock};
 use std::thread;
 use std::time::{Duration, Instant};
@@ -73,22 +77,58 @@ fn metrics() -> &'static PoolMetrics {
     })
 }
 
-type Task = Box<dyn FnOnce() + Send + 'static>;
+/// A spawned task as the worker sees it: [`run`](Job::run) executes
+/// the closure, dropping the box publishes the result — two steps so
+/// the worker can list itself idle in between.
+trait Job: Send {
+    fn run(&mut self);
+}
 
-/// One parked worker's mailbox: the spawner moves a task in and rings
-/// the bell; the worker moves it out or expires.
+type Task = Box<dyn Job>;
+
+/// Where a task's result waits for [`PooledJoinHandle::join`].
+struct Packet<T> {
+    result: Mutex<Option<thread::Result<T>>>,
+    published: Condvar,
+}
+
+struct ClosureJob<F, T> {
+    f: Option<F>,
+    result: Option<thread::Result<T>>,
+    packet: Arc<Packet<T>>,
+}
+
+impl<F: FnOnce() -> T + Send, T: Send> Job for ClosureJob<F, T> {
+    fn run(&mut self) {
+        if let Some(f) = self.f.take() {
+            self.result = Some(panic::catch_unwind(AssertUnwindSafe(f)));
+        }
+    }
+}
+
+impl<F, T> Drop for ClosureJob<F, T> {
+    /// Publishes the result. Nobody may be joining (the handle was
+    /// dropped); that is fine, the result is simply discarded with the
+    /// packet.
+    fn drop(&mut self) {
+        let result = self.result.take().unwrap_or_else(|| {
+            // Dropped without having run — only possible if the worker
+            // is unwinding or the process tearing down; surface it as a
+            // panic-shaped error rather than hanging the joiner.
+            Err(Box::new("pool worker terminated without a result") as Box<dyn Any + Send>)
+        });
+        if let Ok(mut slot) = self.packet.result.lock() {
+            *slot = Some(result);
+        }
+        self.packet.published.notify_one();
+    }
+}
+
+/// One worker's mailbox: the spawner moves a task in and rings the
+/// bell; the worker moves it out or expires.
 struct Slot {
     task: Mutex<Option<Task>>,
     bell: Condvar,
-}
-
-impl Slot {
-    fn new() -> Slot {
-        Slot {
-            task: Mutex::new(None),
-            bell: Condvar::new(),
-        }
-    }
 }
 
 /// The global idle-worker stack. Lock order: this list first, then a
@@ -102,9 +142,14 @@ fn idle() -> &'static Mutex<Vec<Arc<Slot>>> {
 /// A handle to a pooled task, joining like a
 /// [`thread::JoinHandle`]: the task's return value, or `Err` with the
 /// panic payload if the task panicked.
-#[derive(Debug)]
 pub struct PooledJoinHandle<T> {
-    result: mpsc::Receiver<thread::Result<T>>,
+    packet: Arc<Packet<T>>,
+}
+
+impl<T> fmt::Debug for PooledJoinHandle<T> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("PooledJoinHandle").finish_non_exhaustive()
+    }
 }
 
 impl<T> PooledJoinHandle<T> {
@@ -115,12 +160,29 @@ impl<T> PooledJoinHandle<T> {
     /// Returns the panic payload if the task panicked, exactly like
     /// [`thread::JoinHandle::join`].
     pub fn join(self) -> thread::Result<T> {
-        self.result.recv().unwrap_or_else(|_| {
-            // The worker thread vanished without reporting — only
-            // possible if the process is tearing down; surface it as a
-            // panic-shaped error rather than hanging.
-            Err(Box::new("pool worker terminated without a result") as Box<dyn Any + Send>)
-        })
+        let mut slot = self.packet.result.lock().expect("pool packet poisoned");
+        let result = loop {
+            match slot.take() {
+                Some(result) => break result,
+                None => {
+                    slot = self
+                        .packet
+                        .published
+                        .wait(slot)
+                        .expect("pool packet poisoned");
+                }
+            }
+        };
+        drop(slot);
+        // The worker lets go of the packet right after publishing. Wait
+        // those few instructions out so the packet is freed here, by the
+        // side that allocated it: a block freed on a worker lands in
+        // that worker's malloc cache and is handed out again there,
+        // still belonging to this thread's arena.
+        while Arc::strong_count(&self.packet) > 1 {
+            thread::yield_now();
+        }
+        result
     }
 }
 
@@ -134,12 +196,14 @@ where
     F: FnOnce() -> T + Send + 'static,
     T: Send + 'static,
 {
-    let (tx, rx) = mpsc::channel();
-    let task: Task = Box::new(move || {
-        let result = panic::catch_unwind(AssertUnwindSafe(f));
-        // The receiver may have been dropped (nobody joins); that is
-        // fine, the result is simply discarded.
-        let _ = tx.send(result);
+    let packet = Arc::new(Packet {
+        result: Mutex::new(None),
+        published: Condvar::new(),
+    });
+    let task: Task = Box::new(ClosureJob {
+        f: Some(f),
+        result: None,
+        packet: Arc::clone(&packet),
     });
 
     let parked = idle().lock().expect("pool idle list poisoned").pop();
@@ -163,7 +227,7 @@ where
                 .expect("failed to spawn pool worker");
         }
     }
-    PooledJoinHandle { result: rx }
+    PooledJoinHandle { packet }
 }
 
 /// The number of currently parked idle workers (for tests and
@@ -173,38 +237,44 @@ pub fn idle_workers() -> usize {
 }
 
 fn worker_main(first: Task) {
+    let slot = Arc::new(Slot {
+        task: Mutex::new(None),
+        bell: Condvar::new(),
+    });
     let mut task = first;
     loop {
-        task();
-        match park_for_next() {
+        task.run();
+        // Idle first, result second: whoever joins this task and spawns
+        // again must find this worker, not an empty list.
+        let parked_at = setagree_obs::enabled().then(Instant::now);
+        idle()
+            .lock()
+            .expect("pool idle list poisoned")
+            .push(Arc::clone(&slot));
+        drop(task);
+        match wait_for_next(&slot, parked_at) {
             Some(next) => task = next,
             None => return,
         }
     }
 }
 
-/// Parks the calling worker on a fresh slot until a task is handed to
-/// it or the idle grace period elapses. `None` means expiry: the slot
-/// has been unlinked and the worker should exit.
-fn park_for_next() -> Option<Task> {
-    let parked_at = setagree_obs::enabled().then(Instant::now);
-    let handed_off = |at: Option<Instant>| {
-        if let Some(at) = at {
+/// Waits on the worker's (already listed) slot until a task is handed
+/// to it or the idle grace period elapses. `None` means expiry: the
+/// slot has been unlinked and the worker should exit.
+fn wait_for_next(slot: &Arc<Slot>, parked_at: Option<Instant>) -> Option<Task> {
+    let handed_off = || {
+        if let Some(at) = parked_at {
             let us = u64::try_from(at.elapsed().as_micros()).unwrap_or(u64::MAX);
             metrics().handoff_wait_us.record(us);
         }
     };
-    let slot = Arc::new(Slot::new());
-    idle()
-        .lock()
-        .expect("pool idle list poisoned")
-        .push(Arc::clone(&slot));
 
     let deadline = Instant::now() + idle_expiry();
     let mut mailbox = slot.task.lock().expect("pool slot poisoned");
     loop {
         if let Some(task) = mailbox.take() {
-            handed_off(parked_at);
+            handed_off();
             return Some(task);
         }
         let now = Instant::now();
@@ -225,10 +295,10 @@ fn park_for_next() -> Option<Task> {
     let mut list = idle().lock().expect("pool idle list poisoned");
     let mut mailbox = slot.task.lock().expect("pool slot poisoned");
     if let Some(task) = mailbox.take() {
-        handed_off(parked_at);
+        handed_off();
         return Some(task);
     }
-    list.retain(|s| !Arc::ptr_eq(s, &slot));
+    list.retain(|s| !Arc::ptr_eq(s, slot));
     if setagree_obs::enabled() {
         metrics().expired.inc();
     }

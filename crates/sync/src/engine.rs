@@ -242,9 +242,17 @@ pub(crate) fn run_with_policy<P: SyncProtocol, D: DeliveryPolicy>(
     let mut messages_delivered: u64 = 0;
     let mut rounds_executed = 0;
     let obs_on = setagree_obs::enabled();
+    // The per-round buffers are sized once and cleared, never regrown:
+    // a `Vec` grown through an unsized `filter` is `realloc`ed every
+    // round, and a block that started life in another thread's malloc
+    // arena sends that `realloc` through the other arena's lock (what
+    // made parallel suite sweeps slower than serial ones).
+    let mut active: Vec<usize> = Vec::with_capacity(n);
+    let mut sends: Vec<(usize, P::Msg, bool)> = Vec::with_capacity(n);
 
     for round in 1..=max_rounds {
-        let active: Vec<usize> = (0..n).filter(|&i| outcomes[i].is_none()).collect();
+        active.clear();
+        active.extend((0..n).filter(|&i| outcomes[i].is_none()));
         if active.is_empty() {
             break;
         }
@@ -252,7 +260,7 @@ pub(crate) fn run_with_policy<P: SyncProtocol, D: DeliveryPolicy>(
         let round_started = obs_on.then(Instant::now);
 
         // Send phase: collect each active process's broadcast.
-        let mut sends: Vec<(usize, P::Msg, bool)> = Vec::with_capacity(active.len());
+        sends.clear();
         for &i in &active {
             let crashing_now = policy.crash_round(ProcessId::new(i)) == Some(round);
             // A process crashing mid-send still "sends" from the
@@ -358,9 +366,18 @@ pub(crate) fn run_with_policy_faulty<P: SyncProtocol, D: DeliveryPolicy>(
     let mut delivered: i64 = 0;
     let mut rounds_executed = 0;
     let obs_on = setagree_obs::enabled();
+    // Sized once and cleared per round, as in the plain loop. A
+    // recipient's arrival buffer is sized in its first active round
+    // (the active set only shrinks) and drained by the assembly, which
+    // fills the one shared `inbox`.
+    let mut active: Vec<usize> = Vec::with_capacity(n);
+    let mut sends: Vec<(usize, Rc<P::Msg>, bool)> = Vec::with_capacity(n);
+    let mut arrivals: Vec<Vec<(ProcessId, Rc<P::Msg>)>> = (0..n).map(|_| Vec::new()).collect();
+    let mut inbox: Vec<(ProcessId, Rc<P::Msg>)> = Vec::with_capacity(n);
 
     for round in 1..=max_rounds {
-        let active: Vec<usize> = (0..n).filter(|&i| outcomes[i].is_none()).collect();
+        active.clear();
+        active.extend((0..n).filter(|&i| outcomes[i].is_none()));
         if active.is_empty() {
             break;
         }
@@ -368,15 +385,15 @@ pub(crate) fn run_with_policy_faulty<P: SyncProtocol, D: DeliveryPolicy>(
         let round_started = obs_on.then(Instant::now);
 
         // Send phase.
-        let mut sends: Vec<(usize, Rc<P::Msg>, bool)> = Vec::with_capacity(active.len());
+        sends.clear();
         for &i in &active {
             let crashing_now = policy.crash_round(ProcessId::new(i)) == Some(round);
             let msg = Rc::new(procs[i].message(round));
             sends.push((i, msg, crashing_now));
+            arrivals[i].reserve(active.len());
         }
 
         // Delivery determination + broadcast-accept counting.
-        let mut arrivals: Vec<Vec<(ProcessId, Rc<P::Msg>)>> = (0..n).map(|_| Vec::new()).collect();
         for &(sender, ref msg, crashing_now) in &sends {
             for recipient in 0..n {
                 if outcomes[recipient].is_some() {
@@ -401,6 +418,7 @@ pub(crate) fn run_with_policy_faulty<P: SyncProtocol, D: DeliveryPolicy>(
         for &i in &active {
             if policy.crash_round(ProcessId::new(i)) == Some(round) {
                 outcomes[i] = Some(Outcome::Crashed { round });
+                arrivals[i].clear();
             }
         }
 
@@ -409,9 +427,8 @@ pub(crate) fn run_with_policy_faulty<P: SyncProtocol, D: DeliveryPolicy>(
             if outcomes[i].is_some() {
                 continue;
             }
-            let (inbox, adjust) = inboxes[i].assemble(round, std::mem::take(&mut arrivals[i]));
-            delivered += adjust;
-            for (from, msg) in inbox {
+            delivered += inboxes[i].assemble_into(round, &mut arrivals[i], &mut inbox);
+            for (from, msg) in inbox.drain(..) {
                 procs[i].receive(round, from, &msg);
             }
         }

@@ -417,23 +417,34 @@ impl<L: Clone> FaultInbox<L> {
     pub fn assemble(
         &mut self,
         round: usize,
-        arrivals: Vec<(ProcessId, L)>,
+        mut arrivals: Vec<(ProcessId, L)>,
     ) -> (Vec<(ProcessId, L)>, i64) {
+        let mut inbox = Vec::with_capacity(arrivals.len());
+        let adjust = self.assemble_into(round, &mut arrivals, &mut inbox);
+        (inbox, adjust)
+    }
+
+    /// [`FaultInbox::assemble`] over caller-owned buffers: drains
+    /// `arrivals` and appends the assembly to the (empty) `inbox`, so a
+    /// round loop reusing both performs no allocation here unless the
+    /// plan delays or duplicates a letter.
+    pub(crate) fn assemble_into(
+        &mut self,
+        round: usize,
+        arrivals: &mut Vec<(ProcessId, L)>,
+        inbox: &mut Vec<(ProcessId, L)>,
+    ) -> i64 {
+        debug_assert!(inbox.is_empty(), "the assembly is the whole inbox");
         let obs_on = setagree_obs::enabled();
         let mut adjust = 0i64;
         // Due (and, defensively, overdue) stashed letters lead the inbox.
-        let mut inbox: Vec<(ProcessId, L)> = Vec::new();
-        let due: Vec<usize> = self
-            .stash
-            .range(..=round)
-            .map(|(&arrival, _)| arrival)
-            .collect();
-        for arrival in due {
-            if let Some(letters) = self.stash.remove(&arrival) {
-                inbox.extend(letters.into_iter().map(|(_, from, l)| (from, l)));
+        while let Some(due) = self.stash.first_entry() {
+            if *due.key() > round {
+                break;
             }
+            inbox.extend(due.remove().into_iter().map(|(_, from, l)| (from, l)));
         }
-        for (from, letter) in arrivals {
+        for (from, letter) in arrivals.drain(..) {
             if from == self.me {
                 inbox.push((from, letter));
                 continue;
@@ -465,8 +476,8 @@ impl<L: Clone> FaultInbox<L> {
                 }
             }
         }
-        self.plan.permute(round, self.me, &mut inbox);
-        (inbox, adjust)
+        self.plan.permute(round, self.me, inbox);
+        adjust
     }
 }
 

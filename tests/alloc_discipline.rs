@@ -1,0 +1,278 @@
+//! Allocation discipline of the two hot paths a parallel sweep runs
+//! through, checked by counting — no clocks, no thresholds:
+//!
+//! * **The round loops never regrow a buffer.** After round 1 has sized
+//!   them, `run_protocol` and `run_protocol_faulty` call `realloc` zero
+//!   times. A `realloc` of a block that belongs to another thread's
+//!   malloc arena takes that arena's lock; one per round per cell is
+//!   what made two suite workers slower than one.
+//! * **A suite run frees its own allocations.** Nothing the consuming
+//!   thread allocated for a parallel run is freed on a pool thread —
+//!   where it would sit in that thread's malloc cache, ready to be the
+//!   start of the next regrown buffer — except the box each pooled task
+//!   travels in, which the worker that ran it necessarily drops.
+//!
+//! Own test binary: the `#[global_allocator]` below is private to it.
+//! The allocator wraps `System`, prefixes every block with the tag of
+//! the thread that allocated it, and keeps its counts per thread, so
+//! the tests of this file cannot see each other's traffic.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+use std::sync::atomic::{AtomicU32, AtomicUsize, Ordering};
+
+use setagree::conditions::MaxCondition;
+use setagree::core::{ConditionBasedConfig, ProtocolSpec, ScenarioSuite};
+use setagree::sync::{
+    run_protocol, run_protocol_faulty, FailurePattern, FaultPlan, Step, SyncProtocol,
+};
+use setagree::types::{InputVector, ProcessId};
+
+struct Tagging;
+
+#[global_allocator]
+static ALLOCATOR: Tagging = Tagging;
+
+static NEXT_TAG: AtomicU32 = AtomicU32::new(1);
+/// The thread whose blocks are being followed (0: nobody's).
+static WATCHED: AtomicU32 = AtomicU32::new(0);
+/// Blocks of the watched thread freed on any other thread, and their
+/// sizes (the first few, for the failure message and the allowance).
+static FOREIGN_FREES: AtomicUsize = AtomicUsize::new(0);
+static FOREIGN_SIZES: [AtomicUsize; 16] = [const { AtomicUsize::new(0) }; 16];
+
+thread_local! {
+    // Const-initialised and without destructors, so touching them from
+    // inside the allocator neither allocates nor outlives the thread.
+    static TAG: Cell<u32> = const { Cell::new(0) };
+    static REALLOCS: Cell<u64> = const { Cell::new(0) };
+    static REALLOCS_AT_ROUND_2: Cell<Option<u64>> = const { Cell::new(None) };
+}
+
+fn my_tag() -> u32 {
+    TAG.try_with(|tag| {
+        if tag.get() == 0 {
+            tag.set(NEXT_TAG.fetch_add(1, Ordering::Relaxed));
+        }
+        tag.get()
+    })
+    .unwrap_or(0)
+}
+
+/// Room for the tag in front of a block: the block's alignment, or the
+/// tag's if that is larger — which is also the padded block's alignment,
+/// so both the tag and the block behind it are aligned.
+fn header(layout: Layout) -> usize {
+    layout.align().max(std::mem::align_of::<u32>())
+}
+
+fn padded(layout: Layout, size: usize) -> Layout {
+    Layout::from_size_align(size + header(layout), header(layout)).expect("padded layout")
+}
+
+// SAFETY: every block handed out is the `System` block of the padded
+// layout offset by `header(layout)` — a multiple of the requested
+// alignment, so still aligned — and `dealloc`/`realloc` undo exactly
+// that offset with the layout they are given, which is the layout of
+// the allocation. The tag is written at the (tag-aligned) start of the
+// padding, which the caller never sees.
+unsafe impl GlobalAlloc for Tagging {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        let base = System.alloc(padded(layout, layout.size()));
+        if base.is_null() {
+            return base;
+        }
+        base.cast::<u32>().write(my_tag());
+        base.add(header(layout))
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        let base = ptr.sub(header(layout));
+        let owner = base.cast::<u32>().read();
+        if owner != 0 && owner == WATCHED.load(Ordering::Relaxed) && owner != my_tag() {
+            let nth = FOREIGN_FREES.fetch_add(1, Ordering::Relaxed);
+            if let Some(slot) = FOREIGN_SIZES.get(nth) {
+                slot.store(layout.size(), Ordering::Relaxed);
+            }
+        }
+        System.dealloc(base, padded(layout, layout.size()));
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        let _ = REALLOCS.try_with(|count| count.set(count.get() + 1));
+        // The block keeps the tag of the thread that first allocated it.
+        let base = System.realloc(
+            ptr.sub(header(layout)),
+            padded(layout, layout.size()),
+            new_size + header(layout),
+        );
+        if base.is_null() {
+            return base;
+        }
+        base.add(header(layout))
+    }
+}
+
+fn reallocs_on_this_thread() -> u64 {
+    REALLOCS.with(Cell::get)
+}
+
+const N: usize = 64;
+const ROUNDS: usize = 6;
+
+/// Floods a fixed-size view for `ROUNDS` rounds. Its own allocations
+/// are exact-size clones, so every `realloc` counted is the engine's.
+/// Process 0 sends first in every round: its round-2 message marks the
+/// end of round 1.
+struct Flood {
+    me: usize,
+    view: Vec<Option<u32>>,
+}
+
+impl SyncProtocol for Flood {
+    type Msg = Vec<Option<u32>>;
+    type Output = usize;
+
+    fn message(&mut self, round: usize) -> Self::Msg {
+        if self.me == 0 && round == 2 {
+            REALLOCS_AT_ROUND_2.with(|mark| mark.set(Some(reallocs_on_this_thread())));
+        }
+        self.view.clone()
+    }
+
+    fn receive(&mut self, _round: usize, _from: ProcessId, msg: &Self::Msg) {
+        for (mine, theirs) in self.view.iter_mut().zip(msg) {
+            *mine = mine.or(*theirs);
+        }
+    }
+
+    fn compute(&mut self, round: usize) -> Step<usize> {
+        if round >= ROUNDS {
+            Step::Decide(self.view.iter().flatten().count())
+        } else {
+            Step::Continue
+        }
+    }
+}
+
+fn flood_system() -> Vec<Flood> {
+    (0..N)
+        .map(|me| {
+            let mut view = vec![None; N];
+            view[me] = Some(me as u32);
+            Flood { me, view }
+        })
+        .collect()
+}
+
+/// Crashes in rounds 1 to 4 (never process 0, which marks the rounds),
+/// so the active set shrinks while the buffers are being reused.
+fn crashing_pattern() -> FailurePattern {
+    let mut pattern = FailurePattern::none(N);
+    for (round, victim) in [(1, 63), (2, 40), (2, 41), (3, 17), (4, 5)] {
+        pattern
+            .crash(
+                ProcessId::new(victim),
+                setagree::sync::CrashSpec::new(round, victim / 2),
+            )
+            .expect("valid crash");
+    }
+    pattern
+}
+
+/// Runs `run` and returns how many `realloc` calls this thread made
+/// from the start of round 2 to the returned trace.
+fn reallocs_after_round_one(run: impl FnOnce() -> usize) -> u64 {
+    REALLOCS_AT_ROUND_2.with(|mark| mark.set(None));
+    let rounds = run();
+    assert_eq!(rounds, ROUNDS, "the flood runs its full length");
+    let at_round_2 = REALLOCS_AT_ROUND_2
+        .with(Cell::get)
+        .expect("process 0 sent in round 2");
+    reallocs_on_this_thread() - at_round_2
+}
+
+#[test]
+fn the_plain_round_loop_never_reallocs_after_round_one() {
+    let pattern = crashing_pattern();
+    let grown = reallocs_after_round_one(|| {
+        run_protocol(flood_system(), &pattern, ROUNDS + 1)
+            .expect("the flood terminates")
+            .rounds_executed()
+    });
+    assert_eq!(grown, 0, "a per-round buffer was regrown");
+}
+
+#[test]
+fn the_faulty_round_loop_never_reallocs_after_round_one() {
+    let pattern = crashing_pattern();
+    // The benign plan, and one that drops and reorders: neither stores
+    // a letter beyond its round, so the loop's buffers are all there is.
+    let plans = [
+        FaultPlan::none(N),
+        FaultPlan::new(N, 7).drop_rate(1_000).reorder_rate(5_000),
+    ];
+    for plan in plans {
+        let grown = reallocs_after_round_one(|| {
+            run_protocol_faulty(flood_system(), &pattern, &plan, ROUNDS + 1)
+                .expect("the flood terminates")
+                .rounds_executed()
+        });
+        assert_eq!(grown, 0, "a per-round buffer was regrown under {plan}");
+    }
+}
+
+#[test]
+fn a_parallel_suite_run_frees_its_allocations_on_the_calling_thread() {
+    const WORKERS: usize = 2;
+    let config = ConditionBasedConfig::builder(6, 3, 2)
+        .condition_degree(2)
+        .ell(1)
+        .build()
+        .expect("valid");
+    let oracle = MaxCondition::new(config.legality());
+    let suite = ScenarioSuite::new()
+        .spec(ProtocolSpec::condition_based(config, oracle))
+        .spec(ProtocolSpec::early_condition_based(config, oracle))
+        .spec(ProtocolSpec::flood_set(6, 3, 2))
+        .spec(ProtocolSpec::early_deciding(6, 3, 2))
+        .inputs((0..8u32).map(|i| InputVector::new(vec![5, 5, 1 + i % 3, 2, 5, 5 + i])))
+        .patterns(
+            (0..6)
+                .map(|i| match i {
+                    0 => FailurePattern::none(6),
+                    1 => FailurePattern::chain(6, 3),
+                    _ => FailurePattern::staircase(6, 3, i - 1),
+                })
+                .map(Into::into),
+        )
+        .threads(WORKERS);
+    assert_eq!(suite.len(), 4 * 8 * 6);
+
+    // A first run parks two pool workers, so the watched run starts no
+    // thread (a thread frees its start-up blocks whenever it exits).
+    let reference = suite.run();
+    assert!(reference.all_ok());
+
+    FOREIGN_FREES.store(0, Ordering::Relaxed);
+    WATCHED.store(my_tag(), Ordering::SeqCst);
+    let watched = suite.run();
+    WATCHED.store(0, Ordering::SeqCst);
+
+    assert_eq!(watched.cases(), reference.cases());
+    let foreign = FOREIGN_FREES.load(Ordering::Relaxed);
+    let sizes: Vec<usize> = FOREIGN_SIZES
+        .iter()
+        .take(foreign)
+        .map(|size| size.load(Ordering::Relaxed))
+        .collect();
+    assert_eq!(
+        foreign, WORKERS,
+        "only each worker's task box may be freed off the calling thread; \
+         freed there: blocks of {sizes:?} bytes"
+    );
+    assert!(
+        sizes.windows(2).all(|pair| pair[0] == pair[1]),
+        "the task boxes are one type, so one size: {sizes:?}"
+    );
+}

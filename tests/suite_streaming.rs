@@ -5,6 +5,11 @@
 //!   `run_streaming` emit *exactly* `run()`'s cases, in grid order —
 //!   the reorder buffer over the worker pool never reorders, drops or
 //!   duplicates a cell.
+//! * **Block boundaries are invisible**: parallel runs dispatch the grid
+//!   in contiguous blocks; totals one short of, exactly at and one past
+//!   a whole number of blocks — and grids too small to be cut at all —
+//!   stream exactly `run()`'s cases, which are exactly the one-worker
+//!   run's.
 //! * **Warm caches execute nothing**: a rerun of a full mixed
 //!   synchronous/asynchronous grid against the cache its cold run
 //!   filled serves every cell warm (hit counter = grid size, miss
@@ -133,6 +138,46 @@ proptest! {
             format!("{:?}", cold.cases()).into_bytes(),
             "byte-identical report"
         );
+    }
+}
+
+/// Parallel runs cut the grid into blocks of `total / (4 × workers)`
+/// cells (at least 1, at most 64). At two workers that is `total / 8`,
+/// so 5 and 8 are dispatched cell by cell, 63 = 9 × 7 and 64 = 8 × 8
+/// end on a block boundary, 65 and 71 leave a last block of 1 and of 7,
+/// and 511 / 512 / 513 straddle the 64-cell cap (blocks of 63 with a
+/// last one of 7; eight full blocks; eight full blocks and one cell).
+#[test]
+fn totals_straddling_block_boundaries_stream_in_grid_order() {
+    for total in [5usize, 8, 63, 64, 65, 71, 511, 512, 513] {
+        let grid = |threads| {
+            ScenarioSuite::<u32>::new()
+                .spec(ProtocolSpec::flood_set(4, 2, 1))
+                .inputs((0..total as u32).map(|i| InputVector::new(vec![i, i / 3, 2, 7])))
+                .threads(threads)
+        };
+        let serial = grid(1).run();
+        let suite = grid(2);
+        let batch = suite.run();
+        assert_eq!(batch.len(), total);
+        assert_eq!(
+            batch.cases(),
+            serial.cases(),
+            "{total} cells: run() ≡ serial"
+        );
+
+        let mut run = suite.stream();
+        assert_eq!(run.len(), total);
+        let streamed: Vec<_> = run.by_ref().collect();
+        assert_eq!(run.len(), 0, "exact-size to the end");
+        assert_eq!(
+            streamed.as_slice(),
+            batch.cases(),
+            "{total} cells: stream ≡ run()"
+        );
+        for (i, case) in streamed.iter().enumerate() {
+            assert_eq!(case.input_index, i);
+        }
     }
 }
 
