@@ -14,8 +14,8 @@
 //!   (Definition 2) with violation reporting, and the Definition-4
 //!   extension of `h_ℓ` to views;
 //! * [`MaxCondition`] — the *maximal* condition generated by `max_ℓ`
-//!   (Theorem 2), with O(n log n) analytic membership, predicate and view
-//!   decoding (no enumeration);
+//!   (Theorem 2), with analytic membership, predicate and view decoding
+//!   in one `O(n log ℓ)` selection pass each (no enumeration, no sort);
 //! * [`counting`] — the exact size `NB(x, ℓ)` of the maximal condition
 //!   (Theorems 3 and 13) as closed forms, with a brute-force cross-check;
 //! * [`lattice`] — the inclusion structure of Figure 1 (Theorems 4–9);

@@ -13,10 +13,13 @@
 //!
 //! Unlike an explicit [`Condition`], `C_max` is defined
 //! **analytically**: membership, the view predicate `P(J)` and the
-//! Definition-4 decoding `h_ℓ(J)` are all computed in `O(n log n)` without
-//! enumerating the (exponentially many) member vectors. The closed forms
-//! are derived in the module source and cross-checked in tests against the
-//! brute-force Definition-4 computation on enumerated instances.
+//! Definition-4 decoding `h_ℓ(J)` each take one pass over the `n` entries
+//! — a top-ℓ selection, `O(n log ℓ)` comparisons, no sort — without
+//! enumerating the (exponentially many) member vectors: all three depend
+//! only on the ℓ greatest distinct values present and their
+//! multiplicities (plus `#_⊥(J)`). The closed forms are derived in the
+//! module source and cross-checked in tests against the brute-force
+//! Definition-4 computation on enumerated instances.
 //!
 //! # The analytic view decoding
 //!
@@ -98,8 +101,8 @@ impl MaxCondition {
         self.params
     }
 
-    /// Membership test: `Σ_{v ∈ max_ℓ(I)} #_v(I) > x` — one counting
-    /// pass, no value set materialized.
+    /// Membership test: `Σ_{v ∈ max_ℓ(I)} #_v(I) > x` — one top-ℓ
+    /// selection pass, no sort, no value set materialized.
     pub fn contains<V: ProposalValue>(&self, vector: &InputVector<V>) -> bool {
         vector.greatest_distinct_weight(self.params.ell()) > self.params.x()
     }
@@ -233,33 +236,31 @@ impl<V: ProposalValue> ConditionOracle<V> for MaxCondition {
             // All-⊥ view: any dense-enough completion works.
             return view.len() > self.params.x();
         }
-        // One counting pass; the seed implementation materialized the
-        // whole distinct set plus a cloned top-ℓ set per check.
         view.greatest_distinct_weight(self.params.ell()) + b > self.params.x()
     }
 
     fn decode_view(&self, view: &View<V>) -> Option<BTreeSet<V>> {
-        if !self.matches(view) {
-            return None;
-        }
         let b = view.count_bottom();
         let ell = self.params.ell();
         let x = self.params.x();
-        // One counting pass (values borrowed, multiplicities attached,
-        // ascending) replaces the seed's cloned distinct set plus a
-        // `count_of` rescan per distinct value.
-        let observed = view.distinct_with_counts();
+        // One selection pass answers both questions: the ≤ ℓ greatest
+        // observed values with their multiplicities, greatest first (so
+        // a value's index is `a_i`, the number of observed distinct values
+        // above it, and `a_i ≤ ℓ − 1` holds for every value returned).
+        let top = view.greatest_with_counts(ell);
+        // P(J). The all-⊥ view has nothing observed and b = n, so this
+        // is `n > x` there, as in `matches`.
+        let weight: usize = top.iter().map(|(_, count)| count).sum();
+        if weight + b <= x {
+            return None;
+        }
         let mut decoded = BTreeSet::new();
         // `above` = Σ_{j > i} c_j, accumulated from the top down.
         let mut above = 0usize;
-        for (rank_from_top, (v, count)) in observed.iter().rev().enumerate() {
-            let a_i = rank_from_top; // observed distinct values above v
-            if a_i >= ell {
-                break; // v and everything below is evicted by observed values alone
-            }
+        for (a_i, (v, count)) in top.into_iter().enumerate() {
             let evictable = b >= ell - a_i && above + b > x;
             if !evictable {
-                decoded.insert((*v).clone());
+                decoded.insert(v.clone());
             }
             above += count;
         }
@@ -442,6 +443,106 @@ mod tests {
                     reference.is_some(),
                     "predicate mismatch at {p} for view {view:?}"
                 );
+            }
+        }
+    }
+
+    /// The sort-based `decode_view` the selection kernel replaced, kept as
+    /// the reference the new body is compared against: the predicate from
+    /// one full sort-and-count, the decoding from a second.
+    fn decode_view_by_sorting(c: &MaxCondition, view: &View<u32>) -> Option<BTreeSet<u32>> {
+        let b = view.count_bottom();
+        let ell = c.params.ell();
+        let x = c.params.x();
+        let matches = if b == view.len() {
+            view.len() > x
+        } else {
+            let weight: usize = view
+                .distinct_with_counts()
+                .iter()
+                .rev()
+                .take(ell)
+                .map(|(_, count)| count)
+                .sum();
+            weight + b > x
+        };
+        if !matches {
+            return None;
+        }
+        let observed = view.distinct_with_counts();
+        let mut decoded = BTreeSet::new();
+        let mut above = 0usize;
+        for (rank_from_top, (v, count)) in observed.iter().rev().enumerate() {
+            let a_i = rank_from_top;
+            if a_i >= ell {
+                break;
+            }
+            let evictable = b >= ell - a_i && above + b > x;
+            if !evictable {
+                decoded.insert(**v);
+            }
+            above += count;
+        }
+        Some(decoded)
+    }
+
+    const REFERENCE_PARAMS: [(usize, usize); 6] = [(1, 1), (2, 1), (1, 2), (2, 2), (3, 2), (2, 3)];
+
+    fn assert_matches_sorting_reference(c: &MaxCondition, view: &View<u32>) {
+        let reference = decode_view_by_sorting(c, view);
+        assert_eq!(
+            c.decode_view(view),
+            reference,
+            "decode mismatch at {c} for view {view}"
+        );
+        assert_eq!(
+            c.matches(view),
+            reference.is_some(),
+            "predicate mismatch at {c} for view {view}"
+        );
+    }
+
+    #[test]
+    fn one_pass_decode_equals_the_sorting_reference_on_every_small_view() {
+        // Every view over {⊥, 1, …, 4}^5, read off the base-5 digits.
+        const N: usize = 5;
+        const M: usize = 4;
+        for (x, ell) in REFERENCE_PARAMS {
+            let c = MaxCondition::new(params(x, ell));
+            for mut code in 0..(M + 1).pow(N as u32) {
+                let entries = (0..N)
+                    .map(|_| {
+                        let digit = code % (M + 1);
+                        code /= M + 1;
+                        (digit != 0).then_some(digit as u32)
+                    })
+                    .collect();
+                assert_matches_sorting_reference(&c, &View::from_options(entries));
+            }
+        }
+    }
+
+    proptest::proptest! {
+        /// Seeded random 64-entry views over a small domain (many
+        /// duplicates), with `x` and the number of `⊥` entries drawn over
+        /// their whole range so both predicate outcomes and both eviction
+        /// outcomes occur.
+        #[test]
+        fn one_pass_decode_equals_the_sorting_reference_at_n_64(
+            values in proptest::collection::vec(0u32..7, 64),
+            bottoms in 0usize..=64,
+            x in 0usize..64,
+            ell in 1usize..=4,
+        ) {
+            let entries = values
+                .into_iter()
+                .enumerate()
+                .map(|(i, v)| (i >= bottoms).then_some(v))
+                .collect();
+            let view = View::from_options(entries);
+            assert_matches_sorting_reference(&MaxCondition::new(params(x, ell)), &view);
+            for (x, ell) in REFERENCE_PARAMS {
+                assert_matches_sorting_reference(&MaxCondition::new(params(x, ell)), &view);
             }
         }
     }

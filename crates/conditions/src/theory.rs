@@ -57,7 +57,8 @@
 //!
 //! [`MaxCondition`](crate::MaxCondition) is `C_max(x, ℓ)`, the largest
 //! condition recognized by `max_ℓ` (Theorem 2), implemented *analytically*
-//! (membership, predicate `P(J)` and decoding in `O(n log n)`).
+//! (membership, predicate `P(J)` and decoding in one `O(n log ℓ)`
+//! top-ℓ selection pass each).
 //! [`counting::nb`](crate::counting::nb) evaluates its exact size
 //! `NB(x, ℓ)` (Theorems 3/13):
 //!

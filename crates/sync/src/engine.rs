@@ -8,7 +8,12 @@
 //!   crashing in round `r` with prefix `a` delivers that round's message to
 //!   `p_1, …, p_a` only, and nothing afterwards;
 //! * a message sent in round `r` is received in round `r`;
-//! * receives are delivered in sender order, then the compute phase runs;
+//! * **each process** receives a round's messages in ascending sender
+//!   order, then the compute phase runs. The order in which *different*
+//!   recipients are served is unspecified — the loops here hand one
+//!   recipient its whole round before turning to the next, the threaded
+//!   tiers run recipients concurrently — which no protocol can observe,
+//!   because processes share no state (the [`SyncProtocol`] contract);
 //! * a process whose compute phase returns [`Step::Decide`] stops
 //!   participating (its sends for that round already happened — the
 //!   forward-then-return shape of Figure 2's lines 13–14).
@@ -73,7 +78,10 @@ pub(crate) trait DeliveryPolicy {
     /// The round during which `id` crashes, if it is faulty.
     fn crash_round(&self, id: ProcessId) -> Option<usize>;
     /// Whether `sender`'s round-`round` broadcast reaches `recipient`,
-    /// given that this is the sender's crash round.
+    /// given that this is the sender's crash round. Asked at most once
+    /// per crash and recipient in a whole run, so implementations are
+    /// `#[cold]`: a delivery loop then spills its registers around this
+    /// call only, not on every delivery (see `receive_round`).
     fn delivers_while_crashing(
         &self,
         sender: ProcessId,
@@ -89,6 +97,7 @@ impl DeliveryPolicy for FailurePattern {
     fn crash_round(&self, id: ProcessId) -> Option<usize> {
         self.spec(id).map(|s| s.round)
     }
+    #[cold]
     fn delivers_while_crashing(
         &self,
         sender: ProcessId,
@@ -108,6 +117,7 @@ impl DeliveryPolicy for UnorderedFailurePattern {
     fn crash_round(&self, id: ProcessId) -> Option<usize> {
         self.spec(id).map(|s| s.round)
     }
+    #[cold]
     fn delivers_while_crashing(
         &self,
         sender: ProcessId,
@@ -224,6 +234,39 @@ fn record_round(started: Option<Instant>) {
     }
 }
 
+/// One recipient's receive phase of the plain loop: hands `process` the
+/// round's `sends` in sender order, skipping what a crashing sender's
+/// broadcast did not reach; returns the number of messages delivered.
+///
+/// Kept out of line on purpose. As a function, the process and the
+/// `sends` array are distinct arguments, so the compiler knows a
+/// `receive` cannot write into the messages being read and keeps the
+/// process's state in registers across the fold; and the crash-round
+/// check, the one call in the loop, is `#[cold]`, so those registers are
+/// spilled around it and not throughout. Inlined into the round loop the
+/// same fold stores and reloads the state per delivery: on a one-word
+/// flood at n = 64 a round takes 9 µs that way, 4 µs this way (8 µs
+/// sender-major).
+#[inline(never)]
+fn receive_round<P: SyncProtocol, D: DeliveryPolicy>(
+    process: &mut P,
+    recipient: ProcessId,
+    round: usize,
+    sends: &[(usize, P::Msg, bool)],
+    policy: &D,
+) -> u64 {
+    let mut delivered = 0;
+    for &(sender, ref msg, crashing_now) in sends {
+        let sender = ProcessId::new(sender);
+        if crashing_now && !policy.delivers_while_crashing(sender, round, recipient) {
+            continue;
+        }
+        process.receive(round, sender, msg);
+        delivered += 1;
+    }
+    delivered
+}
+
 pub(crate) fn run_with_policy<P: SyncProtocol, D: DeliveryPolicy>(
     processes: Vec<P>,
     policy: &D,
@@ -269,27 +312,22 @@ pub(crate) fn run_with_policy<P: SyncProtocol, D: DeliveryPolicy>(
             sends.push((i, msg, crashing_now));
         }
 
-        // Receive phase: deliveries in sender order, to processes that are
-        // still participating this round. Every recipient borrows the one
-        // owned message the sender produced — a round's fan-out is n
-        // deliveries, zero clones.
-        for &(sender, ref msg, crashing_now) in &sends {
-            for recipient in 0..n {
-                if outcomes[recipient].is_some() {
-                    continue;
-                }
-                if crashing_now
-                    && !policy.delivers_while_crashing(
-                        ProcessId::new(sender),
-                        round,
-                        ProcessId::new(recipient),
-                    )
-                {
-                    continue;
-                }
-                procs[recipient].receive(round, ProcessId::new(sender), msg);
-                messages_delivered += 1;
-            }
+        // Receive phase, recipient-major: each process still participating
+        // this round (`outcomes` does not change before the crash phase
+        // below, so that is exactly `active`) folds the whole `sends`
+        // array, in sender order, while its own state stays in cache — a
+        // round-1 `view.set` per delivery lands in one view, not in n
+        // views in turn. Every recipient borrows the one owned message
+        // the sender produced — a round's fan-out is n deliveries, zero
+        // clones.
+        for &recipient in &active {
+            messages_delivered += receive_round(
+                &mut procs[recipient],
+                ProcessId::new(recipient),
+                round,
+                &sends,
+                policy,
+            );
         }
 
         // Crashes of this round take effect before the compute phase: a

@@ -52,6 +52,14 @@ impl<Out: fmt::Display> fmt::Display for Step<Out> {
 ///
 /// Rounds are numbered from 1, matching the paper.
 ///
+/// **Delivery order.** Within a round a process receives its messages in
+/// ascending sender order, on every executor. How deliveries to
+/// *different* processes interleave is unspecified (an executor may
+/// serve one recipient's whole round before the next recipient's first
+/// message, or go sender by sender, or run recipients on separate
+/// threads), so the instances of one execution must share no state: a
+/// process learns about the others only through `receive`.
+///
 /// Delivery is **zero-copy**: a broadcast produces one owned message per
 /// sender per round, and every executor hands that same message to each
 /// recipient by reference — the simulator delivers `n` borrows of the

@@ -38,6 +38,7 @@
 pub mod dense;
 pub mod distance;
 pub mod process;
+mod top;
 pub mod value;
 pub mod vector;
 pub mod view;

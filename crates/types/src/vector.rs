@@ -11,6 +11,7 @@ use std::fmt;
 use serde::{Deserialize, Serialize};
 
 use crate::process::ProcessId;
+use crate::top;
 use crate::value::ProposalValue;
 use crate::view::View;
 
@@ -92,7 +93,8 @@ impl<V: ProposalValue> InputVector<V> {
     /// sort of borrowed entries, zero clones (the counterpart of
     /// [`View::distinct_with_counts`](crate::View::distinct_with_counts)).
     pub fn distinct_with_counts(&self) -> Vec<(&V, usize)> {
-        let mut refs: Vec<&V> = self.entries.iter().collect();
+        let mut refs: Vec<&V> = Vec::with_capacity(self.len());
+        refs.extend(self.entries.iter());
         refs.sort_unstable();
         let mut runs: Vec<(&V, usize)> = Vec::with_capacity(refs.len().min(16));
         for v in refs {
@@ -104,15 +106,21 @@ impl<V: ProposalValue> InputVector<V> {
         runs
     }
 
+    /// The `min(ℓ, |val(I)|)` greatest distinct values, greatest first,
+    /// each with its multiplicity `#_v(I)` — one pass with an ℓ-slot
+    /// buffer, no sort (the counterpart of
+    /// [`View::greatest_with_counts`](crate::View::greatest_with_counts)).
+    pub fn greatest_with_counts(&self, ell: usize) -> Vec<(&V, usize)> {
+        top::greatest_with_counts(self.entries.iter(), self.len(), ell)
+    }
+
     /// `Σ_{v ∈ max_ℓ(I)} #_v(I)`: the total multiplicity of the `ℓ`
     /// greatest distinct values — the density the paper's `C_max(x, ℓ)`
     /// membership compares against `x` — without materializing any value
     /// set.
     pub fn greatest_distinct_weight(&self, ell: usize) -> usize {
-        self.distinct_with_counts()
+        self.greatest_with_counts(ell)
             .iter()
-            .rev()
-            .take(ell)
             .map(|(_, count)| count)
             .sum()
     }
@@ -157,11 +165,9 @@ impl<V: ProposalValue> InputVector<V> {
     /// assert_eq!(i.greatest_distinct(2), [5, 9].into_iter().collect());
     /// ```
     pub fn greatest_distinct(&self, ell: usize) -> BTreeSet<V> {
-        self.distinct_with_counts()
-            .iter()
-            .rev()
-            .take(ell)
-            .map(|(v, _)| (*v).clone())
+        self.greatest_with_counts(ell)
+            .into_iter()
+            .map(|(v, _)| v.clone())
             .collect()
     }
 

@@ -17,6 +17,7 @@ use std::fmt;
 use serde::{Deserialize, Serialize};
 
 use crate::process::ProcessId;
+use crate::top;
 use crate::value::ProposalValue;
 use crate::vector::InputVector;
 
@@ -117,13 +118,17 @@ impl<V: ProposalValue> View<V> {
     }
 
     /// The distinct non-`⊥` values with their multiplicities, ascending —
-    /// one sort of borrowed entries, **zero clones**. This is the single
-    /// counting pass behind [`distinct_count`](View::distinct_count),
-    /// [`greatest_distinct`](View::greatest_distinct) and the legality
-    /// oracles' `C_max` checks, which previously materialized whole
-    /// `BTreeSet<V>`s per check.
+    /// one sort of borrowed entries, **zero clones**, behind
+    /// [`distinct_count`](View::distinct_count). Questions about the
+    /// greatest values only ([`greatest_distinct`](View::greatest_distinct),
+    /// the `C_max` checks) go through
+    /// [`greatest_with_counts`](View::greatest_with_counts) instead, which
+    /// does not sort.
     pub fn distinct_with_counts(&self) -> Vec<(&V, usize)> {
-        let mut refs: Vec<&V> = self.entries.iter().flatten().collect();
+        // Sized up front: `flatten()` reports no lower bound, so a plain
+        // `collect()` would grow the buffer one `realloc` at a time.
+        let mut refs: Vec<&V> = Vec::with_capacity(self.len());
+        refs.extend(self.entries.iter().flatten());
         refs.sort_unstable();
         let mut runs: Vec<(&V, usize)> = Vec::with_capacity(refs.len().min(16));
         for v in refs {
@@ -135,14 +140,30 @@ impl<V: ProposalValue> View<V> {
         runs
     }
 
+    /// The `min(ℓ, |val(J)|)` greatest distinct non-`⊥` values, greatest
+    /// first, each with its multiplicity `#_v(J)` — everything `C_max(x, ℓ)`
+    /// asks of a view. One pass over the entries with a buffer of
+    /// `min(ℓ, n)` slots, its only allocation: `O(n log ℓ)` comparisons
+    /// and `O(n·ℓ)` slot moves at worst, no sort, zero clones.
+    ///
+    /// # Example
+    ///
+    /// ```
+    /// use setagree_types::View;
+    ///
+    /// let j = View::from_options(vec![Some(5), None, Some(9), Some(5), Some(2)]);
+    /// assert_eq!(j.greatest_with_counts(2), vec![(&9, 1), (&5, 2)]);
+    /// ```
+    pub fn greatest_with_counts(&self, ell: usize) -> Vec<(&V, usize)> {
+        top::greatest_with_counts(self.entries.iter().flatten(), self.len(), ell)
+    }
+
     /// `Σ_{v ∈ max_ℓ(J)} #_v(J)`: the total multiplicity of the `ℓ`
     /// greatest distinct observed values — the density `C_max` compares
-    /// against `x` — in one counting pass with no value set materialized.
+    /// against `x` — in one selection pass with no value set materialized.
     pub fn greatest_distinct_weight(&self, ell: usize) -> usize {
-        self.distinct_with_counts()
+        self.greatest_with_counts(ell)
             .iter()
-            .rev()
-            .take(ell)
             .map(|(_, count)| count)
             .sum()
     }
@@ -173,11 +194,9 @@ impl<V: ProposalValue> View<V> {
     /// The `ℓ` greatest distinct non-`⊥` values (`max_ℓ(J)`). Clones only
     /// the `≤ ℓ` returned values, not the whole distinct set.
     pub fn greatest_distinct(&self, ell: usize) -> BTreeSet<V> {
-        self.distinct_with_counts()
-            .iter()
-            .rev()
-            .take(ell)
-            .map(|(v, _)| (*v).clone())
+        self.greatest_with_counts(ell)
+            .into_iter()
+            .map(|(v, _)| v.clone())
             .collect()
     }
 

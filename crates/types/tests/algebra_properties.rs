@@ -1,6 +1,8 @@
 //! Property-based tests for the vector/view algebra: the laws the rest of
 //! the workspace silently relies on.
 
+use std::collections::BTreeSet;
+
 use proptest::prelude::*;
 
 use setagree_types::{distance, InputVector, ProcessId, View};
@@ -14,7 +16,93 @@ fn view_of(n: usize) -> impl Strategy<Value = View<u32>> {
     proptest::collection::vec(proptest::option::of(0u32..5), n).prop_map(View::from_options)
 }
 
+/// What sorting everything gives: the values and total multiplicity of
+/// the last `ell` runs of an ascending `distinct_with_counts`.
+fn top_by_sorting(runs: &[(&u32, usize)], ell: usize) -> (BTreeSet<u32>, usize) {
+    let top = runs.iter().rev().take(ell);
+    (
+        top.clone().map(|(v, _)| **v).collect(),
+        top.map(|(_, count)| count).sum(),
+    )
+}
+
+/// The one-pass top-ℓ selection behind `greatest_distinct` and
+/// `greatest_distinct_weight` agrees with the sort-based reference on the
+/// view of `entries`, on the full view and on the vector of its non-`⊥`
+/// values, for every `ell` from 0 to two past the length.
+fn assert_selection_matches_sorting(entries: &[Option<u32>]) {
+    let observed: Vec<u32> = entries.iter().flatten().copied().collect();
+    let view = View::from_options(entries.to_vec());
+    for ell in 0..=entries.len() + 2 {
+        let (values, weight) = top_by_sorting(&view.distinct_with_counts(), ell);
+        assert_eq!(view.greatest_distinct(ell), values, "{view}, ℓ = {ell}");
+        assert_eq!(
+            view.greatest_distinct_weight(ell),
+            weight,
+            "{view}, ℓ = {ell}"
+        );
+        let held = view.greatest_with_counts(ell);
+        assert!(
+            held.windows(2).all(|pair| pair[0].0 > pair[1].0),
+            "{view}: greatest first"
+        );
+        assert!(
+            held.iter().all(|(v, count)| view.count_of(v) == *count),
+            "{view}, ℓ = {ell}"
+        );
+        if observed.is_empty() {
+            continue;
+        }
+        let vector = InputVector::new(observed.clone());
+        let full = vector.to_view();
+        let (values, weight) = top_by_sorting(&vector.distinct_with_counts(), ell);
+        assert_eq!(vector.greatest_distinct(ell), values, "{vector}, ℓ = {ell}");
+        assert_eq!(
+            vector.greatest_distinct_weight(ell),
+            weight,
+            "{vector}, ℓ = {ell}"
+        );
+        assert_eq!(full.greatest_distinct(ell), values, "{full}, ℓ = {ell}");
+        assert_eq!(
+            full.greatest_distinct_weight(ell),
+            weight,
+            "{full}, ℓ = {ell}"
+        );
+    }
+}
+
+/// The input orders that steer the selection buffer through each of its
+/// branches; `assert_selection_matches_sorting` adds ℓ = 0 and ℓ beyond
+/// the distinct count to each.
+#[test]
+fn top_selection_matches_sorting_on_adversarial_orders() {
+    let ascending: Vec<Option<u32>> = (0..9).map(Some).collect();
+    let descending: Vec<Option<u32>> = (0..9).rev().map(Some).collect();
+    // Every entry a new maximum, each evicted value returning later.
+    let sawtooth: Vec<Option<u32>> = (0..12).map(|i| Some(i % 4 + i / 4)).collect();
+    for entries in [
+        ascending,
+        descending,
+        sawtooth,
+        vec![Some(3); 7],
+        vec![None; 5],
+        vec![None, Some(2), None, Some(2), Some(1), None],
+        vec![Some(4)],
+    ] {
+        assert_selection_matches_sorting(&entries);
+    }
+}
+
 proptest! {
+    /// Random views over a small domain (many duplicates, `⊥` in one
+    /// entry of four): selection ≡ sorting.
+    #[test]
+    fn top_selection_matches_sorting(
+        entries in proptest::collection::vec(proptest::option::of(0u32..5), 1..=12),
+    ) {
+        assert_selection_matches_sorting(&entries);
+    }
+
     /// d_H is a metric: identity, symmetry, triangle inequality.
     #[test]
     fn hamming_is_a_metric(

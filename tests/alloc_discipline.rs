@@ -12,6 +12,11 @@
 //!   start of the next regrown buffer — except the box each pooled task
 //!   travels in, which the worker that ran it necessarily drops.
 //!
+//! * **A `C_max` question never regrows a buffer either.** Every
+//!   process asks one per cell in its compute phase, on whichever thread
+//!   runs the cell; `MaxCondition::{decode_view, matches, contains}`
+//!   call `realloc` zero times.
+//!
 //! Own test binary: the `#[global_allocator]` below is private to it.
 //! The allocator wraps `System`, prefixes every block with the tag of
 //! the thread that allocated it, and keeps its counts per thread, so
@@ -21,12 +26,12 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::atomic::{AtomicU32, AtomicUsize, Ordering};
 
-use setagree::conditions::MaxCondition;
+use setagree::conditions::{ConditionOracle, LegalityParams, MaxCondition};
 use setagree::core::{ConditionBasedConfig, ProtocolSpec, ScenarioSuite};
 use setagree::sync::{
     run_protocol, run_protocol_faulty, FailurePattern, FaultPlan, Step, SyncProtocol,
 };
-use setagree::types::{InputVector, ProcessId};
+use setagree::types::{InputVector, ProcessId, View};
 
 struct Tagging;
 
@@ -219,6 +224,30 @@ fn the_faulty_round_loop_never_reallocs_after_round_one() {
                 .rounds_executed()
         });
         assert_eq!(grown, 0, "a per-round buffer was regrown under {plan}");
+    }
+}
+
+#[test]
+fn the_max_condition_oracle_never_reallocs() {
+    // Ascending values with a `⊥` every ninth entry: every observed
+    // entry is a new maximum, the selection buffer's busiest input.
+    let entries: Vec<Option<u32>> = (0..N as u32).map(|i| (i % 9 != 4).then_some(i)).collect();
+    let view = View::from_options(entries.clone());
+    let vector = InputVector::new(entries.into_iter().flatten().collect());
+    for (x, ell) in [(0, 1), (3, 2), (60, 3), (10, N + 2)] {
+        let oracle = MaxCondition::new(LegalityParams::new(x, ell).expect("ℓ ≥ 1"));
+        let before = reallocs_on_this_thread();
+        let decoded = oracle.decode_view(&view);
+        let matches = oracle.matches(&view);
+        let member = oracle.contains(&vector);
+        let grown = reallocs_on_this_thread() - before;
+        assert_eq!(decoded.is_some(), matches);
+        assert_eq!(
+            member,
+            x < 57.min(ell),
+            "57 distinct values, one entry each"
+        );
+        assert_eq!(grown, 0, "a C_max({x}, {ell}) question regrew a buffer");
     }
 }
 

@@ -144,6 +144,48 @@ impl SyncProtocol for ViewFlood {
     }
 }
 
+/// A protocol that decides its own delivery log: every `(round, from)`
+/// it was handed, in the order it was handed them. With it the trace
+/// comparison pins, per process, *which* deliveries happened and in what
+/// order — not just a state that happens to be order-insensitive.
+/// Process `i` decides at the end of round `1 + i % 3`, so later rounds
+/// run with some processes already gone.
+#[derive(Debug, Clone)]
+struct DeliveryLog {
+    decide_at: usize,
+    log: Vec<(usize, usize)>,
+}
+
+impl DeliveryLog {
+    fn system(n: usize) -> Vec<Self> {
+        (0..n)
+            .map(|i| DeliveryLog {
+                decide_at: 1 + i % 3,
+                log: Vec::new(),
+            })
+            .collect()
+    }
+}
+
+impl SyncProtocol for DeliveryLog {
+    type Msg = ();
+    type Output = Vec<(usize, usize)>;
+
+    fn message(&mut self, _round: usize) {}
+
+    fn receive(&mut self, round: usize, from: ProcessId, _msg: &()) {
+        self.log.push((round, from.index()));
+    }
+
+    fn compute(&mut self, round: usize) -> Step<Self::Output> {
+        if round >= self.decide_at {
+            Step::Decide(self.log.clone())
+        } else {
+            Step::Continue
+        }
+    }
+}
+
 fn pattern_strategy(n: usize, t: usize) -> impl Strategy<Value = FailurePattern> {
     proptest::collection::vec((0usize..n, 1usize..=4, 0usize..=n), 0..=t).prop_map(move |crashes| {
         let mut pattern = FailurePattern::none(n);
@@ -198,6 +240,55 @@ where
         threaded.messages_delivered()
     );
     reference
+}
+
+/// The three delivery edge cases in one pattern: p2 crashes mid-broadcast
+/// in round 1 (prefix 3), p6 crashes in round 2 before sending to anyone —
+/// while the round-2 senders still deliver to it — and p1, p4, p7 decided
+/// at the end of round 1, so round 2 runs without them.
+#[test]
+fn each_process_receives_in_ascending_sender_order() {
+    let mut pattern = FailurePattern::none(N);
+    pattern
+        .crash(ProcessId::new(1), CrashSpec::new(1, 3))
+        .expect("valid");
+    pattern
+        .crash(ProcessId::new(5), CrashSpec::new(2, 0))
+        .expect("valid");
+    let trace = assert_all_equal(|| DeliveryLog::system(N), &pattern, 4);
+
+    let log_of = |i: usize| {
+        trace
+            .outcome(ProcessId::new(i))
+            .decided_value()
+            .unwrap_or_else(|| panic!("p{} decides", i + 1))
+            .clone()
+    };
+    // Round 1: everyone sends; p2's broadcast reaches p1..p3 only.
+    assert_eq!(log_of(0), (0..N).map(|from| (1, from)).collect::<Vec<_>>());
+    assert_eq!(
+        log_of(3),
+        (0..N)
+            .filter(|&from| from != 1)
+            .map(|from| (1, from))
+            .collect::<Vec<_>>()
+    );
+    // Round 2: p1, p4, p7 decided a round earlier and p2 is gone; p6
+    // crashes before its first send. p3 hears exactly p3, p5, p8.
+    let round_2: Vec<(usize, usize)> = log_of(2).into_iter().filter(|&(r, _)| r == 2).collect();
+    assert_eq!(round_2, [(2, 2), (2, 4), (2, 7)]);
+    for i in (0..N).filter(|&i| i != 1 && i != 5) {
+        let log = log_of(i);
+        assert!(
+            log.windows(2).all(|pair| pair[0] < pair[1]),
+            "p{} was served out of sender order: {log:?}",
+            i + 1
+        );
+    }
+    // Round 1: 7 full broadcasts and p2's prefix of 3. Round 2: 3 senders
+    // × 4 recipients (p3, p5, p6, p8 — the crashing p6 is still delivered
+    // to). Round 3: p3's self-delivery.
+    assert_eq!(trace.messages_delivered(), (7 * 8 + 3) + 3 * 4 + 1);
 }
 
 proptest! {
@@ -259,6 +350,8 @@ proptest! {
             &pattern,
             6,
         );
+        // Per-process delivery order itself, as the decided value.
+        assert_all_equal(|| DeliveryLog::system(N), &pattern, 4);
     }
 
     /// Report-level equivalence through the `Scenario` front door: both
