@@ -10,6 +10,8 @@
 //!
 //! [`FaultPlan`]: setagree_sync::FaultPlan
 
+use setagree_sync::RATE_SCALE;
+
 /// Extracts `--faults seed:rate` (or `--faults=seed:rate`) from `args`,
 /// leaving every other argument in place for the caller's own parser.
 ///
@@ -32,9 +34,12 @@ pub fn take_faults_flag(args: &mut Vec<String>) -> Result<Option<(u64, u32)>, St
             rest.push(arg);
             continue;
         };
+        // A rate past the scale is malformed, not clamped: the plan
+        // builder would clamp it, and two labels would name one plan.
         let parsed = value
             .split_once(':')
-            .and_then(|(s, r)| Some((s.trim().parse().ok()?, r.trim().parse().ok()?)));
+            .and_then(|(s, r)| Some((s.trim().parse().ok()?, r.trim().parse().ok()?)))
+            .filter(|&(_, rate)| rate <= RATE_SCALE);
         match parsed {
             Some(pair) => faults = Some(pair),
             None => {
@@ -77,5 +82,17 @@ mod tests {
         assert!(take_faults_flag(&mut strings(&["--faults", "7"])).is_err());
         assert!(take_faults_flag(&mut strings(&["--faults", "a:b"])).is_err());
         assert!(take_faults_flag(&mut strings(&["--faults"])).is_err());
+    }
+
+    #[test]
+    fn a_rate_past_the_scale_is_malformed() {
+        assert_eq!(
+            take_faults_flag(&mut strings(&["--faults", "7:10000"])),
+            Ok(Some((7, 10_000)))
+        );
+        for value in ["7:10001", "7:25000"] {
+            let err = take_faults_flag(&mut strings(&["--faults", value])).unwrap_err();
+            assert!(err.contains(value), "{err}");
+        }
     }
 }

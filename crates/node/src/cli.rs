@@ -9,7 +9,7 @@ use std::error::Error;
 use std::fmt;
 use std::net::SocketAddr;
 
-use setagree_sync::{FaultPlan, Partition};
+use setagree_sync::{FaultPlan, Partition, RATE_SCALE};
 use setagree_types::{ProcessId, ProcessSet};
 
 use crate::config::{parse_peers, DEFAULT_ROUND_TIMEOUT};
@@ -213,10 +213,13 @@ fn parse_faults(value: &str) -> Result<(u64, u32), CliError> {
         value: value.to_string(),
     };
     let (seed, rate) = value.split_once(':').ok_or_else(invalid)?;
-    Ok((
-        seed.trim().parse().map_err(|_| invalid())?,
-        rate.trim().parse().map_err(|_| invalid())?,
-    ))
+    let rate: u32 = rate.trim().parse().map_err(|_| invalid())?;
+    // The plan builder clamps: past the scale, two labels would name one
+    // plan.
+    if rate > RATE_SCALE {
+        return Err(invalid());
+    }
+    Ok((seed.trim().parse().map_err(|_| invalid())?, rate))
 }
 
 fn parse_partition(value: &str) -> Result<(Vec<usize>, usize, usize), CliError> {
@@ -597,6 +600,21 @@ mod tests {
                 value: "1:2".to_string()
             })
         );
+        // A rate is parts per 10 000: past that it is no rate, and parsed
+        // it would label the run differently from the plan it runs.
+        for faults in ["7", "a:b", "7:10001", "7:25000"] {
+            assert_eq!(
+                parse_command(strings(&["testnet", "--input", "1,2", "--faults", faults])),
+                Err(CliError::InvalidValue {
+                    flag: "--faults".to_string(),
+                    value: faults.to_string()
+                })
+            );
+        }
+        assert!(parse_command(strings(&[
+            "testnet", "--input", "1,2", "--faults", "7:10000"
+        ]))
+        .is_ok());
         assert_eq!(
             parse_command(strings(&["testnet", "--input", "1,2", "--fast", "yes"])),
             Err(CliError::UnknownFlag {

@@ -20,7 +20,6 @@
 
 use std::error::Error;
 use std::fmt;
-use std::rc::Rc;
 use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
@@ -177,8 +176,16 @@ pub fn run_protocol_unordered<P: SyncProtocol>(
 /// partition) apply receiver-side on top of the crash pattern's
 /// deliveries. `FaultPlan::none` runs trace-identical to
 /// [`run_protocol`] — the benign plan takes the full fault path on
-/// purpose, so the identity is a property of the machinery, not of a
-/// short-circuit (pinned by `tests/fault_equivalence.rs`).
+/// purpose, every inbox streamed through the same [`FaultInbox`] core
+/// that a lossy plan's is, so the identity is a property of the
+/// machinery, not of a short-circuit (pinned by
+/// `tests/fault_equivalence.rs`). Streaming is what keeps that cheap: a
+/// message is produced once per sender and round, kept in a short ring
+/// of recent rounds for as long as a delayed letter can still refer to
+/// it, and handed to each recipient by reference — no clone, no
+/// reference count, no per-recipient buffer (`P::Msg` needs no `Clone`).
+/// Under the benign plan the loop allocates exactly what the plain one
+/// does (`tests/alloc_discipline.rs`).
 ///
 /// # Errors
 ///
@@ -363,19 +370,99 @@ pub(crate) fn run_with_policy<P: SyncProtocol, D: DeliveryPolicy>(
     Ok(Trace::new(outcomes, rounds_executed, messages_delivered))
 }
 
-/// The fault-composed round loop. Delivery counting matches the node
-/// mesh's discipline exactly, so faulty simulator traces are
-/// byte-identical to faulty loopback traces:
+/// A letter of the fault-composed loop: where its message sits in the
+/// ring of recent `sends` arrays. `Copy`, so duplicating or stashing a
+/// letter neither clones the message nor counts a reference to it.
+#[derive(Debug, Clone, Copy)]
+struct Letter {
+    slot: usize,
+    index: usize,
+}
+
+/// How many of the round's `sends` reach `recipient` — every one but a
+/// crashing sender's whose broadcast stopped short of it.
+fn accepted_by<M, D: DeliveryPolicy>(
+    recipient: ProcessId,
+    round: usize,
+    sends: &[(usize, M, bool)],
+    policy: &D,
+) -> i64 {
+    sends
+        .iter()
+        .filter(|&&(sender, _, crashing_now)| {
+            !crashing_now
+                || policy.delivers_while_crashing(ProcessId::new(sender), round, recipient)
+        })
+        .count() as i64
+}
+
+/// One live recipient's receive phase of the fault-composed loop:
+/// streams the round's accepted `sends` (those of `ring[slot]`, each
+/// with its sender's `salts` entry) through the recipient's inbox into
+/// `process`, and returns the delivered count they add up to — accepted
+/// deliveries plus the plan's adjustment. The other slots of `ring` are
+/// the `sends` of the earlier rounds a due letter can still point into.
+///
+/// Out of line for the reason [`receive_round`] is.
+#[inline(never)]
+#[allow(clippy::too_many_arguments)]
+fn receive_round_faulty<P: SyncProtocol, D: DeliveryPolicy>(
+    process: &mut P,
+    inbox: &mut FaultInbox<Letter>,
+    round: usize,
+    ring: &[Vec<(usize, P::Msg, bool)>],
+    slot: usize,
+    salts: &[u64],
+    policy: &D,
+    scratch: &mut Vec<(ProcessId, Letter)>,
+) -> i64 {
+    let recipient = inbox.me();
+    let sends = &ring[slot];
+    // Counted where a send is turned away, the one branch that is cold.
+    let mut rejected = 0;
+    let arrivals = sends.iter().zip(salts).enumerate().filter_map(
+        |(index, (&(sender, _, crashing_now), &salt))| {
+            let sender = ProcessId::new(sender);
+            if crashing_now && !policy.delivers_while_crashing(sender, round, recipient) {
+                rejected += 1;
+                return None;
+            }
+            Some((sender, salt, Letter { slot, index }))
+        },
+    );
+    let adjust = inbox.deliver(round, arrivals, scratch, |from, letter| {
+        process.receive(round, from, &ring[letter.slot][letter.index].1)
+    });
+    sends.len() as i64 - rejected + adjust
+}
+
+/// The fault-composed round loop: recipient-major like the plain one,
+/// every inbox streamed through [`FaultInbox::deliver`] — the benign
+/// plan included, so its identity with the plain loop is a property of
+/// the machinery and not of a short-circuit.
+///
+/// A letter is a [`Letter`] handle into a ring of `sends` arrays, one
+/// slot per round a message can still be waited for: a delayed letter
+/// keeps its original message alive by the slot not being reused yet,
+/// so messages are neither cloned nor reference-counted. The ring has
+/// one slot when the plan delays nothing, otherwise
+/// `min(max_delay, max_rounds − 1) + 1`, each created the first time a
+/// round maps to it.
+///
+/// Delivery counting matches the node mesh's discipline exactly, so
+/// faulty simulator traces are byte-identical to faulty loopback traces:
 ///
 /// * a delivery is counted when the sender's broadcast *accepts* it
 ///   (every unsettled in-prefix recipient), before any link fault —
 ///   the mesh counts sends into a channel;
 /// * drops then subtract and duplicates add at the live recipient's
-///   collect ([`FaultInbox::assemble`]'s adjustment); delays adjust
-///   nothing (counted at the accepting broadcast, delivered later);
-/// * a recipient crashing *this* round never collects — its accepted
-///   deliveries stay counted, exactly like a loopback victim departing
-///   with an undrained channel.
+///   collect ([`FaultInbox::deliver`]'s adjustment); delays adjust
+///   nothing (counted at the accepting broadcast, delivered later — or
+///   never, if the recipient has decided or crashed by then);
+/// * a recipient crashing *this* round never collects — it draws no
+///   decision and its stash is lost, but its accepted deliveries stay
+///   counted, exactly like a loopback victim departing with an undrained
+///   channel.
 pub(crate) fn run_with_policy_faulty<P: SyncProtocol, D: DeliveryPolicy>(
     processes: Vec<P>,
     policy: &D,
@@ -398,20 +485,21 @@ pub(crate) fn run_with_policy_faulty<P: SyncProtocol, D: DeliveryPolicy>(
 
     let mut procs = processes;
     let mut outcomes: Vec<Option<Outcome<P::Output>>> = (0..n).map(|_| None).collect();
-    let mut inboxes: Vec<FaultInbox<Rc<P::Msg>>> = (0..n)
+    let mut inboxes: Vec<FaultInbox<Letter>> = (0..n)
         .map(|i| FaultInbox::new(plan.clone(), ProcessId::new(i)))
         .collect();
     let mut delivered: i64 = 0;
     let mut rounds_executed = 0;
     let obs_on = setagree_obs::enabled();
-    // Sized once and cleared per round, as in the plain loop. A
-    // recipient's arrival buffer is sized in its first active round
-    // (the active set only shrinks) and drained by the assembly, which
-    // fills the one shared `inbox`.
+    // Sized once and cleared per round, as in the plain loop; so is each
+    // ring slot, in the first round that maps to it.
     let mut active: Vec<usize> = Vec::with_capacity(n);
-    let mut sends: Vec<(usize, Rc<P::Msg>, bool)> = Vec::with_capacity(n);
-    let mut arrivals: Vec<Vec<(ProcessId, Rc<P::Msg>)>> = (0..n).map(|_| Vec::new()).collect();
-    let mut inbox: Vec<(ProcessId, Rc<P::Msg>)> = Vec::with_capacity(n);
+    let mut salts: Vec<u64> = Vec::with_capacity(n);
+    // An inbox that reorders holds the round's arrivals — twice over if
+    // all are duplicated — and what was stashed for it.
+    let mut scratch: Vec<(ProcessId, Letter)> = Vec::with_capacity(2 * n);
+    let ring_len = plan.longest_delay().min(max_rounds.saturating_sub(1)) + 1;
+    let mut ring: Vec<Vec<(usize, P::Msg, bool)>> = Vec::new();
 
     for round in 1..=max_rounds {
         active.clear();
@@ -422,52 +510,40 @@ pub(crate) fn run_with_policy_faulty<P: SyncProtocol, D: DeliveryPolicy>(
         rounds_executed = round;
         let round_started = obs_on.then(Instant::now);
 
-        // Send phase.
-        sends.clear();
+        // Send phase, into this round's slot — whose previous tenants no
+        // letter can be waiting for any more.
+        let slot = (round - 1) % ring_len;
+        if slot == ring.len() {
+            ring.push(Vec::with_capacity(n));
+        }
+        let round_salt = plan.round(round);
+        ring[slot].clear();
+        salts.clear();
         for &i in &active {
             let crashing_now = policy.crash_round(ProcessId::new(i)) == Some(round);
-            let msg = Rc::new(procs[i].message(round));
-            sends.push((i, msg, crashing_now));
-            arrivals[i].reserve(active.len());
+            ring[slot].push((i, procs[i].message(round), crashing_now));
+            salts.push(round_salt.sender(ProcessId::new(i)));
         }
 
-        // Delivery determination + broadcast-accept counting.
-        for &(sender, ref msg, crashing_now) in &sends {
-            for recipient in 0..n {
-                if outcomes[recipient].is_some() {
-                    continue;
-                }
-                if crashing_now
-                    && !policy.delivers_while_crashing(
-                        ProcessId::new(sender),
-                        round,
-                        ProcessId::new(recipient),
-                    )
-                {
-                    continue;
-                }
-                delivered += 1;
-                arrivals[recipient].push((ProcessId::new(sender), Rc::clone(msg)));
-            }
-        }
-
-        // This round's crashes take effect before the receive phase: a
-        // victim departs without collecting its crash-round inbox.
-        for &i in &active {
-            if policy.crash_round(ProcessId::new(i)) == Some(round) {
+        // Receive phase. Every active process sent, so `sends` lines up
+        // with `active`. A victim of this round departs without
+        // collecting its crash-round inbox, and before the compute phase.
+        let sends = &ring[slot];
+        for (&i, &(_, _, crashing_now)) in active.iter().zip(sends) {
+            if crashing_now {
+                delivered += accepted_by(ProcessId::new(i), round, sends, policy);
                 outcomes[i] = Some(Outcome::Crashed { round });
-                arrivals[i].clear();
-            }
-        }
-
-        // Receive phase: live recipients assemble through the plan.
-        for &i in &active {
-            if outcomes[i].is_some() {
-                continue;
-            }
-            delivered += inboxes[i].assemble_into(round, &mut arrivals[i], &mut inbox);
-            for (from, msg) in inbox.drain(..) {
-                procs[i].receive(round, from, &msg);
+            } else {
+                delivered += receive_round_faulty(
+                    &mut procs[i],
+                    &mut inboxes[i],
+                    round,
+                    &ring,
+                    slot,
+                    &salts,
+                    policy,
+                    &mut scratch,
+                );
             }
         }
 
@@ -797,6 +873,29 @@ mod tests {
             run_protocol_faulty(flood_system(4, 2), &FailurePattern::none(4), &plan, 5).unwrap();
         for o in trace.outcomes() {
             assert_eq!(o.decided_value().unwrap().count_bottom(), 0);
+        }
+    }
+
+    #[test]
+    fn the_ring_is_sized_by_the_rounds_run_not_by_the_bounds_given() {
+        use crate::fault::FaultPlan;
+        // Every peer letter is delayed by up to `usize::MAX` rounds and
+        // the run may take `usize::MAX` of them: a ring allocated up
+        // front for either bound could not be. The flood decides in
+        // round 2, each process having heard itself only.
+        let plan = FaultPlan::new(3, 5).delay_rate(crate::fault::RATE_SCALE, usize::MAX);
+        let trace = run_protocol_faulty(
+            flood_system(3, 2),
+            &FailurePattern::none(3),
+            &plan,
+            usize::MAX,
+        )
+        .unwrap();
+        assert_eq!(trace.rounds_executed(), 2);
+        // Delayed letters stay counted where their broadcast was accepted.
+        assert_eq!(trace.messages_delivered(), 18);
+        for o in trace.outcomes() {
+            assert_eq!(o.decided_value().unwrap().count_bottom(), 2);
         }
     }
 

@@ -260,8 +260,38 @@ impl FaultPlan {
 
     /// The fate of the `from → to` link in `round` — a pure function of
     /// the plan; both the simulator engine and the transport wrapper
-    /// call exactly this.
+    /// decide every link through the one body behind this.
     pub fn decide(&self, round: usize, from: ProcessId, to: ProcessId) -> LinkFault {
+        self.links(round, to)
+            .decide(from, || self.round(round).sender(from))
+    }
+
+    /// The `[seed, 1, round]` part of every link decision of `round`,
+    /// folded once: a round loop asks for it once per round, and for
+    /// [`RoundSalt::sender`] once per sender, in place of five hashes
+    /// per link.
+    pub(crate) fn round(&self, round: usize) -> RoundSalt {
+        RoundSalt(self.stream(&[1, round as u64]).state)
+    }
+
+    /// The links into `to` in `round`.
+    fn links(&self, round: usize, to: ProcessId) -> Links<'_> {
+        Links {
+            round,
+            to,
+            partitions: &self.partitions,
+            drop_rate: self.drop_rate,
+            delay_rate: self.delay_rate,
+            duplicate_rate: self.duplicate_rate,
+            max_delay: self.max_delay,
+        }
+    }
+
+    /// The parent's decision body — all four draws, eagerly, from a
+    /// stream salted per link — kept as the reference [`FaultPlan::decide`]
+    /// is tested against.
+    #[cfg(test)]
+    fn decide_by_full_stream(&self, round: usize, from: ProcessId, to: ProcessId) -> LinkFault {
         if from == to {
             return LinkFault::Deliver;
         }
@@ -292,16 +322,32 @@ impl FaultPlan {
     /// inbox: a seeded Fisher–Yates shuffle when the draw fires, the
     /// identity otherwise.
     pub fn permute<T>(&self, round: usize, to: ProcessId, inbox: &mut [T]) {
-        if self.reorder_rate == 0 || inbox.len() < 2 {
+        if inbox.len() < 2 {
             return;
+        }
+        if let Some(stream) = self.reorder_draw(round, to) {
+            stream.shuffle(inbox);
+        }
+    }
+
+    /// The (round, receiver) reorder draw: the stream the shuffle goes
+    /// on reading when the draw fires, `None` when the inbox keeps its
+    /// order — known before the inbox's first letter is.
+    fn reorder_draw(&self, round: usize, to: ProcessId) -> Option<DecisionStream> {
+        if self.reorder_rate == 0 {
+            return None;
         }
         let mut stream = self.stream(&[2, round as u64, to.index() as u64]);
-        if stream.next() % u64::from(RATE_SCALE) >= u64::from(self.reorder_rate) {
-            return;
-        }
-        for i in (1..inbox.len()).rev() {
-            let j = (stream.next() % (i as u64 + 1)) as usize;
-            inbox.swap(i, j);
+        (stream.next() % u64::from(RATE_SCALE) < u64::from(self.reorder_rate)).then_some(stream)
+    }
+
+    /// How many rounds a letter of this plan can outlive the round it
+    /// was sent in (0 when the plan delays nothing).
+    pub(crate) fn longest_delay(&self) -> usize {
+        if self.delay_rate > 0 {
+            self.max_delay
+        } else {
+            0
         }
     }
 
@@ -309,7 +355,7 @@ impl FaultPlan {
     fn stream(&self, salts: &[u64]) -> DecisionStream {
         let mut state = splitmix(self.seed ^ 0x5E7A_6EE0_FA17_1B0B);
         for &salt in salts {
-            state = splitmix(state ^ salt.wrapping_mul(0x9E37_79B9_7F4A_7C15));
+            state = salted(state, salt);
         }
         DecisionStream { state }
     }
@@ -340,6 +386,82 @@ impl fmt::Display for FaultPlan {
     }
 }
 
+/// The links into one receiver in one round, with the plan's parameters
+/// read once: a delivery loop deciding link after link keeps them in
+/// registers where it would reload the plan's fields around every
+/// `receive`.
+struct Links<'p> {
+    round: usize,
+    to: ProcessId,
+    partitions: &'p [Partition],
+    drop_rate: u32,
+    delay_rate: u32,
+    duplicate_rate: u32,
+    max_delay: usize,
+}
+
+impl Links<'_> {
+    /// Whether a partition cuts the link out of `from`. Plans with
+    /// partitions are the rare ones, so the scan is kept out of the
+    /// delivery loops' registers.
+    #[cold]
+    #[inline(never)]
+    fn cut(&self, from: ProcessId) -> bool {
+        self.partitions
+            .iter()
+            .any(|p| p.cuts(self.round, from, self.to))
+    }
+
+    /// The fate of the link out of `from`, given its
+    /// [`RoundSalt::sender`] state (asked for only when some rate can
+    /// fire). The four draws of a link sit at fixed positions of its
+    /// stream — 1 drop, 2 delay, 3 delay amount, 4 duplicate — and a
+    /// draw no outcome depends on (its rate is 0, or an earlier one
+    /// fired) is not computed.
+    #[inline]
+    fn decide(&self, from: ProcessId, sender_state: impl FnOnce() -> u64) -> LinkFault {
+        if from == self.to {
+            return LinkFault::Deliver;
+        }
+        if !self.partitions.is_empty() && self.cut(from) {
+            return LinkFault::Drop;
+        }
+        if self.drop_rate == 0 && self.delay_rate == 0 && self.duplicate_rate == 0 {
+            return LinkFault::Deliver;
+        }
+        let stream = DecisionStream {
+            state: salted(sender_state(), self.to.index() as u64),
+        };
+        let fires = |position: u64, rate: u32| {
+            rate > 0 && stream.at(position) % u64::from(RATE_SCALE) < u64::from(rate)
+        };
+        if fires(1, self.drop_rate) {
+            LinkFault::Drop
+        } else if fires(2, self.delay_rate) {
+            LinkFault::Delay(1 + (stream.at(3) % self.max_delay as u64) as usize)
+        } else if fires(4, self.duplicate_rate) {
+            LinkFault::Duplicate
+        } else {
+            LinkFault::Deliver
+        }
+    }
+}
+
+/// A link-decision stream with `[seed, 1, round]` folded in; see
+/// [`FaultPlan::round`].
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct RoundSalt(u64);
+
+impl RoundSalt {
+    /// The stream state shared by every link out of `from` this round —
+    /// what [`FaultInbox::deliver`] takes with each arrival.
+    pub(crate) fn sender(self, from: ProcessId) -> u64 {
+        salted(self.0, from.index() as u64)
+    }
+}
+
+const GOLDEN: u64 = 0x9E37_79B9_7F4A_7C15;
+
 /// A splittable counter-based stream: no shared state, so any two tiers
 /// that draw the same salts read the same sequence.
 struct DecisionStream {
@@ -348,9 +470,28 @@ struct DecisionStream {
 
 impl DecisionStream {
     fn next(&mut self) -> u64 {
-        self.state = self.state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        self.state = self.state.wrapping_add(GOLDEN);
         splitmix(self.state)
     }
+
+    /// Fisher–Yates over `items`, from the last position down.
+    fn shuffle<T>(mut self, items: &mut [T]) {
+        for i in (1..items.len()).rev() {
+            let j = (self.next() % (i as u64 + 1)) as usize;
+            items.swap(i, j);
+        }
+    }
+
+    /// What the `position`-th call of [`DecisionStream::next`] from here
+    /// would return (1-based), without drawing the ones before it.
+    fn at(&self, position: u64) -> u64 {
+        splitmix(self.state.wrapping_add(position.wrapping_mul(GOLDEN)))
+    }
+}
+
+/// Folds one more salt into a stream state.
+fn salted(state: u64, salt: u64) -> u64 {
+    splitmix(state ^ salt.wrapping_mul(GOLDEN))
 }
 
 /// The SplitMix64 finalizer: a bijective avalanche mix.
@@ -360,7 +501,7 @@ fn splitmix(mut z: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// The fault layer's metric handles. [`FaultInbox::assemble`] is the
+/// The fault layer's metric handles. [`FaultInbox::deliver`] is the
 /// single realization of the plan's delivery semantics for *both* the
 /// simulator and the transport wrapper, so counting here covers every
 /// tier: `fault_messages_dropped` / `fault_messages_delayed` /
@@ -380,11 +521,53 @@ fn fault_metrics() -> &'static FaultMetrics {
     })
 }
 
+/// What one [`FaultInbox::deliver`] call did to its arrivals.
+#[derive(Default)]
+struct Tally {
+    dropped: u64,
+    delayed: u64,
+    duplicated: u64,
+}
+
+impl Tally {
+    /// One `add` per counter that moved, not one `inc` per letter.
+    fn publish(&self) {
+        let metrics = fault_metrics();
+        for (counter, count) in [
+            (&metrics.dropped, self.dropped),
+            (&metrics.delayed, self.delayed),
+            (&metrics.duplicated, self.duplicated),
+        ] {
+            if count > 0 {
+                counter.add(count);
+            }
+        }
+    }
+}
+
+/// `arrival round → (original round, sender, letter)`, in stash order
+/// (original round ascending, sender ascending within it).
+type Stash<L> = BTreeMap<usize, Vec<(usize, ProcessId, L)>>;
+
+/// Stashes a letter of `round` from `from` until `arrival`. Out of line
+/// and cold: the delivery loop around it then keeps its own state in
+/// registers and spills it around this call only.
+#[cold]
+#[inline(never)]
+fn stash_until<L>(stash: &mut Stash<L>, arrival: usize, round: usize, from: ProcessId, letter: L) {
+    stash
+        .entry(arrival)
+        .or_default()
+        .push((round, from, letter));
+}
+
 /// One receiver's fault-plan bookkeeping: stashes delayed letters and
-/// assembles each round's final inbox. This is the *single* realization
-/// of the plan's delivery semantics — the simulator engine feeds it
-/// `Rc`-shared messages, the transport wrapper feeds it letters — so the
-/// two tiers cannot drift.
+/// hands each round's final inbox over, letter by letter. This is the
+/// *single* realization of the plan's delivery semantics — the simulator
+/// engine streams `Copy` handles to the round's messages through the
+/// crate-private `deliver`, the transport wrapper passes its letters to
+/// [`FaultInbox::assemble`], which is `deliver` into a `Vec` — so the two
+/// tiers cannot drift.
 ///
 /// Inbox order is part of the contract: delayed letters first (sorted by
 /// original round, then sender — the order they were stashed), then the
@@ -394,9 +577,7 @@ fn fault_metrics() -> &'static FaultMetrics {
 pub struct FaultInbox<L> {
     plan: FaultPlan,
     me: ProcessId,
-    /// `arrival round → (original round, sender, letter)`, in stash
-    /// order (original round ascending, sender ascending within it).
-    stash: BTreeMap<usize, Vec<(usize, ProcessId, L)>>,
+    stash: Stash<L>,
 }
 
 impl<L: Clone> FaultInbox<L> {
@@ -409,6 +590,11 @@ impl<L: Clone> FaultInbox<L> {
         }
     }
 
+    /// The receiver this inbox belongs to.
+    pub(crate) fn me(&self) -> ProcessId {
+        self.me
+    }
+
     /// Runs round `round`'s raw arrivals (sorted by sender) through the
     /// plan and returns the final inbox plus the delivered-count
     /// adjustment: −1 per drop, +1 per duplicate (a delayed letter was
@@ -417,67 +603,137 @@ impl<L: Clone> FaultInbox<L> {
     pub fn assemble(
         &mut self,
         round: usize,
-        mut arrivals: Vec<(ProcessId, L)>,
+        arrivals: Vec<(ProcessId, L)>,
     ) -> (Vec<(ProcessId, L)>, i64) {
+        let salt = self.plan.round(round);
         let mut inbox = Vec::with_capacity(arrivals.len());
-        let adjust = self.assemble_into(round, &mut arrivals, &mut inbox);
+        let mut scratch = Vec::new();
+        let adjust = self.deliver(
+            round,
+            arrivals
+                .into_iter()
+                .map(|(from, letter)| (from, salt.sender(from), letter)),
+            &mut scratch,
+            |from, letter| inbox.push((from, letter)),
+        );
         (inbox, adjust)
     }
 
-    /// [`FaultInbox::assemble`] over caller-owned buffers: drains
-    /// `arrivals` and appends the assembly to the (empty) `inbox`, so a
-    /// round loop reusing both performs no allocation here unless the
-    /// plan delays or duplicates a letter.
-    pub(crate) fn assemble_into(
+    /// The streaming core. Hands `sink` the round's final inbox in
+    /// order — due stashed letters, then `arrivals` (ascending sender,
+    /// each with its [`RoundSalt::sender`] state) as the plan decides
+    /// them — and returns the delivered-count adjustment. Nothing is
+    /// buffered unless the plan's (round, receiver) reorder draw fires;
+    /// only then is the inbox assembled in the (empty) `scratch`,
+    /// shuffled whole and drained, so a round loop reusing `scratch`
+    /// allocates here for a delayed letter's stash entry and nothing
+    /// else.
+    #[inline]
+    pub(crate) fn deliver(
         &mut self,
         round: usize,
-        arrivals: &mut Vec<(ProcessId, L)>,
-        inbox: &mut Vec<(ProcessId, L)>,
+        arrivals: impl Iterator<Item = (ProcessId, u64, L)>,
+        scratch: &mut Vec<(ProcessId, L)>,
+        mut sink: impl FnMut(ProcessId, L),
     ) -> i64 {
-        debug_assert!(inbox.is_empty(), "the assembly is the whole inbox");
-        let obs_on = setagree_obs::enabled();
-        let mut adjust = 0i64;
+        let tally = match self.plan.reorder_draw(round, self.me) {
+            None => self.route(round, arrivals, sink),
+            Some(stream) => {
+                debug_assert!(scratch.is_empty(), "the assembly is the whole inbox");
+                let tally =
+                    self.route(round, arrivals, |from, letter| scratch.push((from, letter)));
+                stream.shuffle(scratch);
+                for (from, letter) in scratch.drain(..) {
+                    sink(from, letter);
+                }
+                tally
+            }
+        };
+        if setagree_obs::enabled() {
+            tally.publish();
+        }
+        tally.duplicated as i64 - tally.dropped as i64
+    }
+
+    /// The unpermuted inbox of `round`, letter by letter into `out`.
+    #[inline]
+    fn route(
+        &mut self,
+        round: usize,
+        arrivals: impl Iterator<Item = (ProcessId, u64, L)>,
+        mut out: impl FnMut(ProcessId, L),
+    ) -> Tally {
+        let mut tally = Tally::default();
         // Due (and, defensively, overdue) stashed letters lead the inbox.
+        while let Some(due) = self.stash.first_entry() {
+            if *due.key() > round {
+                break;
+            }
+            for (_, from, letter) in due.remove() {
+                out(from, letter);
+            }
+        }
+        let links = self.plan.links(round, self.me);
+        let stash = &mut self.stash;
+        // Internal iteration: an adaptor chain folds into one loop.
+        arrivals.for_each(|(from, sender_state, letter)| {
+            match links.decide(from, || sender_state) {
+                LinkFault::Deliver => out(from, letter),
+                LinkFault::Drop => tally.dropped += 1,
+                LinkFault::Duplicate => {
+                    out(from, letter.clone());
+                    out(from, letter);
+                    tally.duplicated += 1;
+                }
+                LinkFault::Delay(by) => {
+                    stash_until(stash, round + by, round, from, letter);
+                    tally.delayed += 1;
+                }
+            }
+        });
+        tally
+    }
+
+    /// The parent's assembly — buffer the whole inbox, one
+    /// [`FaultPlan::decide_by_full_stream`] per arrival, permute — kept
+    /// as the reference [`FaultInbox::deliver`] is tested against.
+    #[cfg(test)]
+    fn assemble_by_buffering(
+        &mut self,
+        round: usize,
+        arrivals: Vec<(ProcessId, L)>,
+    ) -> (Vec<(ProcessId, L)>, i64) {
+        let mut inbox = Vec::with_capacity(arrivals.len());
+        let mut adjust = 0i64;
         while let Some(due) = self.stash.first_entry() {
             if *due.key() > round {
                 break;
             }
             inbox.extend(due.remove().into_iter().map(|(_, from, l)| (from, l)));
         }
-        for (from, letter) in arrivals.drain(..) {
+        for (from, letter) in arrivals {
             if from == self.me {
                 inbox.push((from, letter));
                 continue;
             }
-            match self.plan.decide(round, from, self.me) {
+            match self.plan.decide_by_full_stream(round, from, self.me) {
                 LinkFault::Deliver => inbox.push((from, letter)),
-                LinkFault::Drop => {
-                    adjust -= 1;
-                    if obs_on {
-                        fault_metrics().dropped.inc();
-                    }
-                }
+                LinkFault::Drop => adjust -= 1,
                 LinkFault::Duplicate => {
                     inbox.push((from, letter.clone()));
                     inbox.push((from, letter));
                     adjust += 1;
-                    if obs_on {
-                        fault_metrics().duplicated.inc();
-                    }
                 }
                 LinkFault::Delay(by) => {
                     self.stash
                         .entry(round + by)
                         .or_default()
                         .push((round, from, letter));
-                    if obs_on {
-                        fault_metrics().delayed.inc();
-                    }
                 }
             }
         }
-        self.plan.permute(round, self.me, inbox);
-        adjust
+        self.plan.permute(round, self.me, &mut inbox);
+        (inbox, adjust)
     }
 }
 
@@ -633,6 +889,119 @@ mod tests {
             "duplicates are adjacent, self-delivery is single"
         );
         assert_eq!(adjust, 2);
+    }
+
+    /// Every plan over `n` whose four rates (drop, delay, duplicate,
+    /// reorder) are each 0, the drawn one or `RATE_SCALE`: all 81
+    /// combinations, so every early-out and every skipped draw of the
+    /// lazy decision is taken next to every other.
+    fn plans_at_every_rate_corner(
+        n: usize,
+        seed: u64,
+        drawn: [u32; 4],
+        max_delay: usize,
+        partitions: &[(u8, usize, usize)],
+    ) -> impl Iterator<Item = FaultPlan> + '_ {
+        (0..81usize).map(move |mut code| {
+            let rates = drawn.map(|drawn| {
+                let rate = [0, drawn, RATE_SCALE][code % 3];
+                code /= 3;
+                rate
+            });
+            let plan = FaultPlan::new(n, seed)
+                .drop_rate(rates[0])
+                .delay_rate(rates[1], max_delay)
+                .duplicate_rate(rates[2])
+                .reorder_rate(rates[3]);
+            partitions.iter().fold(plan, |plan, &(mask, from, len)| {
+                let mut side = ProcessSet::empty(n);
+                for i in (0..n).filter(|i| mask >> i & 1 == 1) {
+                    side.insert(p(i));
+                }
+                plan.partition(Partition::new(side, from, from + len))
+            })
+        })
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn lazy_decisions_equal_the_full_stream_reference(
+            n in 2usize..=8,
+            seed in proptest::any::<u64>(),
+            drawn in (1..RATE_SCALE, 1..RATE_SCALE, 1..RATE_SCALE),
+            max_delay in 1usize..=3,
+            partitions in proptest::collection::vec((proptest::any::<u8>(), 1usize..=6, 0usize..=3), 0..=2),
+        ) {
+            let drawn = [drawn.0, drawn.1, drawn.2, 0];
+            // The reorder rate takes no part in a link decision.
+            for plan in plans_at_every_rate_corner(n, seed, drawn, max_delay, &partitions).take(27) {
+                for round in 1..=6 {
+                    let salt = plan.round(round);
+                    for from in ProcessId::all(n) {
+                        for to in ProcessId::all(n) {
+                            let reference = plan.decide_by_full_stream(round, from, to);
+                            proptest::prop_assert_eq!(
+                                plan.decide(round, from, to), reference,
+                                "{} round {} {}→{}", plan, round, from, to
+                            );
+                            // The hoisted form a round loop uses.
+                            proptest::prop_assert_eq!(
+                                plan.links(round, to).decide(from, || salt.sender(from)),
+                                reference
+                            );
+                        }
+                    }
+                }
+            }
+        }
+
+        /// Six rounds of arrivals from random sender subsets, so delayed
+        /// letters are carried in the stash across rounds and fall due
+        /// next to later arrivals: the inbox sequence, the adjustment and
+        /// what stays stashed, round by round.
+        #[test]
+        fn streamed_delivery_equals_the_buffering_reference(
+            n in 2usize..=8,
+            me in 0usize..8,
+            seed in proptest::any::<u64>(),
+            drawn in (1..RATE_SCALE, 1..RATE_SCALE, 1..RATE_SCALE, 1..RATE_SCALE),
+            max_delay in 1usize..=3,
+            partitions in proptest::collection::vec((proptest::any::<u8>(), 1usize..=6, 0usize..=3), 0..=2),
+            senders in proptest::collection::vec(proptest::any::<u8>(), 6),
+        ) {
+            let me = p(me % n);
+            let drawn = [drawn.0, drawn.1, drawn.2, drawn.3];
+            for plan in plans_at_every_rate_corner(n, seed, drawn, max_delay, &partitions) {
+                let mut reference: FaultInbox<u32> = FaultInbox::new(plan.clone(), me);
+                let mut assembled: FaultInbox<u32> = FaultInbox::new(plan.clone(), me);
+                let mut streamed: FaultInbox<u32> = FaultInbox::new(plan.clone(), me);
+                // Reused across rounds, as the engine reuses its own.
+                let mut scratch = Vec::new();
+                for (round, mask) in (1..).zip(&senders) {
+                    let arrivals: Vec<(ProcessId, u32)> = (0..n)
+                        .filter(|i| mask >> i & 1 == 1)
+                        .map(|i| (p(i), (round * 10 + i) as u32))
+                        .collect();
+                    let expected = reference.assemble_by_buffering(round, arrivals.clone());
+                    proptest::prop_assert_eq!(
+                        &assembled.assemble(round, arrivals.clone()), &expected,
+                        "{} round {} at {}", plan, round, me
+                    );
+                    let salt = plan.round(round);
+                    let mut inbox = Vec::new();
+                    let adjust = streamed.deliver(
+                        round,
+                        arrivals.into_iter().map(|(from, letter)| (from, salt.sender(from), letter)),
+                        &mut scratch,
+                        |from, letter| inbox.push((from, letter)),
+                    );
+                    proptest::prop_assert_eq!(&(inbox, adjust), &expected);
+                    proptest::prop_assert!(scratch.is_empty());
+                    proptest::prop_assert_eq!(&assembled.stash, &reference.stash);
+                    proptest::prop_assert_eq!(&streamed.stash, &reference.stash);
+                }
+            }
+        }
     }
 
     #[test]

@@ -5,7 +5,13 @@
 //!   them, `run_protocol` and `run_protocol_faulty` call `realloc` zero
 //!   times. A `realloc` of a block that belongs to another thread's
 //!   malloc arena takes that arena's lock; one per round per cell is
-//!   what made two suite workers slower than one.
+//!   what made two suite workers slower than one. Under a plan that
+//!   delays letters the rule holds once the ring of kept rounds is full
+//!   (from round `2 + max_delay`), and for everything but the stash of
+//!   delayed letters, whose growth is the plan's to decide.
+//! * **A benign plan costs no allocation.** After round 1 the faulty
+//!   loop under `FaultPlan::none` calls `alloc` exactly as often as the
+//!   plain loop: a message is shared by position, not boxed per send.
 //! * **A suite run frees its own allocations.** Nothing the consuming
 //!   thread allocated for a parallel run is freed on a pool thread —
 //!   where it would sit in that thread's malloc cache, ready to be the
@@ -29,7 +35,7 @@ use std::sync::atomic::{AtomicU32, AtomicUsize, Ordering};
 use setagree::conditions::{ConditionOracle, LegalityParams, MaxCondition};
 use setagree::core::{ConditionBasedConfig, ProtocolSpec, ScenarioSuite};
 use setagree::sync::{
-    run_protocol, run_protocol_faulty, FailurePattern, FaultPlan, Step, SyncProtocol,
+    run_protocol, run_protocol_faulty, FailurePattern, FaultPlan, LinkFault, Step, SyncProtocol,
 };
 use setagree::types::{InputVector, ProcessId, View};
 
@@ -50,8 +56,18 @@ thread_local! {
     // Const-initialised and without destructors, so touching them from
     // inside the allocator neither allocates nor outlives the thread.
     static TAG: Cell<u32> = const { Cell::new(0) };
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
     static REALLOCS: Cell<u64> = const { Cell::new(0) };
-    static REALLOCS_AT_ROUND_2: Cell<Option<u64>> = const { Cell::new(None) };
+    /// The round whose start is marked, and the counts at that mark.
+    static MARKED_ROUND: Cell<usize> = const { Cell::new(2) };
+    static COUNTS_AT_MARK: Cell<Option<Counts>> = const { Cell::new(None) };
+}
+
+/// Calls into the allocator made by one thread.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Counts {
+    allocs: u64,
+    reallocs: u64,
 }
 
 fn my_tag() -> u32 {
@@ -83,6 +99,7 @@ fn padded(layout: Layout, size: usize) -> Layout {
 // padding, which the caller never sees.
 unsafe impl GlobalAlloc for Tagging {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        let _ = ALLOCS.try_with(|count| count.set(count.get() + 1));
         let base = System.alloc(padded(layout, layout.size()));
         if base.is_null() {
             return base;
@@ -122,13 +139,20 @@ fn reallocs_on_this_thread() -> u64 {
     REALLOCS.with(Cell::get)
 }
 
+fn counts_on_this_thread() -> Counts {
+    Counts {
+        allocs: ALLOCS.with(Cell::get),
+        reallocs: reallocs_on_this_thread(),
+    }
+}
+
 const N: usize = 64;
 const ROUNDS: usize = 6;
 
 /// Floods a fixed-size view for `ROUNDS` rounds. Its own allocations
 /// are exact-size clones, so every `realloc` counted is the engine's.
-/// Process 0 sends first in every round: its round-2 message marks the
-/// end of round 1.
+/// Process 0 sends first in every round: its message of the marked round
+/// (round 2 unless a test says otherwise) marks the end of the one before.
 struct Flood {
     me: usize,
     view: Vec<Option<u32>>,
@@ -139,8 +163,8 @@ impl SyncProtocol for Flood {
     type Output = usize;
 
     fn message(&mut self, round: usize) -> Self::Msg {
-        if self.me == 0 && round == 2 {
-            REALLOCS_AT_ROUND_2.with(|mark| mark.set(Some(reallocs_on_this_thread())));
+        if self.me == 0 && round == MARKED_ROUND.with(Cell::get) {
+            COUNTS_AT_MARK.with(|mark| mark.set(Some(counts_on_this_thread())));
         }
         self.view.clone()
     }
@@ -185,16 +209,25 @@ fn crashing_pattern() -> FailurePattern {
     pattern
 }
 
-/// Runs `run` and returns how many `realloc` calls this thread made
-/// from the start of round 2 to the returned trace.
-fn reallocs_after_round_one(run: impl FnOnce() -> usize) -> u64 {
-    REALLOCS_AT_ROUND_2.with(|mark| mark.set(None));
+/// Runs `run` and returns the allocator calls this thread made from the
+/// start of round `from_round` to the returned trace.
+fn counted_from_round(from_round: usize, run: impl FnOnce() -> usize) -> Counts {
+    MARKED_ROUND.with(|round| round.set(from_round));
+    COUNTS_AT_MARK.with(|mark| mark.set(None));
     let rounds = run();
     assert_eq!(rounds, ROUNDS, "the flood runs its full length");
-    let at_round_2 = REALLOCS_AT_ROUND_2
+    let at_mark = COUNTS_AT_MARK
         .with(Cell::get)
-        .expect("process 0 sent in round 2");
-    reallocs_on_this_thread() - at_round_2
+        .expect("process 0 sent in the marked round");
+    let at_end = counts_on_this_thread();
+    Counts {
+        allocs: at_end.allocs - at_mark.allocs,
+        reallocs: at_end.reallocs - at_mark.reallocs,
+    }
+}
+
+fn reallocs_after_round_one(run: impl FnOnce() -> usize) -> u64 {
+    counted_from_round(2, run).reallocs
 }
 
 #[test]
@@ -225,6 +258,88 @@ fn the_faulty_round_loop_never_reallocs_after_round_one() {
         });
         assert_eq!(grown, 0, "a per-round buffer was regrown under {plan}");
     }
+}
+
+/// The benchmark's lossy plan (`faulty_net`): per 10 000, 300 drops,
+/// 300 delays of at most 2 rounds, 300 duplicates, 2 000 reorders.
+const MAX_DELAY: usize = 2;
+
+fn lossy_plan(seed: u64) -> FaultPlan {
+    FaultPlan::new(N, seed)
+        .drop_rate(300)
+        .delay_rate(300, MAX_DELAY)
+        .duplicate_rate(300)
+        .reorder_rate(2_000)
+}
+
+/// How often the stashes of delayed letters regrow from round
+/// `from_round` on: each (receiver, arrival round) entry is a `Vec`
+/// pushed to once per letter the plan delays onto it, and a `Vec`
+/// doubles — one `realloc` — on the push that finds it full at 4, 8,
+/// 16, … letters. A link carries a letter when its sender is still up
+/// (in its crash round: to its prefix only) and its receiver collects
+/// this round (is up and not crashing).
+fn stash_regrowths(plan: &FaultPlan, pattern: &FailurePattern, from_round: usize) -> u64 {
+    let crash_round = |id| pattern.spec(id).map_or(usize::MAX, |spec| spec.round);
+    let mut regrowths = 0;
+    for to in ProcessId::all(N) {
+        let mut stashed = [0usize; ROUNDS + MAX_DELAY + 1];
+        for round in 1..=ROUNDS.min(crash_round(to).saturating_sub(1)) {
+            for from in ProcessId::all(N) {
+                let carried = match pattern.spec(from) {
+                    Some(spec) if spec.round == round => to.index() < spec.after_sends,
+                    Some(spec) => round < spec.round,
+                    None => true,
+                };
+                if let (true, LinkFault::Delay(by)) = (carried, plan.decide(round, from, to)) {
+                    let entry = &mut stashed[round + by];
+                    regrowths +=
+                        u64::from(round >= from_round && *entry >= 4 && entry.is_power_of_two());
+                    *entry += 1;
+                }
+            }
+        }
+    }
+    regrowths
+}
+
+#[test]
+fn the_faulty_round_loop_regrows_only_the_stash_once_the_ring_is_full() {
+    let pattern = crashing_pattern();
+    // By round 2 + MAX_DELAY every slot of the ring of kept rounds has
+    // been created and sized; the reorder buffer was before round 1.
+    let from_round = 2 + MAX_DELAY;
+    for seed in [1, 7, 0xFEED] {
+        let plan = lossy_plan(seed);
+        let grown = counted_from_round(from_round, || {
+            run_protocol_faulty(flood_system(), &pattern, &plan, ROUNDS + 1)
+                .expect("the flood terminates")
+                .rounds_executed()
+        })
+        .reallocs;
+        assert_eq!(
+            grown,
+            stash_regrowths(&plan, &pattern, from_round),
+            "a per-round buffer was regrown under {plan}"
+        );
+    }
+}
+
+#[test]
+fn a_benign_plan_allocates_exactly_what_the_plain_loop_does() {
+    let pattern = crashing_pattern();
+    let plain = counted_from_round(2, || {
+        run_protocol(flood_system(), &pattern, ROUNDS + 1)
+            .expect("the flood terminates")
+            .rounds_executed()
+    });
+    let faulty = counted_from_round(2, || {
+        run_protocol_faulty(flood_system(), &pattern, &FaultPlan::none(N), ROUNDS + 1)
+            .expect("the flood terminates")
+            .rounds_executed()
+    });
+    assert!(plain.allocs > 0, "the flood clones a view per send");
+    assert_eq!(faulty, plain, "the benign plan costs an allocation");
 }
 
 #[test]
