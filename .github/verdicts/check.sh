@@ -7,8 +7,8 @@
 # character for character. A change that only makes the program faster
 # moves none of them; re-record a line only in a change whose purpose is
 # to alter what the protocols decide. seed1.txt records every workload;
-# seed7.txt the fault-composed one at a seed no change was written
-# against.
+# seed7.txt the fault-composed and the resumed one at a seed no change
+# was written against.
 set -euo pipefail
 cd "$(dirname "$0")/../.."
 observed="$(mktemp)"

@@ -29,6 +29,7 @@
 use std::io::{self, Write};
 
 use crate::chain::{ChainHash, GENESIS};
+use crate::wire::Writer;
 
 /// The 16-byte file magic opening every journal.
 pub const JOURNAL_MAGIC: &[u8; 16] = b"setagree-journal";
@@ -46,14 +47,28 @@ const RECORD_OVERHEAD: usize = 4 + 16;
 
 /// Appends hash-chained records to a byte sink.
 ///
-/// Every append writes the complete record and flushes, so a crashed
-/// writer leaves at most one partial record at the tail — exactly the
-/// damage [`Cursor`] knows how to step around.
+/// Every append writes the complete record in one `write_all` and
+/// flushes, so a crashed writer leaves at most one partial record at the
+/// tail — exactly the damage [`Cursor`] knows how to step around. The
+/// record is assembled in one buffer the writer keeps, so appending
+/// allocates only while that buffer grows to the largest record seen.
 #[derive(Debug)]
 pub struct JournalWriter<W: Write> {
     sink: W,
     head: ChainHash,
     records: usize,
+    /// The last record assembled, kept for its capacity.
+    record: Vec<u8>,
+}
+
+fn check_len(payload_len: usize) -> io::Result<()> {
+    if payload_len > MAX_RECORD_LEN as usize {
+        return Err(io::Error::new(
+            io::ErrorKind::InvalidInput,
+            format!("journal record of {payload_len} bytes exceeds the {MAX_RECORD_LEN}-byte cap"),
+        ));
+    }
+    Ok(())
 }
 
 impl<W: Write> JournalWriter<W> {
@@ -67,11 +82,7 @@ impl<W: Write> JournalWriter<W> {
         sink.write_all(JOURNAL_MAGIC)?;
         sink.write_all(&version.to_le_bytes())?;
         sink.flush()?;
-        Ok(JournalWriter {
-            sink,
-            head: GENESIS,
-            records: 0,
-        })
+        Ok(JournalWriter::resume(sink, GENESIS, 0))
     }
 
     /// Continues an existing journal: `sink` must be positioned at the
@@ -82,6 +93,7 @@ impl<W: Write> JournalWriter<W> {
             sink,
             head,
             records,
+            record: Vec::new(),
         }
     }
 
@@ -93,21 +105,33 @@ impl<W: Write> JournalWriter<W> {
     /// otherwise I/O failures from the sink. After an error the journal
     /// file may hold a partial record — the shape replay recovers from.
     pub fn append(&mut self, payload: &[u8]) -> io::Result<()> {
-        if payload.len() > MAX_RECORD_LEN as usize {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidInput,
-                format!(
-                    "journal record of {} bytes exceeds the {MAX_RECORD_LEN}-byte cap",
-                    payload.len()
-                ),
-            ));
-        }
-        let next = self.head.extend(payload);
-        let mut record = Vec::with_capacity(RECORD_OVERHEAD + payload.len());
-        record.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        record.extend_from_slice(payload);
+        check_len(payload.len())?;
+        self.append_with(|out| out.raw(payload))
+    }
+
+    /// Appends one record whose payload is whatever `encode` writes —
+    /// straight into the writer's record buffer, between the length
+    /// prefix and the hash, so a caller with a value to encode needs no
+    /// payload buffer of its own — and flushes it.
+    ///
+    /// # Errors
+    ///
+    /// As [`JournalWriter::append`]; an oversized payload is rejected
+    /// before anything reaches the sink.
+    pub fn append_with(&mut self, encode: impl FnOnce(&mut Writer)) -> io::Result<()> {
+        let mut record = std::mem::take(&mut self.record);
+        record.clear();
+        let mut out = Writer::appending_to(record);
+        out.u32(0); // the length, known once the payload is written
+        encode(&mut out);
+        self.record = out.into_vec();
+        let record = &mut self.record;
+        let payload_len = record.len() - 4;
+        check_len(payload_len)?;
+        record[..4].copy_from_slice(&(payload_len as u32).to_le_bytes());
+        let next = self.head.extend(&record[4..]);
         record.extend_from_slice(&next.to_le_bytes());
-        self.sink.write_all(&record)?;
+        self.sink.write_all(record)?;
         self.sink.flush()?;
         self.head = next;
         self.records += 1;
@@ -428,10 +452,25 @@ mod tests {
     #[test]
     fn oversized_appends_are_rejected_up_front() {
         let mut writer = JournalWriter::create(Vec::new(), 1).unwrap();
+        let oversized = vec![0u8; MAX_RECORD_LEN as usize + 1];
+        let err = writer.append(&oversized).expect_err("over the cap");
+        assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
         let err = writer
-            .append(&vec![0u8; MAX_RECORD_LEN as usize + 1])
+            .append_with(|out| out.raw(&oversized))
             .expect_err("over the cap");
         assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
-        assert_eq!(writer.records(), 0, "nothing was written");
+        assert_eq!(writer.records(), 0);
+        assert_eq!(writer.into_inner().len(), HEADER_LEN, "nothing was written");
+    }
+
+    #[test]
+    fn append_with_writes_the_record_append_writes() {
+        let payloads: [&[u8]; 4] = [b"alpha", b"", b"a third, longer record", b"d"];
+        let mut writer = JournalWriter::create(Vec::new(), 1).unwrap();
+        for p in payloads {
+            writer.append_with(|out| out.raw(p)).unwrap();
+        }
+        assert_eq!(writer.records(), 4);
+        assert_eq!(writer.into_inner(), journal(&payloads));
     }
 }

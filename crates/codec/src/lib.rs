@@ -12,12 +12,13 @@
 //! * [`frame`] — the length-prefixed network [`Frame`] of the TCP
 //!   transport (extracted from `setagree-node`, which re-exports it).
 //! * [`chain`] + [`journal`] — an append-only, **hash-chained execution
-//!   journal**: every record stores the dual-basis FNV-1a hash of
-//!   (predecessor hash ‖ payload), a [`Cursor`] streams records back for
-//!   replay, and a truncated or corrupted tail is *detected and
-//!   reported* ([`JournalTail`]) rather than panicked on — the valid
-//!   prefix always survives. This is what makes suite sweeps resumable
-//!   after a crash.
+//!   journal**: every record stores the two-lane, word-at-a-time
+//!   [`chain::Mixer`] hash of (predecessor hash ‖ payload length ‖
+//!   payload), a [`Cursor`] streams records back for replay, and a
+//!   truncated or corrupted tail is *detected and reported*
+//!   ([`JournalTail`]) rather than panicked on — the valid prefix always
+//!   survives. This is what makes suite sweeps resumable after a crash;
+//!   the same mixer derives `setagree-core`'s cache keys.
 //!
 //! Decoding arbitrary bytes through any of these layers never panics; a
 //! fuzz-grade proptest battery (`tests/journal_roundtrip.rs`,

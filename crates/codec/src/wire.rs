@@ -63,6 +63,12 @@ impl Writer {
         Writer::default()
     }
 
+    /// A writer that appends to `buf`, keeping what it holds — how a
+    /// caller reuses one buffer's capacity across many encodings.
+    pub fn appending_to(buf: Vec<u8>) -> Self {
+        Writer { buf }
+    }
+
     /// The bytes written so far.
     pub fn into_vec(self) -> Vec<u8> {
         self.buf

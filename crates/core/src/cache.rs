@@ -51,15 +51,21 @@
 //!
 //! # Key stability
 //!
-//! Keys are produced by a fixed FNV-1a hasher over the components'
-//! `Hash` impls, so they are deterministic across runs of the same
-//! build on the same platform — the contract a persisted cache needs.
-//! They are *not* portable across architectures (`usize` width) or
-//! guaranteed across compiler versions; the file header's format
-//! version guards misreads, and a stale file simply reloads as cold
-//! cells, never as wrong results served under a colliding key (the
-//! 128-bit key makes accidental collision negligible for experiment
-//! grids).
+//! Keys come out of `setagree-codec`'s two-lane [`Mixer`] — the journal
+//! chain's hash — driven by the components' `Hash` impls: each
+//! component is traversed **once**, every integer it writes is one word
+//! step feeding both 64-bit lanes (a `usize` is mixed as a `u64`, so its
+//! width is not part of the key), a byte string is its length and then
+//! its words.
+//! Keys are therefore deterministic across runs of the same build — the
+//! contract a persisted cache needs. They are *not* guaranteed across
+//! compiler versions (what a derived `Hash` writes is the compiler's
+//! business); the file header's format version guards misreads, and a
+//! stale file simply reloads as cold cells, never as wrong results
+//! served under a colliding key (the 128-bit key makes accidental
+//! collision negligible for experiment grids). Version 3 is this
+//! derivation; a version-2 file (byte-wise FNV-1a keys and chain) is
+//! stale.
 
 use std::collections::HashMap;
 use std::fmt;
@@ -70,7 +76,7 @@ use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
-use setagree_codec::chain::{FNV_BASIS_HI, FNV_BASIS_LO, FNV_PRIME};
+use setagree_codec::chain::{ChainHash, Mixer};
 use setagree_codec::journal::{Cursor, JournalTail, JournalWriter, HEADER_LEN};
 use setagree_codec::{DecodeError, Reader, Writer};
 use setagree_types::ProposalValue;
@@ -81,51 +87,66 @@ use crate::report::Report;
 
 /// Bumped whenever the key derivation or the file codec changes shape;
 /// mixed into every key and written into the file header, so stale
-/// files read as cold caches instead of decoding garbage. Version 2 is
-/// the binary journal format (version 1 was a text line codec carrying
-/// summary integers only).
-const FORMAT_VERSION: u64 = 2;
+/// files read as cold caches instead of decoding garbage. Version 3 is
+/// the binary journal format under the word-at-a-time chain hash and
+/// key derivation (version 2 was the same record layout under byte-wise
+/// FNV-1a; version 1 a text line codec carrying summary integers only).
+const FORMAT_VERSION: u64 = 3;
 
 /// The magic line opening the pre-v2 text format; recognized so old
 /// files reload as cold caches rather than hard errors.
 const TEXT_FILE_MAGIC: &[u8] = b"setagree-suite-cache ";
 
-/// A fixed-parameter FNV-1a 64-bit hasher: deterministic across runs,
-/// unlike `std`'s randomized `DefaultHasher` — the property a persisted
-/// cache key needs. The constants are shared with `setagree-codec`'s
-/// journal chain: one hash family for every durable artifact.
-#[derive(Debug, Clone)]
+/// A [`Hasher`] over the journal chain's [`Mixer`]: deterministic across
+/// runs, unlike `std`'s randomized `DefaultHasher` — the property a
+/// persisted cache key needs — and 128 bits wide, both lanes fed by one
+/// traversal of the value ([`StableHasher::pair`]).
+#[derive(Debug, Clone, Default)]
 pub(crate) struct StableHasher {
-    state: u64,
+    mixer: Mixer,
 }
 
 impl StableHasher {
-    fn with_basis(basis: u64) -> Self {
-        StableHasher { state: basis }
+    /// Both lanes of everything written so far.
+    fn pair(&self) -> (u64, u64) {
+        let ChainHash { hi, lo } = self.mixer.finish();
+        (hi, lo)
     }
 }
 
 impl Hasher for StableHasher {
+    /// The `lo` lane; keys take both through [`StableHasher::pair`].
     fn finish(&self) -> u64 {
-        self.state
+        self.pair().1
     }
 
     fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.state ^= u64::from(b);
-            self.state = self.state.wrapping_mul(FNV_PRIME);
-        }
+        self.mixer.bytes(bytes);
+    }
+
+    fn write_u8(&mut self, v: u8) {
+        self.mixer.word(u64::from(v));
+    }
+
+    fn write_u32(&mut self, v: u32) {
+        self.mixer.word(u64::from(v));
+    }
+
+    fn write_u64(&mut self, v: u64) {
+        self.mixer.word(v);
+    }
+
+    fn write_usize(&mut self, v: usize) {
+        self.mixer.word(v as u64);
     }
 }
 
-/// Hashes one value twice (two FNV bases), yielding the two independent
-/// 64-bit halves cache keys are combined from.
+/// Hashes one value — one traversal — into the two independent 64-bit
+/// halves cache keys are combined from.
 pub(crate) fn stable_pair<T: Hash + ?Sized>(value: &T) -> (u64, u64) {
-    let mut hi = StableHasher::with_basis(FNV_BASIS_HI);
-    let mut lo = StableHasher::with_basis(FNV_BASIS_LO);
-    value.hash(&mut hi);
-    value.hash(&mut lo);
-    (hi.finish(), lo.finish())
+    let mut hasher = StableHasher::default();
+    value.hash(&mut hasher);
+    hasher.pair()
 }
 
 /// A 128-bit cache key: the stable hash of one suite cell's coordinates
@@ -140,18 +161,14 @@ pub struct CacheKey {
 impl CacheKey {
     /// Folds component hash pairs (in a fixed order) into one key.
     pub(crate) fn combine(components: &[(u64, u64)]) -> CacheKey {
-        let mut hi = StableHasher::with_basis(FNV_BASIS_HI);
-        let mut lo = StableHasher::with_basis(FNV_BASIS_LO);
-        hi.write_u64(FORMAT_VERSION);
-        lo.write_u64(FORMAT_VERSION);
-        for &(h, l) in components {
-            hi.write_u64(h);
-            lo.write_u64(l);
+        let mut mixer = Mixer::new();
+        mixer.word(FORMAT_VERSION);
+        for &(hi, lo) in components {
+            mixer.word(hi);
+            mixer.word(lo);
         }
-        CacheKey {
-            hi: hi.finish(),
-            lo: lo.finish(),
-        }
+        let ChainHash { hi, lo } = mixer.finish();
+        CacheKey { hi, lo }
     }
 
     /// The key's two halves, for the wire codec.
@@ -195,7 +212,7 @@ struct JournalSink<V: Ord> {
     /// Captured under the `CacheableValue` bound when the journal is
     /// attached, so `insert` (bounded only on `ProposalValue`) can
     /// encode records.
-    encode: fn(&CacheKey, &CachedResult<V>) -> Vec<u8>,
+    encode: fn(&CacheKey, &CachedResult<V>, &mut Writer),
     /// The first append failure, sticky: after an I/O error the journal
     /// stops appending (the file may hold a partial record — the shape
     /// replay recovers from) rather than interleaving torn writes.
@@ -280,18 +297,29 @@ impl<V: ProposalValue> SuiteCache<V> {
             .and_then(|sink| sink.error)
     }
 
-    /// Looks a cell up, counting a hit or a miss.
-    pub(crate) fn lookup(&self, key: &CacheKey) -> Option<CachedResult<V>> {
+    /// Looks a cell up, counting a hit when it is there and nothing
+    /// when it is not: for a caller that does not execute what it does
+    /// not find — whoever does will [`lookup`](Self::lookup) the cell
+    /// again and count that miss.
+    pub(crate) fn probe(&self, key: &CacheKey) -> Option<CachedResult<V>> {
         let found = self
             .entries
             .lock()
             .expect("cache lock poisoned")
             .get(key)
             .cloned();
-        match &found {
-            Some(_) => self.hits.fetch_add(1, Ordering::Relaxed),
-            None => self.misses.fetch_add(1, Ordering::Relaxed),
-        };
+        if found.is_some() {
+            self.hits.fetch_add(1, Ordering::Relaxed);
+        }
+        found
+    }
+
+    /// Looks a cell up, counting a hit or a miss.
+    pub(crate) fn lookup(&self, key: &CacheKey) -> Option<CachedResult<V>> {
+        let found = self.probe(key);
+        if found.is_none() {
+            self.misses.fetch_add(1, Ordering::Relaxed);
+        }
         found
     }
 
@@ -302,8 +330,8 @@ impl<V: ProposalValue> SuiteCache<V> {
             let mut journal = self.journal.lock().expect("journal lock poisoned");
             if let Some(sink) = journal.as_mut() {
                 if sink.error.is_none() {
-                    let payload = (sink.encode)(&key, &result);
-                    if let Err(e) = sink.writer.append(&payload) {
+                    let JournalSink { writer, encode, .. } = sink;
+                    if let Err(e) = writer.append_with(|out| encode(&key, &result, out)) {
                         sink.error = Some(e.kind());
                     }
                 }
@@ -384,6 +412,51 @@ fn header_version() -> u32 {
     FORMAT_VERSION as u32
 }
 
+/// The prefix of a journal that is both chain-verified and decodable:
+/// what [`replay_into`] put into the map.
+struct Replayed {
+    records: usize,
+    /// The prefix's byte length, header included.
+    valid_len: usize,
+    /// The chain link after its last record.
+    head: ChainHash,
+    /// How the journal ended beyond it.
+    tail: JournalTail,
+}
+
+/// Walks `cursor` once, decoding each verified record straight into
+/// `entries`, up to the first damage, the first record that verifies
+/// but is not one of ours (reported like corruption), or the clean end.
+fn replay_into<V: CacheableValue>(
+    mut cursor: Cursor<'_>,
+    entries: &mut HashMap<CacheKey, CachedResult<V>>,
+) -> Replayed {
+    let mut replayed = Replayed {
+        records: 0,
+        valid_len: cursor.valid_len(),
+        head: cursor.head(),
+        tail: JournalTail::Clean,
+    };
+    while let Some(payload) = cursor.next() {
+        let Ok((key, result)) = codec::decode_record(payload) else {
+            // The cursor has stepped past the record; the prefix worth
+            // keeping ends where it starts.
+            replayed.tail = JournalTail::Corrupted {
+                record: replayed.records,
+                offset: replayed.valid_len,
+                reason: "undecodable record",
+            };
+            return replayed;
+        };
+        entries.insert(key, result);
+        replayed.records = cursor.records();
+        replayed.valid_len = cursor.valid_len();
+        replayed.head = cursor.head();
+    }
+    replayed.tail = cursor.tail().expect("exhausted cursor has a tail");
+    replayed
+}
+
 impl<V: CacheableValue> SuiteCache<V> {
     /// Loads a persisted cache, or returns an empty one when `path`
     /// does not exist (the natural cold-start for a cron-style rerun).
@@ -416,16 +489,14 @@ impl<V: CacheableValue> SuiteCache<V> {
     /// I/O failures creating, writing or renaming the file.
     pub fn save(&self, path: impl AsRef<Path>) -> io::Result<()> {
         let path = path.as_ref();
-        let entries = self.entries.lock().expect("cache lock poisoned");
-        let mut records: Vec<((u64, u64), Vec<u8>)> = entries
-            .iter()
-            .map(|(key, result)| (key.parts(), codec::encode_record(key, result)))
-            .collect();
-        drop(entries);
-        records.sort();
         let mut writer = JournalWriter::create(Vec::new(), header_version())?;
-        for (_, payload) in &records {
-            writer.append(payload)?;
+        {
+            let entries = self.entries.lock().expect("cache lock poisoned");
+            let mut sorted: Vec<_> = entries.iter().collect();
+            sorted.sort_unstable_by_key(|(key, _)| key.parts());
+            for (key, result) in sorted {
+                writer.append_with(|out| codec::encode_record(key, result, out))?;
+            }
         }
         let mut tmp = path.as_os_str().to_owned();
         tmp.push(format!(".tmp-{}", std::process::id()));
@@ -441,7 +512,7 @@ impl<V: CacheableValue> SuiteCache<V> {
         if bytes.starts_with(TEXT_FILE_MAGIC) {
             return Ok(SuiteCache::new());
         }
-        let mut cursor = Cursor::new(bytes);
+        let cursor = Cursor::new(bytes);
         match cursor.version() {
             // A newer/older journal version is a cold cache …
             Some(v) if v != header_version() => return Ok(SuiteCache::new()),
@@ -449,18 +520,12 @@ impl<V: CacheableValue> SuiteCache<V> {
             // … but a missing or alien header is corruption.
             None => return Err(corrupt(0, "missing or damaged journal header")),
         }
-        let mut entries = HashMap::new();
-        for payload in cursor.by_ref() {
-            let record = entries.len();
-            let (key, result) = codec::decode_record(payload).map_err(|e| corrupt(record, e))?;
-            entries.insert(key, result);
+        let mut cache = SuiteCache::new();
+        let entries = cache.entries.get_mut().expect("cache lock poisoned");
+        let replayed = replay_into(cursor, entries);
+        if !replayed.tail.is_clean() {
+            return Err(corrupt(replayed.records, replayed.tail));
         }
-        let tail = cursor.tail().expect("exhausted cursor has a tail");
-        if !tail.is_clean() {
-            return Err(corrupt(cursor.records(), tail));
-        }
-        let cache = SuiteCache::new();
-        *cache.entries.lock().expect("cache lock poisoned") = entries;
         Ok(cache)
     }
 
@@ -520,47 +585,18 @@ impl<V: CacheableValue> SuiteCache<V> {
             });
         }
 
-        let mut cursor = cursor;
-        let mut decoded = Vec::new();
-        let mut undecodable = false;
-        for payload in cursor.by_ref() {
-            match codec::decode_record::<V>(payload) {
-                Ok(entry) => decoded.push(entry),
-                Err(_) => {
-                    // Chain-valid but not a record of ours: keep only
-                    // what precedes it and report it like corruption.
-                    undecodable = true;
-                    break;
-                }
-            }
-        }
-        let (recovered, keep_len, head, tail) = if undecodable {
-            // The cursor's prefix includes the undecodable record;
-            // replay one record less to find where it starts.
-            let mut prefix = Cursor::new(&bytes);
-            for _ in 0..decoded.len() {
-                prefix.next();
-            }
-            let tail = JournalTail::Corrupted {
-                record: decoded.len(),
-                offset: prefix.valid_len(),
-                reason: "undecodable record",
-            };
-            (decoded.len(), prefix.valid_len(), prefix.head(), tail)
-        } else {
-            let tail = cursor.tail().expect("exhausted cursor has a tail");
-            (cursor.records(), cursor.valid_len(), cursor.head(), tail)
-        };
-
-        {
-            let mut entries = self.entries.lock().expect("cache lock poisoned");
-            for (key, result) in decoded {
-                entries.insert(key, result);
-            }
-        }
+        let Replayed {
+            records: recovered,
+            valid_len,
+            head,
+            tail,
+        } = replay_into(
+            cursor,
+            &mut self.entries.lock().expect("cache lock poisoned"),
+        );
 
         let mut file = fs::OpenOptions::new().write(true).open(path)?;
-        file.set_len(keep_len as u64)?;
+        file.set_len(valid_len as u64)?;
         file.seek(io::SeekFrom::End(0))?;
         self.attach(JournalWriter::resume(file, head, recovered));
         if setagree_obs::enabled() && recovered > 0 {
@@ -629,6 +665,47 @@ mod tests {
     }
 
     #[test]
+    fn stable_pair_traverses_its_value_once() {
+        struct Counted<'a>(&'a std::cell::Cell<u32>);
+        impl Hash for Counted<'_> {
+            fn hash<H: Hasher>(&self, state: &mut H) {
+                self.0.set(self.0.get() + 1);
+                state.write_u64(7);
+            }
+        }
+        let calls = std::cell::Cell::new(0);
+        let (hi, lo) = stable_pair(&Counted(&calls));
+        assert_eq!(calls.get(), 1, "both halves come out of one traversal");
+        assert_ne!(hi, lo);
+        assert_eq!((hi, lo), stable_pair(&7u64));
+    }
+
+    #[test]
+    fn integers_hash_by_value_and_byte_strings_by_length_then_words() {
+        // `usize` is mixed as a 64-bit value: its width is not in the key.
+        assert_eq!(stable_pair(&7usize), stable_pair(&7u64));
+        // Two writes are not one write of the concatenation, and a
+        // zero-padded tail is not a longer string of zeros.
+        assert_ne!(stable_pair(&("ab", "c")), stable_pair(&("a", "bc")));
+        assert_ne!(stable_pair(&[0u8; 3][..]), stable_pair(&[0u8; 4][..]));
+    }
+
+    #[test]
+    fn probe_counts_hits_only() {
+        let cache: SuiteCache<u32> = SuiteCache::new();
+        let key = CacheKey::combine(&[stable_pair(&1u8)]);
+        assert!(cache.probe(&key).is_none());
+        assert_eq!(
+            (cache.hits(), cache.misses()),
+            (0, 0),
+            "the prober executes nothing"
+        );
+        cache.insert(key, Ok(sample_report(&[4, 4])));
+        assert!(cache.probe(&key).is_some());
+        assert_eq!((cache.hits(), cache.misses()), (1, 0));
+    }
+
+    #[test]
     fn lookup_counts_hits_and_misses() {
         let cache: SuiteCache<u32> = SuiteCache::new();
         let key = CacheKey::combine(&[stable_pair(&1u8)]);
@@ -686,6 +763,97 @@ mod tests {
         fs::write(&path, other).unwrap();
         let stale: SuiteCache<u32> = SuiteCache::load_or_empty(&path).unwrap();
         assert!(stale.is_empty(), "other journal versions reload cold");
+        fs::remove_file(&path).unwrap();
+    }
+
+    /// A journal of one record exactly as the parent build (format
+    /// version 2: byte-wise FNV-1a chain and keys) wrote it — the
+    /// `InputSizeMismatch` cell of a flood-set suite run journaled.
+    const V2_JOURNAL: [u8; 74] = [
+        0x73, 0x65, 0x74, 0x61, 0x67, 0x72, 0x65, 0x65, 0x2D, 0x6A, 0x6F, 0x75, 0x72, 0x6E, 0x61,
+        0x6C, 0x02, 0x00, 0x00, 0x00, 0x22, 0x00, 0x00, 0x00, 0x02, 0xBD, 0xA1, 0xB9, 0xCB, 0x16,
+        0x87, 0x05, 0x7E, 0xBC, 0x5A, 0xCB, 0xB8, 0x7C, 0x49, 0x9B, 0x01, 0x01, 0x04, 0x00, 0x00,
+        0x00, 0x00, 0x00, 0x00, 0x00, 0x03, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x13, 0x67,
+        0x35, 0x24, 0xDB, 0x8B, 0x43, 0x6F, 0x88, 0x85, 0x63, 0x34, 0x22, 0xFB, 0x00, 0x44,
+    ];
+
+    #[test]
+    fn a_version_2_file_is_stale_reloads_cold_and_is_rewritten() {
+        let path = temp_path("setagree-cache-test-v2");
+        fs::write(&path, V2_JOURNAL).unwrap();
+        assert_eq!(Cursor::new(&V2_JOURNAL).version(), Some(2));
+        assert_eq!(header_version(), 3);
+
+        let loaded: SuiteCache<u32> = SuiteCache::load_or_empty(&path).unwrap();
+        assert!(loaded.is_empty(), "never an error, never served");
+
+        let cache: SuiteCache<u32> = SuiteCache::new();
+        let stats = cache.resume_journal(&path).unwrap();
+        assert_eq!((stats.recovered, stats.tail), (0, JournalTail::Clean));
+        assert!(cache.is_empty());
+        let rewritten = fs::read(&path).unwrap();
+        assert_eq!(rewritten.len(), HEADER_LEN, "the stale record is gone");
+        assert_eq!(Cursor::new(&rewritten).version(), Some(3));
+
+        let key = CacheKey::combine(&[stable_pair(&"refilled")]);
+        cache.insert(key, Ok(sample_report(&[6, 6])));
+        assert_eq!(cache.journal_error(), None);
+        drop(cache);
+        let resumed: SuiteCache<u32> = SuiteCache::new();
+        let stats = resumed.resume_journal(&path).unwrap();
+        assert_eq!((stats.recovered, stats.tail), (1, JournalTail::Clean));
+        assert_eq!(resumed.lookup(&key), Some(Ok(sample_report(&[6, 6]))));
+        fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn a_record_that_verifies_but_does_not_decode_ends_the_replay_before_it() {
+        let path = temp_path("setagree-cache-test-undecodable");
+        let keys: Vec<CacheKey> = (0..3)
+            .map(|i| CacheKey::combine(&[stable_pair(&i)]))
+            .collect();
+        let record = |key| {
+            let mut out = Writer::new();
+            codec::encode_record::<u32>(key, &Ok(sample_report(&[8, 8])), &mut out);
+            out.into_vec()
+        };
+        // Two records of ours, one that is chain-valid but no record,
+        // and a third of ours behind it.
+        let mut writer = JournalWriter::create(Vec::new(), header_version()).unwrap();
+        writer.append(&record(&keys[0])).unwrap();
+        writer.append(&record(&keys[1])).unwrap();
+        let kept = HEADER_LEN + 2 * (20 + record(&keys[0]).len());
+        writer.append(b"not a record").unwrap();
+        writer.append(&record(&keys[2])).unwrap();
+        let bytes = writer.into_inner();
+        assert!(Cursor::new(&bytes).finish().is_clean(), "the chain holds");
+        fs::write(&path, &bytes).unwrap();
+
+        assert!(SuiteCache::<u32>::load_or_empty(&path).is_err());
+
+        let cache: SuiteCache<u32> = SuiteCache::new();
+        let stats = cache.resume_journal(&path).unwrap();
+        assert_eq!(stats.recovered, 2);
+        assert_eq!(
+            stats.tail,
+            JournalTail::Corrupted {
+                record: 2,
+                offset: kept,
+                reason: "undecodable record",
+            }
+        );
+        assert_eq!(cache.len(), 2, "nothing behind the bad record is served");
+        assert_eq!(
+            fs::read(&path).unwrap(),
+            &bytes[..kept],
+            "cut where it starts"
+        );
+        // The chain resumes from the last decoded record's link.
+        cache.insert(keys[2], Ok(sample_report(&[8, 8])));
+        drop(cache);
+        let healed: SuiteCache<u32> = SuiteCache::new();
+        let stats = healed.resume_journal(&path).unwrap();
+        assert_eq!((stats.recovered, stats.tail), (3, JournalTail::Clean));
         fs::remove_file(&path).unwrap();
     }
 

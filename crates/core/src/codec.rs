@@ -47,13 +47,15 @@ fn invalid(what: &'static str) -> DecodeError {
 
 /// Encodes one cache/journal record: the cell's key followed by its
 /// result.
-pub fn encode_record<V: CacheableValue>(key: &CacheKey, result: &CachedResult<V>) -> Vec<u8> {
-    let mut out = Writer::new();
+pub fn encode_record<V: CacheableValue>(
+    key: &CacheKey,
+    result: &CachedResult<V>,
+    out: &mut Writer,
+) {
     let (hi, lo) = key.parts();
     out.u64(hi);
     out.u64(lo);
-    encode_result(result, &mut out);
-    out.into_vec()
+    encode_result(result, out);
 }
 
 /// Decodes one record produced by [`encode_record`], demanding that the
@@ -436,6 +438,12 @@ mod tests {
     use super::*;
     use crate::cache::stable_pair;
 
+    fn record_bytes(key: &CacheKey, result: &CachedResult<u32>) -> Vec<u8> {
+        let mut out = Writer::new();
+        encode_record(key, result, &mut out);
+        out.into_vec()
+    }
+
     fn all_errors() -> Vec<ExperimentError> {
         let params = |x, ell| LegalityParams::new(x, ell).unwrap();
         vec![
@@ -488,15 +496,11 @@ mod tests {
     fn every_error_variant_round_trips_byte_identically() {
         for error in all_errors() {
             let key = CacheKey::combine(&[stable_pair(&format!("{error:?}"))]);
-            let bytes = encode_record::<u32>(&key, &Err(error.clone()));
+            let bytes = record_bytes(&key, &Err(error.clone()));
             let (back_key, back) = decode_record::<u32>(&bytes).expect("round trip");
             assert_eq!(back_key, key);
             assert_eq!(back, Err(error));
-            assert_eq!(
-                encode_record::<u32>(&back_key, &back),
-                bytes,
-                "canonical re-encode"
-            );
+            assert_eq!(record_bytes(&back_key, &back), bytes, "canonical re-encode");
         }
     }
 
@@ -569,7 +573,7 @@ mod tests {
         }
         // A valid record plus one trailing byte is malformed, not valid.
         let key = CacheKey::combine(&[stable_pair(&1u8)]);
-        let mut bytes = encode_record::<u32>(&key, &Err(ExperimentError::ZeroK));
+        let mut bytes = record_bytes(&key, &Err(ExperimentError::ZeroK));
         bytes.push(0);
         assert_eq!(
             decode_record::<u32>(&bytes),

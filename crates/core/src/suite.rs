@@ -101,6 +101,19 @@ struct CellCoords {
     executor: Option<usize>,
 }
 
+impl CellCoords {
+    /// The cell's case: `result` at these coordinates.
+    fn positioned<V: Ord>(self, result: Result<Report<V>, ExperimentError>) -> SuiteCase<V> {
+        SuiteCase {
+            spec_index: self.spec,
+            input_index: self.input,
+            pattern_index: self.pattern,
+            executor_index: self.executor,
+            result,
+        }
+    }
+}
+
 /// One explicit (spec, input, pattern, executor) cell for
 /// [`ScenarioSuite::cases`] — the escape hatch for heterogeneous sweeps
 /// the cartesian product cannot express without deliberate error cells.
@@ -577,33 +590,34 @@ fn suite_metrics() -> &'static SuiteMetrics {
     })
 }
 
-/// How a parallel run cuts the grid into contiguous blocks of cells —
-/// the unit workers claim, send and the consumer reorders. A pure
-/// function of the grid size and the worker count: a quarter of a
+/// How a parallel run cuts the cells it was started over — the whole
+/// grid, or what is left of it behind a cached prefix — into contiguous
+/// blocks, the unit workers claim, send and the consumer reorders. A
+/// pure function of that range and the worker count: a quarter of a
 /// worker's even share, so the tail of a run idles a worker for at most
-/// that, capped at 64 cells so a huge grid still streams; grids of at
+/// that, capped at 64 cells so a huge grid still streams; ranges of at
 /// most `4 × workers` cells get one-cell blocks.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone)]
 struct Blocks {
-    total: usize,
+    cells: Range<usize>,
     size: usize,
 }
 
 impl Blocks {
-    fn new(total: usize, workers: usize) -> Blocks {
+    fn new(cells: Range<usize>, workers: usize) -> Blocks {
         Blocks {
-            total,
-            size: (total / (4 * workers)).clamp(1, 64),
+            size: (cells.len() / (4 * workers)).clamp(1, 64),
+            cells,
         }
     }
 
     fn count(&self) -> usize {
-        self.total.div_ceil(self.size)
+        self.cells.len().div_ceil(self.size)
     }
 
     fn cells(&self, block: usize) -> Range<usize> {
-        let start = block * self.size;
-        start..(start + self.size).min(self.total)
+        let start = self.cells.start + block * self.size;
+        start..(start + self.size).min(self.cells.end)
     }
 }
 
@@ -687,20 +701,25 @@ struct CachePlan<V: Ord> {
     spec_hashes: Vec<(u64, u64)>,
     input_hashes: Vec<(u64, u64)>,
     pattern_hashes: Vec<(u64, u64)>,
+    /// What a cell without a pattern hashes in its place.
+    failure_free_hash: (u64, u64),
+    executor_hashes: Vec<(u64, u64)>,
+    /// The hash of the executor a cell without one runs on.
+    default_executor_hash: (u64, u64),
     settings_hash: (u64, u64),
 }
 
 impl<V: ProposalValue> CachePlan<V> {
-    fn key(&self, coords: CellCoords, executor: Executor) -> CacheKey {
-        let pattern = match coords.pattern {
-            Some(p) => self.pattern_hashes[p],
-            None => stable_pair(&"failure-free"),
-        };
+    fn key(&self, coords: CellCoords) -> CacheKey {
         CacheKey::combine(&[
             self.spec_hashes[coords.spec],
             self.input_hashes[coords.input],
-            pattern,
-            stable_pair(&executor),
+            coords
+                .pattern
+                .map_or(self.failure_free_hash, |p| self.pattern_hashes[p]),
+            coords
+                .executor
+                .map_or(self.default_executor_hash, |e| self.executor_hashes[e]),
             self.settings_hash,
         ])
     }
@@ -746,6 +765,30 @@ impl<V: Ord, O> GridPlan<V, O> {
     }
 }
 
+impl<V: ProposalValue, O> GridPlan<V, O> {
+    /// Counts a cell served from the cache.
+    fn served(
+        &self,
+        coords: CellCoords,
+        result: Result<Report<V>, ExperimentError>,
+    ) -> SuiteCase<V> {
+        self.counters.hits.fetch_add(1, Ordering::Relaxed);
+        if setagree_obs::enabled() {
+            suite_metrics().cache_hits.inc();
+        }
+        coords.positioned(result)
+    }
+
+    /// Serves `case` from the attached cache if it is there. A cell that
+    /// is not counts nothing here: whoever runs it counts the miss.
+    fn probe_case(&self, case: usize) -> Option<SuiteCase<V>> {
+        let plan = self.cache.as_ref()?;
+        let coords = self.coords(case);
+        let result = plan.cache.probe(&plan.key(coords))?;
+        Some(self.served(coords, result))
+    }
+}
+
 impl<V, O> GridPlan<V, O>
 where
     V: ProposalValue + Send + Sync + 'static,
@@ -757,22 +800,11 @@ where
             .executor
             .map(|e| self.executors[e])
             .unwrap_or_default();
-        let positioned = |result| SuiteCase {
-            spec_index: coords.spec,
-            input_index: coords.input,
-            pattern_index: coords.pattern,
-            executor_index: coords.executor,
-            result,
-        };
 
-        let key = self.cache.as_ref().map(|plan| plan.key(coords, executor));
+        let key = self.cache.as_ref().map(|plan| plan.key(coords));
         if let (Some(plan), Some(key)) = (&self.cache, key) {
             if let Some(result) = plan.cache.lookup(&key) {
-                self.counters.hits.fetch_add(1, Ordering::Relaxed);
-                if setagree_obs::enabled() {
-                    suite_metrics().cache_hits.inc();
-                }
-                return positioned(result);
+                return self.served(coords, result);
             }
             self.counters.misses.fetch_add(1, Ordering::Relaxed);
             if setagree_obs::enabled() {
@@ -812,7 +844,7 @@ where
         if let (Some(plan), Some(key)) = (&self.cache, key) {
             plan.cache.insert(key, result.clone());
         }
-        positioned(result)
+        coords.positioned(result)
     }
 }
 
@@ -857,6 +889,9 @@ where
                 .map(|i| (binding.hash_input)(i))
                 .collect(),
             pattern_hashes: self.patterns.iter().map(|p| stable_pair(&**p)).collect(),
+            failure_free_hash: stable_pair(&"failure-free"),
+            executor_hashes: self.executors.iter().map(stable_pair).collect(),
+            default_executor_hash: stable_pair(&Executor::default()),
             settings_hash: stable_pair(&(self.round_limit, self.step_budget)),
         });
         GridPlan {
@@ -891,66 +926,39 @@ where
     /// stays bounded however large the sweep is. Dropping the iterator
     /// early stops the run: workers finish their in-progress cell (not
     /// their block) and exit.
+    ///
+    /// **Cached prefix.** With a [cache](ScenarioSuite::cache) attached,
+    /// a parallel run begins on the calling thread: this call looks the
+    /// grid's first cell up, and as long as each next cell in grid order
+    /// is in the cache, `next()` serves it right there — no worker is
+    /// woken, nothing is buffered. The pool starts at the first cell the
+    /// cache does not hold (inside this call when that is cell 0, so a
+    /// cold run starts as eagerly as an uncached one), over the cells
+    /// from that one on, and the run stays parallel from there however
+    /// many later cells are warm. A fully warm rerun therefore never
+    /// touches the pool, and a resumed killed sweep — whose journal is a
+    /// prefix of grid order, up to the blocks in flight at the kill —
+    /// serves that prefix at the speed of a lookup and goes parallel at
+    /// the first hole. Hit and miss counts are the same either way.
     pub fn stream(&self) -> SuiteRun<V> {
         let plan = Arc::new(self.plan());
         let total = plan.total;
         let counters = Arc::clone(&plan.counters);
         let worker_count = self.worker_count(total);
         let source = if worker_count <= 1 {
-            let moved = plan;
-            RunSource::Inline(Box::new(move |case| moved.run_case(case)))
+            RunSource::Inline(Box::new(move |case| plan.run_case(case)))
         } else {
-            let blocks = Blocks::new(total, worker_count);
-            // The claim window keeps every claimed-but-unemitted block
-            // within `2 × workers` of the consumer's frontier, which
-            // bounds the reorder buffer (and the channel occupancy) at
-            // that window however the pool schedules.
-            let window_size = worker_count * 2;
-            let (tx, rx) = mpsc::sync_channel(window_size);
-            let window = Arc::new(ClaimWindow::default());
-            let handles = (0..worker_count)
-                .map(|_| {
-                    let plan = Arc::clone(&plan);
-                    let window = Arc::clone(&window);
-                    let tx = tx.clone();
-                    // Pooled: a sweep-heavy binary opening many suites
-                    // back to back reuses the same OS threads instead of
-                    // spawning `workers` fresh ones per suite.
-                    setagree_runtime::pool::spawn(move || loop {
-                        let block = window.claim();
-                        if block >= blocks.count() {
-                            break;
-                        }
-                        // Every exit below means the consumer hung up
-                        // (dropped the iterator): stop claiming work.
-                        if !window.admit(block, window_size) {
-                            break;
-                        }
-                        let cells = blocks.cells(block);
-                        let mut cases = Vec::with_capacity(cells.len());
-                        for case in cells {
-                            if window.is_closed() {
-                                return;
-                            }
-                            cases.push(plan.run_case(case));
-                        }
-                        if tx.send((block, cases)).is_err() {
-                            break;
-                        }
-                    })
-                })
-                .collect();
-            RunSource::Workers(WorkerSource {
-                handles,
-                rx,
-                window,
-                _plan: plan,
-                pending: BTreeMap::new(),
-                next_block: 0,
-                current: Vec::new().into_iter(),
-                #[cfg(test)]
-                pending_high_water: 0,
-            })
+            let probe = move |case| match plan.probe_case(case) {
+                Some(hit) => Probe::Hit(hit),
+                None => Probe::Miss(start_workers(&plan, case..total, worker_count)),
+            };
+            match probe(0) {
+                Probe::Hit(first) => RunSource::CachedPrefix {
+                    ready: Some(first),
+                    probe: Box::new(probe),
+                },
+                Probe::Miss(workers) => RunSource::Workers(workers),
+            }
         };
         SuiteRun {
             total,
@@ -1000,11 +1008,95 @@ where
     }
 }
 
+/// Starts a pool of up to `worker_count` workers over `cells` — the
+/// whole grid, or the rest of it behind a cached prefix — and returns
+/// the consumer's half.
+fn start_workers<V, O>(
+    plan: &Arc<GridPlan<V, O>>,
+    cells: Range<usize>,
+    worker_count: usize,
+) -> WorkerSource<V>
+where
+    V: ProposalValue + Send + Sync + 'static,
+    O: ConditionOracle<V> + Clone + Send + Sync + 'static,
+{
+    let worker_count = worker_count.min(cells.len());
+    let blocks = Blocks::new(cells, worker_count);
+    // The claim window keeps every claimed-but-unemitted block within
+    // `2 × workers` of the consumer's frontier, which bounds the reorder
+    // buffer (and the channel occupancy) at that window however the pool
+    // schedules.
+    let window_size = worker_count * 2;
+    let (tx, rx) = mpsc::sync_channel(window_size);
+    let window = Arc::new(ClaimWindow::default());
+    let handles = (0..worker_count)
+        .map(|_| {
+            let plan = Arc::clone(plan);
+            let window = Arc::clone(&window);
+            let blocks = blocks.clone();
+            let tx = tx.clone();
+            // Pooled: a sweep-heavy binary opening many suites back to
+            // back reuses the same OS threads instead of spawning
+            // `workers` fresh ones per suite.
+            setagree_runtime::pool::spawn(move || loop {
+                let block = window.claim();
+                if block >= blocks.count() {
+                    break;
+                }
+                // Every exit below means the consumer hung up (dropped
+                // the iterator): stop claiming work.
+                if !window.admit(block, window_size) {
+                    break;
+                }
+                let cells = blocks.cells(block);
+                let mut cases = Vec::with_capacity(cells.len());
+                for case in cells {
+                    if window.is_closed() {
+                        return;
+                    }
+                    cases.push(plan.run_case(case));
+                }
+                if tx.send((block, cases)).is_err() {
+                    break;
+                }
+            })
+        })
+        .collect();
+    WorkerSource {
+        handles,
+        rx,
+        window,
+        _plan: Arc::clone(plan) as Arc<dyn Any + Send + Sync>,
+        pending: BTreeMap::new(),
+        next_block: 0,
+        current: Vec::new().into_iter(),
+        #[cfg(test)]
+        pending_high_water: 0,
+    }
+}
+
+/// What looking the next cell of a cached prefix up came to.
+enum Probe<V: Ord> {
+    /// The cache holds the cell.
+    Hit(SuiteCase<V>),
+    /// It does not: the pool was started over the cells from this one
+    /// on, and this is the consumer's half of it.
+    Miss(WorkerSource<V>),
+}
+
 /// Where a [`SuiteRun`] gets its cases from.
 enum RunSource<V: Ord> {
     /// Sequential: cells run lazily on the consuming thread, one per
     /// `next()` call.
     Inline(Box<dyn FnMut(usize) -> SuiteCase<V> + Send>),
+    /// Parallel and cache-bound, every cell so far a hit: the consuming
+    /// thread looks the next cell up itself. The first cell the cache
+    /// does not hold turns the run into [`RunSource::Workers`] for good.
+    CachedPrefix {
+        /// The grid's first cell, looked up when the run was started.
+        ready: Option<SuiteCase<V>>,
+        probe: Box<dyn Fn(usize) -> Probe<V> + Send>,
+    },
     /// Parallel: a worker pool sends completed blocks through a bounded
     /// channel, gated by the claim window; the consumer reorders them.
     Workers(WorkerSource<V>),
@@ -1108,7 +1200,7 @@ pub struct SuiteRun<V: Ord> {
 impl<V: ProposalValue> fmt::Debug for SuiteRun<V> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let buffered_blocks = match &self.source {
-            RunSource::Inline(_) => 0,
+            RunSource::Inline(_) | RunSource::CachedPrefix { .. } => 0,
             RunSource::Workers(workers) => workers.pending.len(),
         };
         f.debug_struct("SuiteRun")
@@ -1135,7 +1227,7 @@ impl<V: ProposalValue> SuiteRun<V> {
     fn workers(&self) -> &WorkerSource<V> {
         match &self.source {
             RunSource::Workers(workers) => workers,
-            RunSource::Inline(_) => panic!("an inline run has no workers"),
+            _ => panic!("the run has started no workers"),
         }
     }
 }
@@ -1147,9 +1239,20 @@ impl<V: ProposalValue> Iterator for SuiteRun<V> {
         if self.next_emit >= self.total {
             return None;
         }
-        let case = match &mut self.source {
-            RunSource::Inline(run) => run(self.next_emit),
-            RunSource::Workers(workers) => workers.next_case(self.total),
+        let case = loop {
+            match &mut self.source {
+                RunSource::Inline(run) => break run(self.next_emit),
+                RunSource::Workers(workers) => break workers.next_case(self.total),
+                RunSource::CachedPrefix { ready, probe } => {
+                    if let Some(first) = ready.take() {
+                        break first;
+                    }
+                    match probe(self.next_emit) {
+                        Probe::Hit(case) => break case,
+                        Probe::Miss(workers) => self.source = RunSource::Workers(workers),
+                    }
+                }
+            }
         };
         self.next_emit += 1;
         Some(case)
@@ -1533,11 +1636,18 @@ mod tests {
             (512, 2, 64),
             (100_000, 2, 64),
         ] {
-            let blocks = Blocks::new(total, workers);
-            assert_eq!(blocks.size, size, "{total} cells over {workers} workers");
-            let tiled: Vec<usize> = (0..blocks.count()).flat_map(|b| blocks.cells(b)).collect();
-            assert!(tiled.iter().copied().eq(0..total), "contiguous, complete");
-            assert!(!blocks.cells(blocks.count() - 1).is_empty());
+            // From the grid's first cell, and from behind a cached
+            // prefix of 37: the same cut, shifted.
+            for first in [0, 37] {
+                let blocks = Blocks::new(first..first + total, workers);
+                assert_eq!(blocks.size, size, "{total} cells over {workers} workers");
+                let tiled: Vec<usize> = (0..blocks.count()).flat_map(|b| blocks.cells(b)).collect();
+                assert!(
+                    tiled.iter().copied().eq(first..first + total),
+                    "contiguous, complete"
+                );
+                assert!(!blocks.cells(blocks.count() - 1).is_empty());
+            }
         }
     }
 
@@ -1545,7 +1655,7 @@ mod tests {
     fn a_panic_mid_block_costs_only_its_own_cell() {
         // 32 cells over 2 workers: blocks of 4; the input of 13s is the
         // second cell of block 3.
-        assert_eq!(Blocks::new(32, 2).size, 4);
+        assert_eq!(Blocks::new(0..32, 2).size, 4);
         let outcome = ScenarioSuite::new()
             .spec(ProtocolSpec::condition_based(small_config(), Grenade))
             .inputs((0..32u32).map(|v| InputVector::new(vec![v; 4])))
@@ -1563,7 +1673,7 @@ mod tests {
     fn dropping_mid_block_stops_at_the_next_cell() {
         // Blocks of 4. Whichever worker claimed block 0 is parked inside
         // its second cell (value 2) when the consumer hangs up.
-        assert_eq!(Blocks::new(32, 2).size, 4);
+        assert_eq!(Blocks::new(0..32, 2).size, 4);
         let gate = Gate::holding(2);
         let suite = gate.suite(32).threads(2);
         let stream = suite.stream();
@@ -1587,7 +1697,7 @@ mod tests {
         // parked in the grid's first cell while the other one runs as
         // far ahead as the window lets it: blocks 1 to 3, then the edge.
         const WORKERS: usize = 2;
-        assert_eq!(Blocks::new(64, WORKERS).size, 8);
+        assert_eq!(Blocks::new(0..64, WORKERS).size, 8);
         let gate = Gate::holding(1);
         let suite = gate.suite(64).threads(WORKERS);
         let mut stream = suite.stream();
@@ -1886,6 +1996,91 @@ mod tests {
             .round_limit(9)
             .run();
         assert_eq!(limited.cache_misses(), 1);
+    }
+
+    fn forty_cells() -> ScenarioSuite<u32> {
+        ScenarioSuite::new()
+            .spec(ProtocolSpec::flood_set(4, 2, 1))
+            .inputs((0..40u32).map(|i| InputVector::new(vec![i, 1, 2, 3])))
+    }
+
+    /// The 40-cell grid at three workers, bound to a cache that holds
+    /// exactly its first `warm` cells: an inline run is lazy, so taking
+    /// `warm` cases of it executes — and caches — those and no others.
+    fn prefilled(warm: usize) -> (ScenarioSuite<u32>, Arc<SuiteCache<u32>>) {
+        let cache = Arc::new(SuiteCache::new());
+        let fill = forty_cells().threads(1).cache(&cache);
+        assert_eq!(fill.stream().take(warm).count(), warm);
+        assert_eq!(cache.len(), warm);
+        (forty_cells().threads(3).cache(&cache), cache)
+    }
+
+    #[test]
+    fn an_all_hit_parallel_run_never_starts_the_pool() {
+        let (suite, cache) = prefilled(40);
+        let mut run = suite.stream();
+        let emitted: Vec<usize> = run.by_ref().map(|case| case.input_index).collect();
+        assert!(emitted.iter().copied().eq(0..40), "grid order");
+        assert!(
+            matches!(run.source, RunSource::CachedPrefix { .. }),
+            "served to the end from the consuming thread"
+        );
+        assert_eq!((run.cache_hits(), run.cache_misses()), (40, 0));
+        assert_eq!((cache.hits(), cache.misses()), (40, 40), "the fill missed");
+    }
+
+    #[test]
+    fn the_pool_starts_at_the_first_cell_the_cache_does_not_hold() {
+        let (suite, cache) = prefilled(10);
+        let mut run = suite.stream();
+        for expected in 0..10 {
+            assert_eq!(run.next().unwrap().input_index, expected);
+        }
+        assert!(matches!(run.source, RunSource::CachedPrefix { .. }));
+        assert_eq!(
+            (cache.hits(), cache.misses()),
+            (10, 10),
+            "ten hits, and nothing looked up to be executed since the fill"
+        );
+        assert_eq!(run.next().unwrap().input_index, 10);
+        // 30 cells left for 3 workers: blocks of 2 from cell 10 on.
+        assert_eq!(run.workers().handles.len(), 3);
+        assert!(run.by_ref().map(|case| case.input_index).eq(11..40));
+        assert_eq!(run.workers().next_block, 15);
+        assert_eq!((run.cache_hits(), run.cache_misses()), (10, 30));
+        assert_eq!((cache.hits(), cache.misses()), (10, 40));
+        assert_eq!(cache.len(), 40);
+    }
+
+    #[test]
+    fn a_run_whose_first_cell_is_cold_starts_the_pool_in_stream() {
+        let (suite, cache) = prefilled(0);
+        let run = suite.stream();
+        assert!(matches!(run.source, RunSource::Workers(_)));
+        assert_eq!(run.count(), 40);
+        assert_eq!((cache.hits(), cache.misses()), (0, 40), "one miss a cell");
+
+        let uncached = forty_cells().threads(3);
+        assert!(matches!(uncached.stream().source, RunSource::Workers(_)));
+    }
+
+    /// The durable key derivation, pinned end to end — the mixer, the
+    /// `Hash` impls of every component, the order `combine` folds them
+    /// in, the format version: a change of any of them must fail here
+    /// (and bump `FORMAT_VERSION`) rather than silently turn every
+    /// persisted cache cold.
+    #[test]
+    fn the_cache_key_of_a_fixed_cell_is_pinned() {
+        let suite = ScenarioSuite::<u32>::new()
+            .spec(ProtocolSpec::flood_set(4, 2, 1))
+            .input(vec![3u32, 9, 1, 4])
+            .pattern(FailurePattern::staircase(4, 2, 1))
+            .executor(Executor::AsyncSharedMemory { seed: 9 })
+            .round_limit(7)
+            .cache(&Arc::new(SuiteCache::new()));
+        let plan = suite.plan();
+        let key = plan.cache.as_ref().unwrap().key(plan.coords(0));
+        assert_eq!(key.to_string(), "417d3cfddc201879c69994e4749e4812");
     }
 
     #[test]

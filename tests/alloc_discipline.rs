@@ -16,7 +16,9 @@
 //!   thread allocated for a parallel run is freed on a pool thread —
 //!   where it would sit in that thread's malloc cache, ready to be the
 //!   start of the next regrown buffer — except the box each pooled task
-//!   travels in, which the worker that ran it necessarily drops.
+//!   travels in, which the worker that ran it necessarily drops. A
+//!   cache-bound run that finds every cell warm frees not even that: it
+//!   serves the grid from the calling thread and starts no worker.
 //!
 //! * **A `C_max` question never regrows a buffer either.** Every
 //!   process asks one per cell in its compute phase, on whichever thread
@@ -33,7 +35,7 @@ use std::cell::Cell;
 use std::sync::atomic::{AtomicU32, AtomicUsize, Ordering};
 
 use setagree::conditions::{ConditionOracle, LegalityParams, MaxCondition};
-use setagree::core::{ConditionBasedConfig, ProtocolSpec, ScenarioSuite};
+use setagree::core::{ConditionBasedConfig, ProtocolSpec, ScenarioSuite, SuiteCache};
 use setagree::sync::{
     run_protocol, run_protocol_faulty, FailurePattern, FaultPlan, LinkFault, Step, SyncProtocol,
 };
@@ -366,9 +368,26 @@ fn the_max_condition_oracle_never_reallocs() {
     }
 }
 
-#[test]
-fn a_parallel_suite_run_frees_its_allocations_on_the_calling_thread() {
-    const WORKERS: usize = 2;
+/// The watched thread's blocks freed on other threads while `run` ran,
+/// and the sizes of the first few.
+fn foreign_frees_during<T>(run: impl FnOnce() -> T) -> (T, usize, Vec<usize>) {
+    FOREIGN_FREES.store(0, Ordering::Relaxed);
+    WATCHED.store(my_tag(), Ordering::SeqCst);
+    let result = run();
+    WATCHED.store(0, Ordering::SeqCst);
+    let foreign = FOREIGN_FREES.load(Ordering::Relaxed);
+    let sizes = FOREIGN_SIZES
+        .iter()
+        .take(foreign)
+        .map(|size| size.load(Ordering::Relaxed))
+        .collect();
+    (result, foreign, sizes)
+}
+
+const WORKERS: usize = 2;
+
+/// The benchmark grid's shape at n = 6: 4 specs × 8 inputs × 6 patterns.
+fn sweep_suite() -> ScenarioSuite<u32> {
     let config = ConditionBasedConfig::builder(6, 3, 2)
         .condition_degree(2)
         .ell(1)
@@ -392,24 +411,21 @@ fn a_parallel_suite_run_frees_its_allocations_on_the_calling_thread() {
         )
         .threads(WORKERS);
     assert_eq!(suite.len(), 4 * 8 * 6);
+    suite
+}
+
+// Both halves watch through the one `WATCHED` slot, so they are one test.
+#[test]
+fn a_parallel_suite_run_frees_its_allocations_on_the_calling_thread() {
+    let suite = sweep_suite();
 
     // A first run parks two pool workers, so the watched run starts no
     // thread (a thread frees its start-up blocks whenever it exits).
     let reference = suite.run();
     assert!(reference.all_ok());
 
-    FOREIGN_FREES.store(0, Ordering::Relaxed);
-    WATCHED.store(my_tag(), Ordering::SeqCst);
-    let watched = suite.run();
-    WATCHED.store(0, Ordering::SeqCst);
-
+    let (watched, foreign, sizes) = foreign_frees_during(|| suite.run());
     assert_eq!(watched.cases(), reference.cases());
-    let foreign = FOREIGN_FREES.load(Ordering::Relaxed);
-    let sizes: Vec<usize> = FOREIGN_SIZES
-        .iter()
-        .take(foreign)
-        .map(|size| size.load(Ordering::Relaxed))
-        .collect();
     assert_eq!(
         foreign, WORKERS,
         "only each worker's task box may be freed off the calling thread; \
@@ -418,5 +434,19 @@ fn a_parallel_suite_run_frees_its_allocations_on_the_calling_thread() {
     assert!(
         sizes.windows(2).all(|pair| pair[0] == pair[1]),
         "the task boxes are one type, so one size: {sizes:?}"
+    );
+
+    // Bound to a cache that holds the whole grid, the same parallel run
+    // is a cached prefix to the end: no task box, so no worker.
+    let cache = std::sync::Arc::new(SuiteCache::new());
+    let warm_suite = sweep_suite().cache(&cache);
+    assert_eq!(warm_suite.run().cache_misses(), 4 * 8 * 6);
+    let (warm, foreign, sizes) = foreign_frees_during(|| warm_suite.run());
+    assert_eq!(warm.cases(), reference.cases());
+    assert_eq!((warm.cache_hits(), warm.cache_misses()), (4 * 8 * 6, 0));
+    assert_eq!(
+        foreign, 0,
+        "an all-hit run starts no worker; freed off the calling thread: \
+         blocks of {sizes:?} bytes"
     );
 }

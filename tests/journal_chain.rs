@@ -4,6 +4,11 @@
 //!   damaged record, yields exactly the intact prefix, and reports the
 //!   damage (flips in the header's version field are surfaced through
 //!   `Cursor::version`, which the cache layer treats as a cold file);
+//!   payloads run to 200 bytes, so the flips land in every word of a
+//!   many-word record and in partial last words of every length;
+//! * **the durable format is pinned** — one link and one whole journal
+//!   equal committed bytes, so an accidental change of the chain hash
+//!   fails here instead of turning every journal on disk corrupt;
 //! * **truncation at any offset yields exactly the valid prefix** —
 //!   with a clean tail precisely when the cut lands on a record
 //!   boundary (a crash *between* appends loses nothing and looks like a
@@ -11,7 +16,9 @@
 //! * **crash-resume end to end** — a suite run whose journal loses its
 //!   final record mid-write resumes by re-executing only the missing
 //!   cell, and the merged report is byte-identical to an uninterrupted
-//!   run's.
+//!   run's — at one worker, at the machine's default, and at two and
+//!   three, where the resumed run serves the cells ahead of the hole
+//!   from the consuming thread and starts its pool at the hole.
 
 use std::sync::Arc;
 
@@ -46,7 +53,7 @@ fn boundaries(payloads: &[Vec<u8>]) -> Vec<usize> {
 }
 
 fn payload_strategy() -> impl Strategy<Value = Vec<Vec<u8>>> {
-    proptest::collection::vec(proptest::collection::vec(any::<u8>(), 0..=40), 1..=6)
+    proptest::collection::vec(proptest::collection::vec(any::<u8>(), 0..=200), 1..=6)
 }
 
 proptest! {
@@ -141,6 +148,46 @@ proptest! {
     }
 }
 
+/// Payloads that differ only in trailing zero bytes, or in where one
+/// record ends and the next begins, are different journals.
+#[test]
+fn zero_padding_and_record_boundaries_are_part_of_the_chain() {
+    let head = |payloads: &[&[u8]]| {
+        let owned: Vec<Vec<u8>> = payloads.iter().map(|p| p.to_vec()).collect();
+        let bytes = journal(&owned);
+        let mut cursor = Cursor::new(&bytes);
+        assert_eq!(cursor.by_ref().count(), payloads.len());
+        cursor.head()
+    };
+    for tail in 0..=8 {
+        let padded = vec![0u8; tail];
+        let longer = vec![0u8; tail + 1];
+        assert_ne!(
+            head(&[&padded]),
+            head(&[&longer]),
+            "{tail} vs {} zeros",
+            tail + 1
+        );
+    }
+    assert_ne!(head(&[b"abcdefgh", b"ij"]), head(&[b"abcdefghij"]));
+    assert_ne!(head(&[b"abcdefgh", b"ij"]), head(&[b"abcdefg", b"hij"]));
+}
+
+/// The chain hash is a file format: these bytes — header, length,
+/// payload, and `GENESIS.extend(b"setagree")` as `hi ‖ lo` — are what
+/// every journal already on disk was written with.
+#[test]
+fn the_journal_bytes_are_pinned() {
+    let bytes = journal(&[b"setagree".to_vec()]);
+    let mut expected = b"setagree-journal".to_vec();
+    expected.extend_from_slice(&VERSION.to_le_bytes());
+    expected.extend_from_slice(&8u32.to_le_bytes());
+    expected.extend_from_slice(b"setagree");
+    expected.extend_from_slice(&0x5A57_6CD2_8EDA_2580u64.to_le_bytes());
+    expected.extend_from_slice(&0x0B47_DDFC_C87D_B477u64.to_le_bytes());
+    assert_eq!(bytes, expected);
+}
+
 const N: usize = 6;
 
 /// A mixed synchronous/asynchronous grid, the same shape every call.
@@ -168,10 +215,14 @@ fn grid() -> ScenarioSuite<u32, MaxCondition> {
 /// writer mid-record (simulated by truncating the file inside its last
 /// record), reopen, and observe the resumed run execute *only* the
 /// missing cell and merge into a report byte-identical to an
-/// uninterrupted run's.
-#[test]
-fn crash_resume_executes_only_missing_cells_and_merges_identically() {
-    let path = std::env::temp_dir().join("setagree-journal-crash-resume");
+/// uninterrupted run's. `threads` is the worker count of every run
+/// (`None`: the machine's default).
+fn crash_resume(threads: Option<usize>) {
+    let grid = || match threads {
+        Some(threads) => grid().threads(threads),
+        None => grid(),
+    };
+    let path = std::env::temp_dir().join(format!("setagree-journal-crash-resume-{threads:?}"));
     let _ = std::fs::remove_file(&path);
 
     // The uninterrupted baseline.
@@ -209,6 +260,11 @@ fn crash_resume_executes_only_missing_cells_and_merges_identically() {
     assert_eq!(resumed.cache_misses(), 1, "only the lost cell re-executes");
     assert_eq!(resumed.cache_hits() as usize, cells - 1);
     assert_eq!(
+        (resumed_cache.hits(), resumed_cache.misses()),
+        (cells as u64 - 1, 1),
+        "the cache counted what the run counted"
+    );
+    assert_eq!(
         format!("{:?}", resumed.cases()),
         format!("{:?}", baseline.cases()),
         "merged report byte-identical to the uninterrupted run"
@@ -224,4 +280,16 @@ fn crash_resume_executes_only_missing_cells_and_merges_identically() {
     assert_eq!(warm.cache_misses(), 0);
     assert_eq!(warm.cache_hits() as usize, cells);
     std::fs::remove_file(&path).expect("cleanup");
+}
+
+#[test]
+fn crash_resume_executes_only_missing_cells_and_merges_identically() {
+    crash_resume(None);
+}
+
+#[test]
+fn crash_resume_is_the_same_at_one_two_and_three_workers() {
+    for threads in 1..=3 {
+        crash_resume(Some(threads));
+    }
 }

@@ -15,6 +15,14 @@
 //!   filled serves every cell warm (hit counter = grid size, miss
 //!   counter = 0) and reproduces a byte-identical report — including
 //!   through a save/load roundtrip of the persisted cache file.
+//! * **A cached prefix is invisible**: a parallel cache-bound run serves
+//!   the cells ahead of its first miss from the consuming thread and
+//!   starts its pool at that miss. Whatever part of the grid the cache
+//!   holds — any prefix of grid order, or hits and misses interleaved —
+//!   the cases are the uncached one-worker run's, in order, and the
+//!   run's and the cache's counters say exactly which cells were served
+//!   and which executed; dropping the run on either side of the
+//!   hand-over hangs nothing.
 //! * **Explicit cases** (`cases(...)`) pair specs with exactly the
 //!   executors that can run them, and `SuiteReport::find` looks cells
 //!   up by coordinates instead of hand-computed flat indices.
@@ -179,6 +187,120 @@ fn totals_straddling_block_boundaries_stream_in_grid_order() {
             assert_eq!(case.input_index, i);
         }
     }
+}
+
+/// The 48-cell grid of the cached-prefix tests: both models, crashing
+/// patterns (positioned errors on the async executor — cached like any
+/// result), six distinct inputs.
+fn prefix_grid(entries: &[Vec<u32>]) -> ScenarioSuite<u32, MaxCondition> {
+    let patterns = [FailurePattern::none(N), FailurePattern::staircase(N, 3, 2)];
+    let executors = [Executor::Simulator, Executor::AsyncSharedMemory { seed: 5 }];
+    mixed_suite(entries, &patterns, &executors)
+}
+
+fn prefix_entries() -> Vec<Vec<u32>> {
+    (0..6u32).map(|i| vec![5, 5, 1 + i, 2, 5, 9 - i]).collect()
+}
+
+/// A cache holding exactly the first `warm` cells of `prefix_grid` in
+/// grid order: a one-worker run is lazy, so taking `warm` cases of it
+/// executes — and caches — those and no others.
+fn cache_of_first(warm: usize) -> Arc<SuiteCache<u32>> {
+    let cache = Arc::new(SuiteCache::new());
+    let filled = prefix_grid(&prefix_entries())
+        .threads(1)
+        .cache(&cache)
+        .stream()
+        .take(warm)
+        .count();
+    assert_eq!((filled, cache.len()), (warm, warm));
+    cache
+}
+
+#[test]
+fn every_cached_prefix_merges_into_the_serial_run() {
+    let serial = prefix_grid(&prefix_entries()).threads(1).run();
+    let len = serial.len();
+    assert_eq!(len, 2 * 6 * 2 * 2);
+    for warm in 0..=len {
+        let cache = cache_of_first(warm);
+        let (hits, misses) = (cache.hits(), cache.misses());
+        let run = prefix_grid(&prefix_entries())
+            .threads(3)
+            .cache(&cache)
+            .run();
+        assert_eq!(run.cases(), serial.cases(), "{warm} cells warm");
+        assert_eq!(
+            (run.cache_hits(), run.cache_misses()),
+            (warm as u64, (len - warm) as u64),
+            "{warm} cells warm: the run's counters"
+        );
+        assert_eq!(
+            (cache.hits() - hits, cache.misses() - misses),
+            (warm as u64, (len - warm) as u64),
+            "{warm} cells warm: the cache's lifetime counters"
+        );
+        assert_eq!(cache.len(), len, "every miss was executed and cached");
+    }
+}
+
+#[test]
+fn interleaved_hits_and_misses_merge_into_the_serial_run() {
+    let entries = prefix_entries();
+    let serial = prefix_grid(&entries).threads(1).run();
+    // Inputs 0, 2 and 4 warm: in grid order (pattern fastest, then
+    // input) two hits, two misses, two hits, … — a two-cell prefix, then
+    // hits that the workers find.
+    let warm_entries: Vec<Vec<u32>> = entries.iter().step_by(2).cloned().collect();
+    let cache = Arc::new(SuiteCache::new());
+    let fill = prefix_grid(&warm_entries).cache(&cache).run();
+    assert_eq!(fill.cache_misses() as usize, serial.len() / 2);
+
+    let run = prefix_grid(&entries).threads(3).cache(&cache).run();
+    assert_eq!(run.cases(), serial.cases());
+    let half = (serial.len() / 2) as u64;
+    assert_eq!((run.cache_hits(), run.cache_misses()), (half, half));
+    assert_eq!((cache.hits(), cache.misses()), (half, 2 * half));
+    for (i, case) in run.cases().iter().enumerate() {
+        assert_eq!(case.input_index, (i / 2) % 6, "grid order");
+    }
+}
+
+#[test]
+fn dropping_a_run_on_either_side_of_the_hand_over_hangs_nothing() {
+    let serial = prefix_grid(&prefix_entries()).threads(1).run();
+    let cache = cache_of_first(10);
+    let suite = prefix_grid(&prefix_entries()).threads(3).cache(&cache);
+
+    // Mid-prefix: nothing was ever handed to a worker, so nothing was
+    // looked up to be executed.
+    let mut run = suite.stream();
+    assert_eq!(run.by_ref().take(5).count(), 5);
+    assert_eq!(run.len(), serial.len() - 5);
+    drop(run);
+    assert_eq!(
+        (cache.len(), cache.misses()),
+        (10, 10),
+        "only the fill missed"
+    );
+
+    // Just after the hand-over: the eleventh case comes from the pool,
+    // which the drop stops and reaps.
+    let mut run = suite.stream();
+    let emitted: Vec<_> = run.by_ref().take(11).collect();
+    assert_eq!(emitted.as_slice(), &serial.cases()[..11]);
+    assert_eq!(run.cache_hits(), 10);
+    drop(run);
+
+    // The pool is as usable as before, and whatever the stopped run got
+    // done is simply warm now.
+    let rerun = suite.run();
+    assert_eq!(rerun.cases(), serial.cases());
+    assert_eq!(
+        rerun.cache_hits() + rerun.cache_misses(),
+        serial.len() as u64
+    );
+    assert!(rerun.cache_hits() >= 11);
 }
 
 /// The acceptance shape spelled out: one full mixed sync/async grid,
