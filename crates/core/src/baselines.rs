@@ -92,6 +92,18 @@ impl<V: ProposalValue> SyncProtocol for FloodSet<V> {
         }
     }
 
+    /// Every round folds: `receive` keeps the greatest estimate it is
+    /// shown, whoever sent it and in whatever order.
+    fn fold(_round: usize, batch: &mut dyn Iterator<Item = (ProcessId, &V)>) -> Option<V> {
+        batch.map(|(_, estimate)| estimate).max().cloned()
+    }
+
+    fn receive_folded(&mut self, _round: usize, _count: usize, greatest: &V) {
+        if *greatest > self.estimate {
+            self.estimate = greatest.clone();
+        }
+    }
+
     fn compute(&mut self, round: usize) -> Step<V> {
         if round >= self.target_round {
             Step::Decide(self.estimate.clone())

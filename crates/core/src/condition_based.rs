@@ -221,6 +221,40 @@ impl<V: ProposalValue, O: ConditionOracle<V>> SyncProtocol for ConditionBased<V,
         }
     }
 
+    /// The state rounds fold, slot by slot (lines 15–17 look at no
+    /// sender), cloning each slot's maximum once; a round-1 `Proposal`
+    /// names its sender — it is an entry of the view — and declines.
+    fn fold(
+        _round: usize,
+        batch: &mut dyn Iterator<Item = (ProcessId, &CbMessage<V>)>,
+    ) -> Option<CbMessage<V>> {
+        // `None` until the first state: an empty batch declines.
+        let mut maxima = None;
+        for (_, msg) in batch {
+            let CbMessage::State { cond, tmf, out } = msg else {
+                return None;
+            };
+            let (c, t, o) = maxima.unwrap_or((None, None, None));
+            maxima = Some((
+                c.max(cond.as_ref()),
+                t.max(tmf.as_ref()),
+                o.max(out.as_ref()),
+            ));
+        }
+        let (cond, tmf, out) = maxima?;
+        Some(CbMessage::State {
+            cond: cond.cloned(),
+            tmf: tmf.cloned(),
+            out: out.cloned(),
+        })
+    }
+
+    fn receive_folded(&mut self, round: usize, _count: usize, folded: &CbMessage<V>) {
+        // A state's sender is never looked at, and a maximum of maxima
+        // is the maximum: the fold is received as the one state it is.
+        self.receive(round, self.me, folded);
+    }
+
     fn compute(&mut self, round: usize) -> Step<V> {
         if round == 1 {
             self.classify_view();

@@ -74,6 +74,11 @@ impl SyncProtocol for DenseFlood {
         self.view.merge_missing_from(msg);
     }
 
+    // No `fold`, on purpose: a union of views would fold, but this
+    // protocol exists to price one dense merge per delivery
+    // (`core.denseflood.*` in the benchmark), so it keeps the
+    // per-message loop.
+
     fn compute(&mut self, round: usize) -> Step<usize> {
         if round >= self.rounds {
             Step::Decide(self.view.distinct_count())

@@ -203,6 +203,48 @@ impl<V: ProposalValue, O: ConditionOracle<V>> SyncProtocol for EarlyConditionBas
         }
     }
 
+    /// As [`ConditionBased`](crate::ConditionBased)'s, with the decide
+    /// flags ORed: state rounds fold, round-1 `Proposal`s decline.
+    fn fold(
+        _round: usize,
+        batch: &mut dyn Iterator<Item = (ProcessId, &EcbMessage<V>)>,
+    ) -> Option<EcbMessage<V>> {
+        // `None` until the first state: an empty batch declines.
+        let mut folded = None;
+        for (_, msg) in batch {
+            let EcbMessage::State {
+                cond,
+                tmf,
+                out,
+                deciding,
+            } = msg
+            else {
+                return None;
+            };
+            let (c, t, o, flagged) = folded.unwrap_or((None, None, None, false));
+            folded = Some((
+                c.max(cond.as_ref()),
+                t.max(tmf.as_ref()),
+                o.max(out.as_ref()),
+                flagged | deciding,
+            ));
+        }
+        let (cond, tmf, out, deciding) = folded?;
+        Some(EcbMessage::State {
+            cond: cond.cloned(),
+            tmf: tmf.cloned(),
+            out: out.cloned(),
+            deciding,
+        })
+    }
+
+    fn receive_folded(&mut self, round: usize, count: usize, folded: &EcbMessage<V>) {
+        // Received as the one state it is (a state's sender is never
+        // looked at), but heard from all `count` senders it stands for.
+        self.receive(round, self.me, folded);
+        self.heard_now += count - 1;
+    }
+
     fn compute(&mut self, round: usize) -> Step<V> {
         let heard = self.heard_now;
         self.heard_now = 0;

@@ -109,6 +109,35 @@ impl<V: ProposalValue> SyncProtocol for EarlyDeciding<V> {
         }
     }
 
+    /// Every round folds: `receive` counts the message, keeps the
+    /// smallest estimate and ORs the flag, whoever sent it and in
+    /// whatever order.
+    fn fold(
+        _round: usize,
+        batch: &mut dyn Iterator<Item = (ProcessId, &EdMessage<V>)>,
+    ) -> Option<EdMessage<V>> {
+        let (_, first) = batch.next()?;
+        let (mut estimate, mut deciding) = (&first.estimate, first.deciding);
+        for (_, msg) in batch {
+            if msg.estimate < *estimate {
+                estimate = &msg.estimate;
+            }
+            deciding |= msg.deciding;
+        }
+        Some(EdMessage {
+            estimate: estimate.clone(),
+            deciding,
+        })
+    }
+
+    fn receive_folded(&mut self, _round: usize, count: usize, folded: &EdMessage<V>) {
+        self.heard_now += count;
+        if folded.estimate < self.estimate {
+            self.estimate = folded.estimate.clone();
+        }
+        self.deciding |= folded.deciding;
+    }
+
     fn compute(&mut self, round: usize) -> Step<V> {
         if self.deciding {
             // Either our own rule fired last round (we broadcast DECIDE

@@ -848,6 +848,18 @@ where
     }
 }
 
+/// `thread::available_parallelism()`, sampled once per process: where
+/// the answer comes out of cgroup files a call costs as much as a cell
+/// or two, and every `stream()` of a suite without `.threads(...)` asks.
+fn machine_parallelism() -> usize {
+    static PARALLELISM: OnceLock<usize> = OnceLock::new();
+    *PARALLELISM.get_or_init(|| {
+        thread::available_parallelism()
+            .map(NonZeroUsize::get)
+            .unwrap_or(1)
+    })
+}
+
 impl<V, O> ScenarioSuite<V, O>
 where
     V: ProposalValue + Send + Sync + 'static,
@@ -856,9 +868,7 @@ where
     fn worker_count(&self, total: usize) -> usize {
         self.threads
             .unwrap_or_else(|| {
-                let parallelism = thread::available_parallelism()
-                    .map(NonZeroUsize::get)
-                    .unwrap_or(1);
+                let parallelism = machine_parallelism();
                 // Threaded and networked-loopback cases both spawn one
                 // OS thread per process;
                 // divide the worker pool by the largest system size so

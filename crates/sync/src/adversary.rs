@@ -401,6 +401,11 @@ impl UnorderedFailurePattern {
     pub fn spec(&self, id: ProcessId) -> Option<&SubsetCrash> {
         self.crashes.get(&id)
     }
+
+    /// Iterates over `(process, spec)` pairs in process order.
+    pub(crate) fn iter(&self) -> impl Iterator<Item = (ProcessId, &SubsetCrash)> + '_ {
+        self.crashes.iter().map(|(&id, spec)| (id, spec))
+    }
 }
 
 impl From<&FailurePattern> for UnorderedFailurePattern {

@@ -17,6 +17,22 @@
 //! * a process whose compute phase returns [`Step::Decide`] stops
 //!   participating (its sends for that round already happened — the
 //!   forward-then-return shape of Figure 2's lines 13–14).
+//!
+//! **A round's broadcast is folded once, not once per recipient.** What
+//! the senders that do not crash in a round broadcast reaches every
+//! process, and only a crashing sender's delivery differs from recipient
+//! to recipient. The plain loop ([`run_protocol`],
+//! [`run_protocol_unordered`]) therefore offers the former to
+//! [`SyncProtocol::fold`] once a round; a protocol whose `receive` looks
+//! at neither sender nor order in that round folds them into one message,
+//! every recipient takes it in a single `receive_folded`, and only the
+//! crashing senders' messages still go through `receive`, each to the
+//! recipients it reached — a crash-free round costs O(n) calls, not n².
+//! A protocol (or round) that declines gets the per-message loop,
+//! untouched. Either way the [`Trace`] is the same, `messages_delivered`
+//! included: folding changes how often the simulator repeats a
+//! computation, not what is simulated. The fault-composed loop never
+//! folds: per-link decisions leave nothing common to all recipients.
 
 use std::error::Error;
 use std::fmt;
@@ -74,8 +90,8 @@ impl Error for EngineError {}
 pub(crate) trait DeliveryPolicy {
     /// System size.
     fn system_size(&self) -> usize;
-    /// The round during which `id` crashes, if it is faulty.
-    fn crash_round(&self, id: ProcessId) -> Option<usize>;
+    /// Every faulty process with the round during which it crashes.
+    fn crashes(&self) -> impl Iterator<Item = (ProcessId, usize)> + '_;
     /// Whether `sender`'s round-`round` broadcast reaches `recipient`,
     /// given that this is the sender's crash round. Asked at most once
     /// per crash and recipient in a whole run, so implementations are
@@ -87,14 +103,25 @@ pub(crate) trait DeliveryPolicy {
         round: usize,
         recipient: ProcessId,
     ) -> bool;
+    /// The same question for a whole round at once: calls `deliver` with
+    /// each of `recipients` (process indices, ascending) that `sender`'s
+    /// round-`round` broadcast reaches, in that order — one look at the
+    /// sender's crash per round, not one per recipient.
+    fn reached_while_crashing(
+        &self,
+        sender: ProcessId,
+        round: usize,
+        recipients: &[usize],
+        deliver: impl FnMut(usize),
+    );
 }
 
 impl DeliveryPolicy for FailurePattern {
     fn system_size(&self) -> usize {
         FailurePattern::system_size(self)
     }
-    fn crash_round(&self, id: ProcessId) -> Option<usize> {
-        self.spec(id).map(|s| s.round)
+    fn crashes(&self) -> impl Iterator<Item = (ProcessId, usize)> + '_ {
+        self.iter().map(|(id, spec)| (id, spec.round))
     }
     #[cold]
     fn delivers_while_crashing(
@@ -107,14 +134,29 @@ impl DeliveryPolicy for FailurePattern {
         let prefix = self.spec(sender).map(|s| s.after_sends).unwrap_or(0);
         recipient.index() < prefix
     }
+    fn reached_while_crashing(
+        &self,
+        sender: ProcessId,
+        _round: usize,
+        recipients: &[usize],
+        deliver: impl FnMut(usize),
+    ) {
+        let prefix = self.spec(sender).map(|s| s.after_sends).unwrap_or(0);
+        // Ascending, so the prefix's recipients come first.
+        recipients
+            .iter()
+            .copied()
+            .take_while(|&recipient| recipient < prefix)
+            .for_each(deliver);
+    }
 }
 
 impl DeliveryPolicy for UnorderedFailurePattern {
     fn system_size(&self) -> usize {
         UnorderedFailurePattern::system_size(self)
     }
-    fn crash_round(&self, id: ProcessId) -> Option<usize> {
-        self.spec(id).map(|s| s.round)
+    fn crashes(&self) -> impl Iterator<Item = (ProcessId, usize)> + '_ {
+        self.iter().map(|(id, spec)| (id, spec.round))
     }
     #[cold]
     fn delivers_while_crashing(
@@ -127,6 +169,37 @@ impl DeliveryPolicy for UnorderedFailurePattern {
             .map(|s| s.delivered_to.contains(recipient))
             .unwrap_or(false)
     }
+    fn reached_while_crashing(
+        &self,
+        sender: ProcessId,
+        _round: usize,
+        recipients: &[usize],
+        deliver: impl FnMut(usize),
+    ) {
+        if let Some(spec) = self.spec(sender) {
+            recipients
+                .iter()
+                .copied()
+                .filter(|&recipient| spec.delivered_to.contains(ProcessId::new(recipient)))
+                .for_each(deliver);
+        }
+    }
+}
+
+/// No round: they are numbered from 1, and a pattern rejects a crash in
+/// round 0.
+const NEVER: usize = 0;
+
+/// The round during which each process crashes, by process index, and
+/// [`NEVER`] for a correct one: what both round loops ask of every
+/// active process every round, resolved once per run out of the
+/// pattern's map.
+fn crash_rounds<D: DeliveryPolicy>(policy: &D) -> Vec<usize> {
+    let mut rounds = vec![NEVER; policy.system_size()];
+    for (id, round) in policy.crashes() {
+        rounds[id.index()] = round;
+    }
+    rounds
 }
 
 /// Runs the protocol instances (one per process, in process order) under
@@ -292,11 +365,13 @@ pub(crate) fn run_with_policy<P: SyncProtocol, D: DeliveryPolicy>(
     let mut messages_delivered: u64 = 0;
     let mut rounds_executed = 0;
     let obs_on = setagree_obs::enabled();
-    // The per-round buffers are sized once and cleared, never regrown:
-    // a `Vec` grown through an unsized `filter` is `realloc`ed every
-    // round, and a block that started life in another thread's malloc
-    // arena sends that `realloc` through the other arena's lock (what
-    // made parallel suite sweeps slower than serial ones).
+    // The per-run table and the per-round buffers are sized once, before
+    // round 1, and cleared, never regrown: a `Vec` grown through an
+    // unsized `filter` is `realloc`ed every round, and a block that
+    // started life in another thread's malloc arena sends that `realloc`
+    // through the other arena's lock (what made parallel suite sweeps
+    // slower than serial ones).
+    let crash_rounds = crash_rounds(policy);
     let mut active: Vec<usize> = Vec::with_capacity(n);
     let mut sends: Vec<(usize, P::Msg, bool)> = Vec::with_capacity(n);
 
@@ -311,36 +386,67 @@ pub(crate) fn run_with_policy<P: SyncProtocol, D: DeliveryPolicy>(
 
         // Send phase: collect each active process's broadcast.
         sends.clear();
+        let mut crashing = 0;
         for &i in &active {
-            let crashing_now = policy.crash_round(ProcessId::new(i)) == Some(round);
+            let crashing_now = crash_rounds[i] == round;
+            crashing += usize::from(crashing_now);
             // A process crashing mid-send still "sends" from the
             // protocol's point of view (part of the broadcast is lost).
             let msg = procs[i].message(round);
             sends.push((i, msg, crashing_now));
         }
 
-        // Receive phase, recipient-major: each process still participating
-        // this round (`outcomes` does not change before the crash phase
-        // below, so that is exactly `active`) folds the whole `sends`
-        // array, in sender order, while its own state stays in cache — a
-        // round-1 `view.set` per delivery lands in one view, not in n
-        // views in turn. Every recipient borrows the one owned message
-        // the sender produced — a round's fan-out is n deliveries, zero
-        // clones.
-        for &recipient in &active {
-            messages_delivered += receive_round(
-                &mut procs[recipient],
-                ProcessId::new(recipient),
-                round,
-                &sends,
-                policy,
-            );
+        // Receive phase. Every process still participating this round
+        // receives (`outcomes` does not change before the crash phase
+        // below, so that is exactly `active`, this round's victims
+        // included). What the senders not crashing now broadcast reaches
+        // all of them alike, so it is offered to the protocol once: if
+        // it folds, each recipient takes the whole batch in one call and
+        // then, per message and in sender order, only what a crashing
+        // sender's broadcast reached it with — a crash-free round is
+        // O(n), not n². The count is what the per-message loop's would
+        // be: a folded batch of m messages is m deliveries.
+        let mut steady = sends
+            .iter()
+            .filter(|&&(_, _, crashing_now)| !crashing_now)
+            .map(|&(sender, ref msg, _)| (ProcessId::new(sender), msg));
+        if let Some(folded) = P::fold(round, &mut steady) {
+            let batch = sends.len() - crashing;
+            for &recipient in &active {
+                procs[recipient].receive_folded(round, batch, &folded);
+            }
+            messages_delivered += (batch * active.len()) as u64;
+            // `take`: a round without crashers scans nothing.
+            let crashers = sends.iter().filter(|&&(_, _, crashing_now)| crashing_now);
+            for &(sender, ref msg, _) in crashers.take(crashing) {
+                let sender = ProcessId::new(sender);
+                policy.reached_while_crashing(sender, round, &active, |recipient| {
+                    procs[recipient].receive(round, sender, msg);
+                    messages_delivered += 1;
+                });
+            }
+        } else {
+            // Declined: recipient-major, each process folding the whole
+            // `sends` array, in sender order, while its own state stays
+            // in cache — a round-1 `view.set` per delivery lands in one
+            // view, not in n views in turn. Every recipient borrows the
+            // one owned message the sender produced — a round's fan-out
+            // is n deliveries, zero clones.
+            for &recipient in &active {
+                messages_delivered += receive_round(
+                    &mut procs[recipient],
+                    ProcessId::new(recipient),
+                    round,
+                    &sends,
+                    policy,
+                );
+            }
         }
 
         // Crashes of this round take effect before the compute phase: a
         // process that crashed mid-send performs no local computation.
         for &i in &active {
-            if policy.crash_round(ProcessId::new(i)) == Some(round) {
+            if crash_rounds[i] == round {
                 outcomes[i] = Some(Outcome::Crashed { round });
             }
         }
@@ -491,8 +597,10 @@ pub(crate) fn run_with_policy_faulty<P: SyncProtocol, D: DeliveryPolicy>(
     let mut delivered: i64 = 0;
     let mut rounds_executed = 0;
     let obs_on = setagree_obs::enabled();
-    // Sized once and cleared per round, as in the plain loop; so is each
-    // ring slot, in the first round that maps to it.
+    // Sized once and cleared per round, as in the plain loop, after the
+    // same per-run crash table; so is each ring slot, in the first round
+    // that maps to it.
+    let crash_rounds = crash_rounds(policy);
     let mut active: Vec<usize> = Vec::with_capacity(n);
     let mut salts: Vec<u64> = Vec::with_capacity(n);
     // An inbox that reorders holds the round's arrivals — twice over if
@@ -520,8 +628,7 @@ pub(crate) fn run_with_policy_faulty<P: SyncProtocol, D: DeliveryPolicy>(
         ring[slot].clear();
         salts.clear();
         for &i in &active {
-            let crashing_now = policy.crash_round(ProcessId::new(i)) == Some(round);
-            ring[slot].push((i, procs[i].message(round), crashing_now));
+            ring[slot].push((i, procs[i].message(round), crash_rounds[i] == round));
             salts.push(round_salt.sender(ProcessId::new(i)));
         }
 
@@ -816,6 +923,126 @@ mod tests {
         let a = run_protocol(flood_system(4, 2), &pattern, 5).unwrap();
         let b = run_protocol(flood_system(4, 2), &pattern, 5).unwrap();
         assert_eq!(a, b);
+    }
+
+    /// Decides the calls it was handed: every `receive` as `(round,
+    /// from)` and every `receive_folded` as `(round, count)`. Folds every
+    /// batch that is not empty when `FOLDS`, declines like any protocol
+    /// that overrides nothing otherwise.
+    #[derive(Debug, Default)]
+    struct CallLog<const FOLDS: bool> {
+        received: Vec<(usize, usize)>,
+        folded: Vec<(usize, usize)>,
+    }
+
+    impl<const FOLDS: bool> SyncProtocol for CallLog<FOLDS> {
+        type Msg = ();
+        type Output = (Vec<(usize, usize)>, Vec<(usize, usize)>);
+
+        fn message(&mut self, _round: usize) {}
+
+        fn receive(&mut self, round: usize, from: ProcessId, _msg: &()) {
+            self.received.push((round, from.index()));
+        }
+
+        fn fold(_round: usize, batch: &mut dyn Iterator<Item = (ProcessId, &())>) -> Option<()> {
+            (FOLDS && batch.next().is_some()).then_some(())
+        }
+
+        fn receive_folded(&mut self, round: usize, count: usize, _folded: &()) {
+            assert!(FOLDS, "a protocol that declines is never handed a fold");
+            self.folded.push((round, count));
+        }
+
+        fn compute(&mut self, round: usize) -> Step<Self::Output> {
+            if round >= 3 {
+                Step::Decide((self.received.clone(), self.folded.clone()))
+            } else {
+                Step::Continue
+            }
+        }
+    }
+
+    fn call_logs<const FOLDS: bool>(n: usize) -> Vec<CallLog<FOLDS>> {
+        (0..n).map(|_| CallLog::default()).collect()
+    }
+
+    /// p1 crashes in round 1 reaching p1..p3, p5 in round 2 reaching
+    /// nobody and p3 in round 2 reaching everybody (itself included).
+    fn three_crashes() -> FailurePattern {
+        let mut pattern = FailurePattern::none(6);
+        for (victim, round, prefix) in [(0, 1, 3), (4, 2, 0), (2, 2, 6)] {
+            pattern
+                .crash(ProcessId::new(victim), CrashSpec::new(round, prefix))
+                .unwrap();
+        }
+        pattern
+    }
+
+    #[test]
+    fn a_folding_protocol_receives_per_message_only_what_a_crash_delivers() {
+        let trace = run_protocol(call_logs::<true>(6), &three_crashes(), 5).unwrap();
+        let log_of = |i: usize| trace.outcome(ProcessId::new(i)).decided_value().unwrap();
+        // One fold per recipient and round, of that round's senders that
+        // are not crashing in it: 5 of 6, 3 of 5, 3 of 3.
+        for i in [1, 3, 5] {
+            assert_eq!(log_of(i).1, [(1, 5), (2, 3), (3, 3)], "p{}", i + 1);
+        }
+        // `receive` only for a crashing sender's broadcast, after the
+        // fold and in sender order: p1's reached p2, not p4 or p6; p3's
+        // reached everyone; p5's nobody.
+        assert_eq!(log_of(1).0, [(1, 0), (2, 2)]);
+        assert_eq!(log_of(3).0, [(2, 2)]);
+        assert_eq!(log_of(5).0, [(2, 2)]);
+
+        // The count is the per-message loop's: a fold of m counts m.
+        let reference = run_protocol(call_logs::<false>(6), &three_crashes(), 5).unwrap();
+        assert_eq!(trace.messages_delivered(), reference.messages_delivered());
+        assert_eq!(
+            trace.messages_delivered(),
+            (5 * 6 + 3) + (3 * 5 + 5) + 3 * 3
+        );
+    }
+
+    #[test]
+    fn a_declining_protocol_is_never_handed_a_fold() {
+        // `receive_folded` asserts it; the logs say what happened instead.
+        let trace = run_protocol(call_logs::<false>(6), &three_crashes(), 5).unwrap();
+        let (received, folded) = trace.outcome(ProcessId::new(3)).decided_value().unwrap();
+        assert!(folded.is_empty());
+        assert_eq!(
+            received[..],
+            [
+                (1, 1),
+                (1, 2),
+                (1, 3),
+                (1, 4),
+                (1, 5),
+                (2, 1),
+                (2, 2),
+                (2, 3),
+                (2, 5),
+                (3, 1),
+                (3, 3),
+                (3, 5)
+            ]
+        );
+    }
+
+    #[test]
+    fn a_round_in_which_every_sender_crashes_is_delivered_per_message() {
+        // Both processes crash in round 1: nothing steady to fold, and a
+        // victim still receives what reached it before it is gone.
+        let mut pattern = FailurePattern::none(2);
+        pattern
+            .crash(ProcessId::new(0), CrashSpec::new(1, 2))
+            .unwrap();
+        pattern
+            .crash(ProcessId::new(1), CrashSpec::new(1, 1))
+            .unwrap();
+        let trace = run_protocol(call_logs::<true>(2), &pattern, 5).unwrap();
+        assert_eq!(trace.crashed_count(), 2);
+        assert_eq!(trace.messages_delivered(), 2 + 1);
     }
 
     #[test]

@@ -46,7 +46,9 @@ impl<Out: fmt::Display> fmt::Display for Step<Out> {
 ///    delivers only a prefix);
 /// 2. [`receive`](SyncProtocol::receive) — once per message delivered this
 ///    round, in sender order (a process always receives its own broadcast
-///    unless it crashed before reaching itself in the send order);
+///    unless it crashed before reaching itself in the send order); where
+///    the protocol opted in (*Folded rounds* below), possibly one
+///    [`receive_folded`](SyncProtocol::receive_folded) for many of them;
 /// 3. [`compute`](SyncProtocol::compute) — local computation; returning
 ///    [`Step::Decide`] ends the process's participation.
 ///
@@ -59,6 +61,31 @@ impl<Out: fmt::Display> fmt::Display for Step<Out> {
 /// message, or go sender by sender, or run recipients on separate
 /// threads), so the instances of one execution must share no state: a
 /// process learns about the others only through `receive`.
+///
+/// **Folded rounds.** A broadcast from a sender that does not crash in
+/// the round reaches every process, so `n` recipients whose `receive`
+/// looks at neither the sender nor the order compute one and the same
+/// fold `n` times. A protocol may say so, round by round, by overriding
+/// [`fold`](SyncProtocol::fold) and
+/// [`receive_folded`](SyncProtocol::receive_folded) together:
+///
+/// * **The law.** For every process state, round `r` and batch `B` of
+///   round-`r` messages from distinct senders with
+///   `fold(r, B) = Some(m)`: `receive_folded(r, |B|, &m)` leaves the
+///   process exactly as `receive(r, from, msg)` over `B` in ascending
+///   sender order would.
+/// * Returning `Some` for a round is the protocol's declaration that its
+///   `receive` in that round depends on neither sender identity nor
+///   order. An executor *may* then combine the messages it would deliver
+///   to a recipient in full into one and hand that over in a single
+///   call, in place of their `receive`s and before the round's remaining
+///   ones. [`run_protocol`](crate::run_protocol) and
+///   [`run_protocol_unordered`](crate::run_protocol_unordered) do — each
+///   round's broadcasts from the senders not crashing in it are folded
+///   once, for all recipients; the fault-composed loops, the threaded
+///   runtime and the node tier do not yet, and call `receive` only.
+/// * For every protocol, and every round, that declines — the provided
+///   methods always do — ascending sender order stays the contract.
 ///
 /// Delivery is **zero-copy**: a broadcast produces one owned message per
 /// sender per round, and every executor hands that same message to each
@@ -82,6 +109,44 @@ pub trait SyncProtocol {
     /// The message is borrowed: all `n` recipients of a broadcast observe
     /// the same owned message. Clone only what the process keeps.
     fn receive(&mut self, round: usize, from: ProcessId, msg: &Self::Msg);
+
+    /// Combines a batch of round-`round` messages, each with its sender
+    /// (distinct, ascending), into one that
+    /// [`receive_folded`](SyncProtocol::receive_folded) takes in their
+    /// place — or declines with `None`, and each message is delivered
+    /// through [`receive`](SyncProtocol::receive) as ever. See *Folded
+    /// rounds* above for the law the pair must obey.
+    ///
+    /// An associated function on purpose: it sees messages and no
+    /// process, so the instances of one execution still share no state
+    /// (`Self: Sized` only keeps the trait usable as a `dyn` object). It
+    /// must decline an empty batch (the round in which every sender
+    /// crashes), and may stop reading the batch as soon as it declines.
+    /// The provided implementation declines everything.
+    fn fold(
+        round: usize,
+        batch: &mut dyn Iterator<Item = (ProcessId, &Self::Msg)>,
+    ) -> Option<Self::Msg>
+    where
+        Self: Sized,
+    {
+        let _ = (round, batch);
+        None
+    }
+
+    /// Delivery, in one call, of `count` round-`round` messages that
+    /// [`fold`](SyncProtocol::fold) combined into `folded`. Called only
+    /// with what this protocol's `fold` returned, so a protocol that
+    /// never folds need not provide it.
+    ///
+    /// # Panics
+    ///
+    /// The provided implementation panics: a `fold` that returns `Some`
+    /// must come with a `receive_folded`.
+    fn receive_folded(&mut self, round: usize, count: usize, folded: &Self::Msg) {
+        let _ = (count, folded);
+        unreachable!("a protocol that folds round {round} must override receive_folded")
+    }
 
     /// End-of-round computation.
     fn compute(&mut self, round: usize) -> Step<Self::Output>;

@@ -106,7 +106,11 @@ impl<Out: Clone + Ord> Trace<Out> {
         self.rounds_executed
     }
 
-    /// The total number of message deliveries.
+    /// The total number of message deliveries: one per message and
+    /// recipient it reached, however the executor handed it over — a
+    /// folded batch of `m` messages
+    /// ([`SyncProtocol::fold`](crate::SyncProtocol::fold)) counts `m` at
+    /// each recipient.
     pub fn messages_delivered(&self) -> u64 {
         self.messages_delivered
     }

@@ -8,7 +8,10 @@
 //!   what made two suite workers slower than one. Under a plan that
 //!   delays letters the rule holds once the ring of kept rounds is full
 //!   (from round `2 + max_delay`), and for everything but the stash of
-//!   delayed letters, whose growth is the plan's to decide.
+//!   delayed letters, whose growth is the plan's to decide. The same on
+//!   the plain loop's fold path (`SyncProtocol::fold`): a round's folded
+//!   message is one allocation of the protocol's, once for all
+//!   recipients, and nothing is regrown around it.
 //! * **A benign plan costs no allocation.** After round 1 the faulty
 //!   loop under `FaultPlan::none` calls `alloc` exactly as often as the
 //!   plain loop: a message is shared by position, not boxed per send.
@@ -241,6 +244,67 @@ fn the_plain_round_loop_never_reallocs_after_round_one() {
             .rounds_executed()
     });
     assert_eq!(grown, 0, "a per-round buffer was regrown");
+}
+
+/// [`Flood`], folding: the union of a batch of views is one view,
+/// whoever sent them and in whatever order. The fold clones the first
+/// view — exact-size, like every allocation of `Flood`'s — and unions
+/// the rest into it.
+struct FoldingFlood(Flood);
+
+impl SyncProtocol for FoldingFlood {
+    type Msg = Vec<Option<u32>>;
+    type Output = usize;
+
+    fn message(&mut self, round: usize) -> Self::Msg {
+        self.0.message(round)
+    }
+
+    fn receive(&mut self, round: usize, from: ProcessId, msg: &Self::Msg) {
+        self.0.receive(round, from, msg);
+    }
+
+    fn fold(
+        _round: usize,
+        batch: &mut dyn Iterator<Item = (ProcessId, &Self::Msg)>,
+    ) -> Option<Self::Msg> {
+        let (_, first) = batch.next()?;
+        let mut union = first.clone();
+        for (_, view) in batch {
+            for (mine, theirs) in union.iter_mut().zip(view) {
+                *mine = mine.or(*theirs);
+            }
+        }
+        Some(union)
+    }
+
+    fn receive_folded(&mut self, round: usize, _count: usize, union: &Self::Msg) {
+        self.0.receive(round, ProcessId::new(self.0.me), union);
+    }
+
+    fn compute(&mut self, round: usize) -> Step<usize> {
+        self.0.compute(round)
+    }
+}
+
+#[test]
+fn the_fold_path_never_reallocs_after_round_one() {
+    let pattern = crashing_pattern();
+    let per_message = counted_from_round(2, || {
+        run_protocol(flood_system(), &pattern, ROUNDS + 1)
+            .expect("the flood terminates")
+            .rounds_executed()
+    });
+    let folding = counted_from_round(2, || {
+        let system = flood_system().into_iter().map(FoldingFlood).collect();
+        run_protocol(system, &pattern, ROUNDS + 1)
+            .expect("the flood terminates")
+            .rounds_executed()
+    });
+    assert_eq!(folding.reallocs, 0, "a per-round buffer was regrown");
+    // The folded message is all the path adds: one a round, from round
+    // 2 to the last, not one a recipient.
+    assert_eq!(folding.allocs, per_message.allocs + (ROUNDS as u64 - 1));
 }
 
 #[test]

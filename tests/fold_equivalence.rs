@@ -1,0 +1,458 @@
+//! A folded round is the per-message round, computed once.
+//!
+//! `SyncProtocol::fold` lets a protocol combine the messages a round
+//! delivers to every process alike into one, and `receive_folded` take
+//! that one in their place; the plain round loop then hands each
+//! recipient a single call where it used to make `n`. Two things are
+//! checked here, neither through a switch in the library:
+//!
+//! * **the law**, family by family — whatever state a process is in,
+//!   `receive_folded(fold(batch))` leaves it as the batch's `receive`s,
+//!   in ascending sender order, would: from then on the two emit equal
+//!   messages and compute equal steps. A batch holding a round-1
+//!   `Proposal` declines, and so does an empty one;
+//! * **whole runs** — every family under seeded ordered and unordered
+//!   crash patterns, run as it is and wrapped in [`Unfolded`], a newtype
+//!   that forwards `message` / `receive` / `compute` and so inherits the
+//!   declining defaults: the wrapper *is* the per-message reference, and
+//!   the two [`Trace`]s — outcomes, rounds, `messages_delivered` — are
+//!   equal.
+
+use proptest::prelude::*;
+
+use setagree::conditions::MaxCondition;
+use setagree::core::early_deciding::EdMessage;
+use setagree::core::{
+    CbMessage, ConditionBased, ConditionBasedConfig, EarlyConditionBased, EarlyDeciding,
+    EcbMessage, FloodSet,
+};
+use setagree::sync::{
+    run_protocol, run_protocol_unordered, CrashSpec, FailurePattern, Step, SubsetCrash,
+    SyncProtocol, Trace, UnorderedFailurePattern,
+};
+use setagree::types::{ProcessId, ProcessSet};
+
+const N: usize = 10;
+const T: usize = 5;
+
+/// The whole runs agree on two values; the law is checked at `k = 1`,
+/// where the families run their longest (`T + 1` rounds) and one
+/// miscounted message flips the early-deciding rule.
+fn config(k: usize) -> ConditionBasedConfig {
+    ConditionBasedConfig::builder(N, T, k)
+        .condition_degree(2)
+        .ell(k)
+        .build()
+        .expect("valid")
+}
+
+/// The per-message reference: the wrapped protocol with `fold` and
+/// `receive_folded` left at the trait's declining defaults.
+#[derive(Debug)]
+struct Unfolded<P>(P);
+
+impl<P: SyncProtocol> SyncProtocol for Unfolded<P> {
+    type Msg = P::Msg;
+    type Output = P::Output;
+
+    fn message(&mut self, round: usize) -> P::Msg {
+        self.0.message(round)
+    }
+
+    fn receive(&mut self, round: usize, from: ProcessId, msg: &P::Msg) {
+        self.0.receive(round, from, msg);
+    }
+
+    fn compute(&mut self, round: usize) -> Step<P::Output> {
+        self.0.compute(round)
+    }
+}
+
+/// The messages of `slots` that are present, each with its slot as the
+/// sender: distinct senders, ascending.
+fn batch_of<M>(slots: Vec<Option<M>>) -> Vec<(ProcessId, M)> {
+    slots
+        .into_iter()
+        .enumerate()
+        .filter_map(|(from, msg)| Some((ProcessId::new(from), msg?)))
+        .collect()
+}
+
+fn fold_of<P: SyncProtocol>(round: usize, batch: &[(ProcessId, P::Msg)]) -> Option<P::Msg> {
+    P::fold(round, &mut batch.iter().map(|(from, msg)| (*from, msg)))
+}
+
+/// Checks the law on one state and one batch. Two processes from `fresh`
+/// are driven through the same `warm_up`, one batch a round starting at
+/// the first, and send in the round after it; one then receives `batch`
+/// message by message, the other its fold. They must be
+/// indistinguishable from there on: equal steps, equal next messages.
+/// Returns whether the batch folded (`None`: the warm-up already
+/// decided, nothing to compare).
+fn law_holds<P>(
+    fresh: impl Fn() -> P,
+    warm_up: &[Vec<(ProcessId, P::Msg)>],
+    batch: &[(ProcessId, P::Msg)],
+) -> Option<bool>
+where
+    P: SyncProtocol,
+    P::Msg: PartialEq,
+{
+    let round = warm_up.len() + 1;
+    let mut twins = [fresh(), fresh()];
+    for twin in &mut twins {
+        for (earlier, deliveries) in warm_up.iter().enumerate() {
+            twin.message(earlier + 1);
+            for (from, msg) in deliveries {
+                twin.receive(earlier + 1, *from, msg);
+            }
+            if twin.compute(earlier + 1) != Step::Continue {
+                return None;
+            }
+        }
+        twin.message(round);
+    }
+    let [per_message, folding] = &mut twins;
+    let Some(folded) = fold_of::<P>(round, batch) else {
+        return Some(false);
+    };
+    for (from, msg) in batch {
+        per_message.receive(round, *from, msg);
+    }
+    folding.receive_folded(round, batch.len(), &folded);
+    for later in round..round + 3 {
+        if later > round {
+            assert_eq!(per_message.message(later), folding.message(later));
+        }
+        let step = per_message.compute(later);
+        assert_eq!(
+            step,
+            folding.compute(later),
+            "round {later} after {batch:?}"
+        );
+        if step != Step::Continue {
+            break;
+        }
+    }
+    Some(true)
+}
+
+fn value() -> impl Strategy<Value = u32> {
+    1u32..=6
+}
+
+fn slot() -> impl Strategy<Value = Option<u32>> {
+    proptest::option::of(value())
+}
+
+/// `N` sender slots, each empty or holding a message.
+fn slots<S: Strategy>(msg: S) -> impl Strategy<Value = Vec<Option<S::Value>>> {
+    proptest::collection::vec(proptest::option::of(msg), N)
+}
+
+/// A decide flag, raised by one sender in eight: often enough to be
+/// folded, rarely enough that most warm-up rounds end undecided.
+fn flag() -> impl Strategy<Value = bool> {
+    (0u8..8).prop_map(|draw| draw == 0)
+}
+
+fn ed_message() -> impl Strategy<Value = EdMessage<u32>> {
+    (value(), flag()).prop_map(|(estimate, deciding)| EdMessage { estimate, deciding })
+}
+
+fn cb_state() -> impl Strategy<Value = CbMessage<u32>> {
+    (slot(), slot(), slot()).prop_map(|(cond, tmf, out)| CbMessage::State { cond, tmf, out })
+}
+
+fn ecb_state() -> impl Strategy<Value = EcbMessage<u32>> {
+    (slot(), slot(), slot(), flag()).prop_map(|(cond, tmf, out, deciding)| EcbMessage::State {
+        cond,
+        tmf,
+        out,
+        deciding,
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn flood_set_obeys_the_law(
+        own in value(),
+        earlier in proptest::collection::vec(slots(value()), 0..=2),
+        batch in slots(value()),
+    ) {
+        let warm_up: Vec<_> = earlier.into_iter().map(batch_of).collect();
+        let batch = batch_of(batch);
+        let folded = law_holds(|| FloodSet::new(T, 1, own), &warm_up, &batch);
+        prop_assert_eq!(folded, Some(!batch.is_empty()));
+    }
+
+    #[test]
+    fn early_deciding_obeys_the_law(
+        own in value(),
+        earlier in proptest::collection::vec(slots(ed_message()), 0..=2),
+        batch in slots(ed_message()),
+    ) {
+        let warm_up: Vec<_> = earlier.into_iter().map(batch_of).collect();
+        let batch = batch_of(batch);
+        let folded = law_holds(|| EarlyDeciding::new(N, T, 1, own), &warm_up, &batch);
+        prop_assert!(folded.is_none() || folded == Some(!batch.is_empty()));
+    }
+
+    #[test]
+    fn condition_based_obeys_the_law(
+        me in 0usize..N,
+        proposals in slots(value()),
+        earlier in proptest::collection::vec(slots(cb_state()), 0..=2),
+        batch in slots(cb_state()),
+    ) {
+        let cfg = config(1);
+        let oracle = MaxCondition::new(cfg.legality());
+        let round_1: Vec<_> = batch_of(proposals)
+            .into_iter()
+            .map(|(from, v)| (from, CbMessage::Proposal(v)))
+            .collect();
+        prop_assert!(
+            round_1.is_empty() || fold_of::<ConditionBased<u32, MaxCondition>>(1, &round_1).is_none(),
+            "a proposal names its sender: round 1 declines"
+        );
+        let mut warm_up = vec![round_1];
+        warm_up.extend(earlier.into_iter().map(batch_of));
+        let batch = batch_of(batch);
+        let fresh = || ConditionBased::new(cfg, ProcessId::new(me), 3u32, oracle);
+        let folded = law_holds(fresh, &warm_up, &batch);
+        prop_assert!(folded.is_none() || folded == Some(!batch.is_empty()));
+    }
+
+    #[test]
+    fn early_condition_based_obeys_the_law(
+        me in 0usize..N,
+        proposals in slots(value()),
+        earlier in proptest::collection::vec(slots(ecb_state()), 0..=2),
+        batch in slots(ecb_state()),
+    ) {
+        let cfg = config(1);
+        let oracle = MaxCondition::new(cfg.legality());
+        let round_1: Vec<_> = batch_of(proposals)
+            .into_iter()
+            .map(|(from, v)| (from, EcbMessage::Proposal(v)))
+            .collect();
+        prop_assert!(
+            round_1.is_empty()
+                || fold_of::<EarlyConditionBased<u32, MaxCondition>>(1, &round_1).is_none(),
+            "a proposal names its sender: round 1 declines"
+        );
+        let mut warm_up = vec![round_1];
+        warm_up.extend(earlier.into_iter().map(batch_of));
+        let batch = batch_of(batch);
+        let fresh = || EarlyConditionBased::new(cfg, ProcessId::new(me), 3u32, oracle);
+        let folded = law_holds(fresh, &warm_up, &batch);
+        prop_assert!(folded.is_none() || folded == Some(!batch.is_empty()));
+    }
+}
+
+/// A stale proposal among states (what a delaying link can produce in a
+/// later round) makes the whole batch decline, wherever it sits.
+#[test]
+fn a_proposal_anywhere_in_a_batch_declines() {
+    let state = || CbMessage::State {
+        cond: Some(4u32),
+        tmf: None,
+        out: Some(2),
+    };
+    for at in 0..3 {
+        let mut batch: Vec<_> = (0..3).map(|from| (ProcessId::new(from), state())).collect();
+        assert!(fold_of::<ConditionBased<u32, MaxCondition>>(2, &batch).is_some());
+        batch[at].1 = CbMessage::Proposal(9);
+        assert!(fold_of::<ConditionBased<u32, MaxCondition>>(2, &batch).is_none());
+    }
+}
+
+/// The round in which every sender crashes leaves nothing to fold.
+#[test]
+fn an_empty_batch_declines() {
+    type Oracle = MaxCondition;
+    assert_eq!(fold_of::<FloodSet<u32>>(3, &[]), None);
+    assert_eq!(fold_of::<EarlyDeciding<u32>>(3, &[]), None);
+    assert_eq!(fold_of::<ConditionBased<u32, Oracle>>(3, &[]), None);
+    assert_eq!(fold_of::<EarlyConditionBased<u32, Oracle>>(3, &[]), None);
+}
+
+/// Runs `make()` as it is and as [`Unfolded`] under the ordered pattern
+/// and under `unordered`, and returns the (ordered, unordered) traces
+/// the two pairs agree on.
+fn assert_folding_changes_nothing<P, F>(
+    make: F,
+    ordered: &FailurePattern,
+    unordered: &UnorderedFailurePattern,
+    limit: usize,
+) -> (Trace<P::Output>, Trace<P::Output>)
+where
+    P: SyncProtocol,
+    F: Fn() -> Vec<P>,
+{
+    let unfolded = || make().into_iter().map(Unfolded).collect::<Vec<_>>();
+    let folding = run_protocol(make(), ordered, limit).expect("terminates");
+    let reference = run_protocol(unfolded(), ordered, limit).expect("terminates");
+    assert_eq!(folding, reference, "folding diverged under {ordered}");
+    let folding_unordered = run_protocol_unordered(make(), unordered, limit).expect("terminates");
+    let reference = run_protocol_unordered(unfolded(), unordered, limit).expect("terminates");
+    assert_eq!(
+        folding_unordered, reference,
+        "folding diverged under {unordered:?}"
+    );
+    (folding, folding_unordered)
+}
+
+/// All four families over `inputs`, at `k = 1` (their longest runs) and
+/// `k = 2`, each compared with its unfolded self.
+fn assert_every_family(
+    inputs: &[u32],
+    ordered: &FailurePattern,
+    unordered: &UnorderedFailurePattern,
+) {
+    for k in [1, 2] {
+        let cfg = config(k);
+        let oracle = MaxCondition::new(cfg.legality());
+        let limit = cfg.round_limit();
+        assert_folding_changes_nothing(
+            || {
+                (0..N)
+                    .map(|i| ConditionBased::new(cfg, ProcessId::new(i), inputs[i], oracle))
+                    .collect()
+            },
+            ordered,
+            unordered,
+            limit,
+        );
+        assert_folding_changes_nothing(
+            || {
+                (0..N)
+                    .map(|i| EarlyConditionBased::new(cfg, ProcessId::new(i), inputs[i], oracle))
+                    .collect()
+            },
+            ordered,
+            unordered,
+            limit,
+        );
+        assert_folding_changes_nothing(
+            || {
+                inputs
+                    .iter()
+                    .map(|&v| EarlyDeciding::new(N, T, k, v))
+                    .collect()
+            },
+            ordered,
+            unordered,
+            limit,
+        );
+        assert_folding_changes_nothing(
+            || inputs.iter().map(|&v| FloodSet::new(T, k, v)).collect(),
+            ordered,
+            unordered,
+            limit,
+        );
+    }
+}
+
+fn subset(members: impl IntoIterator<Item = usize>) -> ProcessSet {
+    let mut set = ProcessSet::empty(N);
+    set.extend(members.into_iter().map(ProcessId::new));
+    set
+}
+
+/// Each shape of round the fold path distinguishes, in one run: round 1
+/// loses nobody; in round 2 p1 crashes reaching nobody (prefix 0) and p2
+/// reaching everybody (prefix n); in round 3 p3 crashes mid-broadcast
+/// and reaches, among others, p4 — itself crashing this round; and,
+/// when `to_the_last`, every process still up crashes in round 4, so
+/// that round's steady batch is empty.
+#[test]
+fn every_shape_of_round_folds_to_the_per_message_trace() {
+    let inputs = [4, 1, 6, 2, 2, 5, 3, 6, 1, 4];
+    for to_the_last in [false, true] {
+        let mut ordered = FailurePattern::none(N);
+        let mut unordered = UnorderedFailurePattern::none(N);
+        let mut crash = |victim: usize, round: usize, prefix: usize, reached: ProcessSet| {
+            ordered
+                .crash(ProcessId::new(victim), CrashSpec::new(round, prefix))
+                .expect("valid");
+            unordered
+                .crash(ProcessId::new(victim), SubsetCrash::new(round, reached))
+                .expect("valid");
+        };
+        crash(0, 2, 0, subset([]));
+        crash(1, 2, N, subset(0..N));
+        crash(2, 3, 6, subset([9, 3, 4]));
+        crash(3, 3, 2, subset([5]));
+        if to_the_last {
+            for victim in 4..N {
+                crash(victim, 4, victim - 2, subset([victim, 4, 9]));
+            }
+        }
+        assert_every_family(&inputs, &ordered, &unordered);
+
+        // FloodSet at k = 1 runs all of T + 1 = 6 rounds, whoever
+        // crashes: every shape above is a round it executes.
+        let (trace, _) = assert_folding_changes_nothing(
+            || inputs.iter().map(|&v| FloodSet::new(T, 1, v)).collect(),
+            &ordered,
+            &unordered,
+            T + 2,
+        );
+        if to_the_last {
+            assert_eq!(trace.rounds_executed(), 4);
+            assert_eq!(trace.crashed_count(), N);
+        } else {
+            assert_eq!(trace.rounds_executed(), T + 1);
+            assert_eq!(trace.decided_values(), [6].into_iter().collect());
+            // Rounds 1 to 3 by hand: 10 × 10; 8 × 10 and p2's 10;
+            // 6 × 8, p3's prefix of 6 less the two gone (4) and p4's
+            // prefix of 2 less the same two (0); then 6 × 6 a round.
+            assert_eq!(
+                trace.messages_delivered(),
+                100 + (80 + 10) + (48 + 4) + 3 * 36
+            );
+        }
+    }
+}
+
+/// At most `N − 1` victims, each with a crash round in `1..=4`, an
+/// ordered-send prefix and, for the unordered twin, an arbitrary
+/// delivered set.
+fn patterns() -> impl Strategy<Value = (FailurePattern, UnorderedFailurePattern)> {
+    let crash = (
+        0usize..N,
+        1usize..=4,
+        0usize..=N,
+        proptest::collection::vec(any::<bool>(), N),
+    );
+    proptest::collection::vec(crash, 0..N).prop_map(|crashes| {
+        let mut ordered = FailurePattern::none(N);
+        let mut unordered = UnorderedFailurePattern::none(N);
+        for (victim, round, prefix, reached) in crashes {
+            let victim = ProcessId::new(victim);
+            let reached = subset((0..N).filter(|&i| reached[i]));
+            ordered
+                .crash(victim, CrashSpec::new(round, prefix))
+                .expect("valid");
+            unordered
+                .crash(victim, SubsetCrash::new(round, reached))
+                .expect("valid");
+        }
+        (ordered, unordered)
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    #[test]
+    fn folding_changes_no_trace(
+        inputs in proptest::collection::vec(value(), N),
+        (ordered, unordered) in patterns(),
+    ) {
+        assert_every_family(&inputs, &ordered, &unordered);
+    }
+}
