@@ -6,9 +6,9 @@
 # agreement violations, verdict digest — equal the recorded lines,
 # character for character. A change that only makes the program faster
 # moves none of them; re-record a line only in a change whose purpose is
-# to alter what the protocols decide. seed1.txt records every workload;
-# seed7.txt the fault-composed and the resumed one at a seed no change
-# was written against.
+# to alter what the protocols decide. Each of seed1.txt, seed7.txt and
+# seed42.txt records all five workloads; seeds 7 and 42 are seeds no
+# change was written against.
 set -euo pipefail
 cd "$(dirname "$0")/../.."
 observed="$(mktemp)"

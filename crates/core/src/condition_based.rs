@@ -19,14 +19,25 @@
 //! round `⌊(d+ℓ−1)/k⌋ + 1` if someone witnessed too many failures and
 //! nobody ruled the condition out (line 18), and unconditionally at round
 //! `⌊t/k⌋ + 1`.
+//!
+//! **The view is lazy.** A process holds its proposal in a field and
+//! materialises `V_i` only when round 1 delivers it something; it drops
+//! it again at classification, the last line that reads it. Lines 5–8
+//! make the round-1 state a function of the view alone, so a process
+//! whose round-1 deliveries equal another's takes that one's primed slot
+//! through [`SyncProtocol::adopt`] instead: under the plain simulator a
+//! round 1 with `c` crashers assembles and decodes at most `c + 1` views
+//! (one per reach class under ordered sends), not `n`, and the processes
+//! that adopt never allocate one.
 
 use std::fmt;
 
 use setagree_conditions::ConditionOracle;
 use setagree_sync::{Step, SyncProtocol};
-use setagree_types::{ProcessId, ProposalValue, View};
+use setagree_types::{ProcessId, ProposalValue};
 
 use crate::config::ConditionBasedConfig;
+use crate::round_one::RoundOne;
 
 /// The wire format of the algorithm: the proposal in round 1, the state
 /// triple afterwards.
@@ -55,8 +66,9 @@ pub struct ConditionBased<V, O> {
     config: ConditionBasedConfig,
     me: ProcessId,
     oracle: O,
-    /// `V_i`: the round-1 view of the input vector (line 1/5).
-    view: View<V>,
+    /// The proposal and `V_i`, the round-1 view of the input vector
+    /// (line 1/5), materialised only by a process that receives round 1.
+    round_one: RoundOne<V>,
     v_cond: Option<V>,
     v_tmf: Option<V>,
     v_out: Option<V>,
@@ -81,13 +93,11 @@ impl<V: ProposalValue, O: ConditionOracle<V>> ConditionBased<V, O> {
             "{me} outside a system of {}",
             config.n()
         );
-        let mut view = View::all_bottom(config.n());
-        view.set(me, proposal);
         ConditionBased {
             config,
             me,
             oracle,
-            view,
+            round_one: RoundOne::new(proposal),
             v_cond: None,
             v_tmf: None,
             v_out: None,
@@ -115,32 +125,6 @@ impl<V: ProposalValue, O: ConditionOracle<V>> ConditionBased<V, O> {
             self.v_tmf.as_ref(),
             self.v_out.as_ref(),
         )
-    }
-
-    /// Line 6–8: classify the round-1 view and prime one state slot.
-    fn classify_view(&mut self) {
-        let missing = self.view.count_bottom();
-        let t_minus_d = self.config.t() - self.config.d();
-        if missing <= t_minus_d {
-            match self.oracle.decode_view(&self.view) {
-                Some(decoded) => {
-                    // Line 6: P(V_i) holds. Theorem 1 guarantees the decoded
-                    // set is non-empty for a legal condition; stay defensive
-                    // against ill-formed oracles and fall back to line 7.
-                    match decoded.into_iter().max() {
-                        Some(v) => self.v_cond = Some(v),
-                        None => self.v_out = self.view.max_value().cloned(),
-                    }
-                }
-                None => {
-                    // Line 7: the input vector is provably outside C.
-                    self.v_out = self.view.max_value().cloned();
-                }
-            }
-        } else {
-            // Line 8: too many failures witnessed.
-            self.v_tmf = self.view.max_value().cloned();
-        }
     }
 
     /// Lines 15–17: fold this round's received triples into the state.
@@ -175,12 +159,7 @@ impl<V: ProposalValue, O: ConditionOracle<V>> SyncProtocol for ConditionBased<V,
         if round == 1 {
             // Line 4: broadcast the proposal (the engine realizes the
             // predetermined p_1 … p_n order and prefix crashes).
-            let own = self
-                .view
-                .get(self.me)
-                .cloned()
-                .expect("own proposal recorded at construction");
-            CbMessage::Proposal(own)
+            CbMessage::Proposal(self.round_one.proposal().clone())
         } else {
             // Line 13. If our v_cond is already set we will decide at
             // line 14 this round, right after this send.
@@ -203,7 +182,7 @@ impl<V: ProposalValue, O: ConditionOracle<V>> SyncProtocol for ConditionBased<V,
                 // round 1, so a late proposal is dropped, not asserted
                 // away.
                 if round == 1 {
-                    self.view.set(from, v.clone());
+                    self.round_one.receive(self.config.n(), self.me, from, v);
                 }
             }
             CbMessage::State { cond, tmf, out } => {
@@ -255,9 +234,26 @@ impl<V: ProposalValue, O: ConditionOracle<V>> SyncProtocol for ConditionBased<V,
         self.receive(round, self.me, folded);
     }
 
+    /// Round 1 adopts: lines 5–8 read the view alone, and a twin's view
+    /// is this process's — the same deliveries, its own proposal among
+    /// them, over the same all-`⊥` vector — so the twin's primed slot is
+    /// the one this process would prime. Nothing else of the state moves
+    /// in round 1. The state rounds decline (and fold instead).
+    fn adopt(&mut self, round: usize, twin: &Self) -> bool {
+        if round != 1 {
+            return false;
+        }
+        self.v_cond.clone_from(&twin.v_cond);
+        self.v_tmf.clone_from(&twin.v_tmf);
+        self.v_out.clone_from(&twin.v_out);
+        true
+    }
+
     fn compute(&mut self, round: usize) -> Step<V> {
         if round == 1 {
-            self.classify_view();
+            // Lines 6–8: classify the view and prime one state slot.
+            (self.v_cond, self.v_tmf, self.v_out) =
+                self.round_one.classify(&self.config, self.me, &self.oracle);
             return Step::Continue;
         }
         if self.committed {

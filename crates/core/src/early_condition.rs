@@ -21,6 +21,12 @@
 //!   of the same round (the flagged sender's state is, by the max-fold,
 //!   dominated by the receiver's updated state).
 //!
+//! Round 1 is [`ConditionBased`](crate::ConditionBased)'s, lazy view
+//! included: the view exists only in a process that receives round 1,
+//! and a process whose round-1 deliveries equal another's adopts that
+//! one's primed slot, decide flag and broadcast count
+//! ([`SyncProtocol::adopt`]) without building one.
+//!
 //! The bounds consequently combine: decisions happen by round
 //! `min( bound_of_Figure_2 , max(2, ⌊f/k⌋ + 2) )`. The combination is
 //! validated by the property suites (random + staircase + silent-crash
@@ -31,9 +37,10 @@ use std::fmt;
 
 use setagree_conditions::ConditionOracle;
 use setagree_sync::{Step, SyncProtocol};
-use setagree_types::{ProcessId, ProposalValue, View};
+use setagree_types::{ProcessId, ProposalValue};
 
 use crate::config::ConditionBasedConfig;
+use crate::round_one::RoundOne;
 
 /// The wire format: round-1 proposals, then flagged state triples.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -58,7 +65,8 @@ pub struct EarlyConditionBased<V, O> {
     config: ConditionBasedConfig,
     me: ProcessId,
     oracle: O,
-    view: View<V>,
+    /// The proposal and the lazily materialised round-1 view.
+    round_one: RoundOne<V>,
     v_cond: Option<V>,
     v_tmf: Option<V>,
     v_out: Option<V>,
@@ -86,13 +94,11 @@ impl<V: ProposalValue, O: ConditionOracle<V>> EarlyConditionBased<V, O> {
             "{me} outside a system of {}",
             config.n()
         );
-        let mut view = View::all_bottom(config.n());
-        view.set(me, proposal);
         EarlyConditionBased {
             config,
             me,
             oracle,
-            view,
+            round_one: RoundOne::new(proposal),
             v_cond: None,
             v_tmf: None,
             v_out: None,
@@ -119,22 +125,6 @@ impl<V: ProposalValue, O: ConditionOracle<V>> EarlyConditionBased<V, O> {
             .expect("after round 1 at least one slot is non-⊥")
     }
 
-    fn classify_view(&mut self) {
-        let missing = self.view.count_bottom();
-        let t_minus_d = self.config.t() - self.config.d();
-        if missing <= t_minus_d {
-            match self.oracle.decode_view(&self.view) {
-                Some(decoded) => match decoded.into_iter().max() {
-                    Some(v) => self.v_cond = Some(v),
-                    None => self.v_out = self.view.max_value().cloned(),
-                },
-                None => self.v_out = self.view.max_value().cloned(),
-            }
-        } else {
-            self.v_tmf = self.view.max_value().cloned();
-        }
-    }
-
     fn absorb_received(&mut self) {
         fn fold<V: Ord>(slot: &mut Option<V>, received: Option<V>) {
             if received > *slot {
@@ -153,12 +143,7 @@ impl<V: ProposalValue, O: ConditionOracle<V>> SyncProtocol for EarlyConditionBas
 
     fn message(&mut self, round: usize) -> EcbMessage<V> {
         if round == 1 {
-            let own = self
-                .view
-                .get(self.me)
-                .cloned()
-                .expect("own proposal recorded at construction");
-            return EcbMessage::Proposal(own);
+            return EcbMessage::Proposal(self.round_one.proposal().clone());
         }
         self.committed = self.v_cond.is_some();
         EcbMessage::State {
@@ -177,7 +162,7 @@ impl<V: ProposalValue, O: ConditionOracle<V>> SyncProtocol for EarlyConditionBas
                 // copy in a later round is dropped (the view already
                 // fed the estimates), never asserted away.
                 if round == 1 {
-                    self.view.set(from, v.clone());
+                    self.round_one.receive(self.config.n(), self.me, from, v);
                 }
             }
             EcbMessage::State {
@@ -245,6 +230,23 @@ impl<V: ProposalValue, O: ConditionOracle<V>> SyncProtocol for EarlyConditionBas
         self.heard_now += count - 1;
     }
 
+    /// Round 1 adopts, as [`ConditionBased`](crate::ConditionBased)'s
+    /// does, and takes the twin's decide flag and round-1 count along: a
+    /// twin heard the same broadcasts, so its `nb_1` and the early rule's
+    /// verdict on it are this process's.
+    fn adopt(&mut self, round: usize, twin: &Self) -> bool {
+        if round != 1 {
+            return false;
+        }
+        self.v_cond.clone_from(&twin.v_cond);
+        self.v_tmf.clone_from(&twin.v_tmf);
+        self.v_out.clone_from(&twin.v_out);
+        self.deciding = twin.deciding;
+        self.heard_prev = twin.heard_prev;
+        self.heard_now = 0;
+        true
+    }
+
     fn compute(&mut self, round: usize) -> Step<V> {
         let heard = self.heard_now;
         self.heard_now = 0;
@@ -252,7 +254,8 @@ impl<V: ProposalValue, O: ConditionOracle<V>> SyncProtocol for EarlyConditionBas
         self.heard_prev = heard;
 
         if round == 1 {
-            self.classify_view();
+            (self.v_cond, self.v_tmf, self.v_out) =
+                self.round_one.classify(&self.config, self.me, &self.oracle);
             // The early rule may already fire in round 1 (f = 0 fast path).
             if newly_silent < self.config.k() {
                 self.deciding = true;

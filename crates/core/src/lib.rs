@@ -92,6 +92,7 @@ pub mod early_condition;
 pub mod early_deciding;
 pub mod experiment;
 pub mod report;
+mod round_one;
 pub mod runner;
 pub mod suite;
 

@@ -66,6 +66,18 @@ pub fn set_enabled(on: bool) {
     ENABLED.store(on, Ordering::Relaxed);
 }
 
+/// Held by every unit test that flips the process-global gate, from its
+/// first [`set_enabled`] to its last assertion: tests run on parallel
+/// threads of one process, and one test's flip must not land between
+/// another's flip and its check.
+#[cfg(test)]
+pub(crate) fn gate_held_by_test() -> std::sync::MutexGuard<'static, ()> {
+    static GATE: std::sync::Mutex<()> = std::sync::Mutex::new(());
+    // A test that failed while holding it poisons nothing of the gate's.
+    GATE.lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner)
+}
+
 /// Reads `SETAGREE_METRICS`; when set, enables instrumentation and
 /// returns the dump target (`-` conventionally means "print to the
 /// standard stream at exit", anything else is a file path).
@@ -99,8 +111,7 @@ mod tests {
 
     #[test]
     fn the_gate_is_off_by_default_and_flips() {
-        // Other tests may race on the global flag, so only assert the
-        // transitions we drive ourselves.
+        let _gate = gate_held_by_test();
         set_enabled(false);
         assert!(!enabled());
         set_enabled(true);

@@ -227,6 +227,7 @@ mod tests {
 
     #[test]
     fn disabled_spans_take_no_timestamp() {
+        let _gate = crate::gate_held_by_test();
         crate::set_enabled(false);
         let h = Arc::new(Histogram::new());
         let span = Span::start("test", "noop").with_histogram(&h);
@@ -236,6 +237,7 @@ mod tests {
 
     #[test]
     fn enabled_spans_feed_their_histogram() {
+        let _gate = crate::gate_held_by_test();
         crate::set_enabled(true);
         let h = Arc::new(Histogram::new());
         {

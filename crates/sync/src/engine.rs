@@ -33,6 +33,27 @@
 //! included: folding changes how often the simulator repeats a
 //! computation, not what is simulated. The fault-composed loop never
 //! folds: per-link decisions leave nothing common to all recipients.
+//!
+//! **A declined round is received once per reach class.** In a round
+//! that does not fold, two recipients that the round's crashing senders
+//! reached alike receive the same messages, so what one of them makes of
+//! the round the other would make too. The plain loop records, per
+//! recipient, which of the round's crashers reached it (a `u64`
+//! signature, exact — a round with more than 64 crashers is not grouped)
+//! and serves the recipients one by one: the first of each run of
+//! consecutive survivors with one signature, the *representative*,
+//! receives and computes the round; each later survivor of the run is
+//! offered [`SyncProtocol::adopt`] of the representative's, and receives
+//! and computes in full only if it declines. A process that adopts gets
+//! the representative's step and delivered count. Under ordered sends a
+//! reach class is an interval of indices, so the runs are the classes —
+//! `c` round-1 crashers leave at most `c + 1` representatives, where
+//! Figure 2's round 1 used to assemble and decode `n` views; under
+//! arbitrary-subset crashes the runs split the classes further, which
+//! shares less and changes nothing else. A victim of the round receives
+//! what reached it, then crashes; it never represents or adopts. The
+//! fault-composed loop, the threaded runtime and the node tier never
+//! adopt.
 
 use std::error::Error;
 use std::fmt;
@@ -374,6 +395,7 @@ pub(crate) fn run_with_policy<P: SyncProtocol, D: DeliveryPolicy>(
     let crash_rounds = crash_rounds(policy);
     let mut active: Vec<usize> = Vec::with_capacity(n);
     let mut sends: Vec<(usize, P::Msg, bool)> = Vec::with_capacity(n);
+    let mut reach: Vec<u64> = vec![0; n];
 
     for round in 1..=max_rounds {
         active.clear();
@@ -397,15 +419,14 @@ pub(crate) fn run_with_policy<P: SyncProtocol, D: DeliveryPolicy>(
         }
 
         // Receive phase. Every process still participating this round
-        // receives (`outcomes` does not change before the crash phase
-        // below, so that is exactly `active`, this round's victims
-        // included). What the senders not crashing now broadcast reaches
-        // all of them alike, so it is offered to the protocol once: if
-        // it folds, each recipient takes the whole batch in one call and
-        // then, per message and in sender order, only what a crashing
-        // sender's broadcast reached it with — a crash-free round is
-        // O(n), not n². The count is what the per-message loop's would
-        // be: a folded batch of m messages is m deliveries.
+        // receives: `active`, this round's victims included. What the
+        // senders not crashing now broadcast reaches all of them alike,
+        // so it is offered to the protocol once: if it folds, each
+        // recipient takes the whole batch in one call and then, per
+        // message and in sender order, only what a crashing sender's
+        // broadcast reached it with — a crash-free round is O(n), not
+        // n². The count is what the per-message loop's would be: a
+        // folded batch of m messages is m deliveries.
         let mut steady = sends
             .iter()
             .filter(|&&(_, _, crashing_now)| !crashing_now)
@@ -425,39 +446,85 @@ pub(crate) fn run_with_policy<P: SyncProtocol, D: DeliveryPolicy>(
                     messages_delivered += 1;
                 });
             }
+
+            // Crashes of this round take effect before the compute phase:
+            // a process that crashed mid-send performs no local
+            // computation.
+            for &i in &active {
+                if crash_rounds[i] == round {
+                    outcomes[i] = Some(Outcome::Crashed { round });
+                }
+            }
+
+            // Compute phase.
+            for &i in &active {
+                if outcomes[i].is_some() {
+                    continue;
+                }
+                if let Step::Decide(value) = procs[i].compute(round) {
+                    outcomes[i] = Some(Outcome::Decided { value, round });
+                }
+            }
         } else {
             // Declined: recipient-major, each process folding the whole
             // `sends` array, in sender order, while its own state stays
             // in cache — a round-1 `view.set` per delivery lands in one
             // view, not in n views in turn. Every recipient borrows the
             // one owned message the sender produced — a round's fan-out
-            // is n deliveries, zero clones.
-            for &recipient in &active {
-                messages_delivered += receive_round(
-                    &mut procs[recipient],
-                    ProcessId::new(recipient),
-                    round,
-                    &sends,
-                    policy,
-                );
+            // is n deliveries, zero clones. Each recipient's round ends
+            // (in its crash, or its compute phase) before the next one's
+            // starts.
+            //
+            // Recipients that this round's crashing senders reached alike
+            // receive alike: bit `b` of `reach[i]` is whether the `b`-th
+            // crashing sender reached `i`. The first of each run of
+            // survivors with one signature is the run's representative
+            // and is served in full; each later one is offered
+            // `adopt(round, representative)` instead. A round with more
+            // crashers than a signature has bits is served in full.
+            let grouped = crashing <= u64::BITS as usize;
+            if grouped {
+                reach.fill(0);
+                let crashers = sends.iter().filter(|&&(_, _, crashing_now)| crashing_now);
+                for (bit, &(sender, _, _)) in crashers.take(crashing).enumerate() {
+                    let sender = ProcessId::new(sender);
+                    policy.reached_while_crashing(sender, round, &active, |recipient| {
+                        reach[recipient] |= 1 << bit;
+                    });
+                }
             }
-        }
-
-        // Crashes of this round take effect before the compute phase: a
-        // process that crashed mid-send performs no local computation.
-        for &i in &active {
-            if crash_rounds[i] == round {
-                outcomes[i] = Some(Outcome::Crashed { round });
-            }
-        }
-
-        // Compute phase.
-        for &i in &active {
-            if outcomes[i].is_some() {
-                continue;
-            }
-            if let Step::Decide(value) = procs[i].compute(round) {
-                outcomes[i] = Some(Outcome::Decided { value, round });
+            // The run's representative, and how many messages it received.
+            let mut representative: Option<(usize, u64)> = None;
+            for &i in &active {
+                if crash_rounds[i] == round {
+                    // A victim receives what reached it and is gone: it
+                    // neither computes nor stands for anyone, and adopts
+                    // from nobody.
+                    messages_delivered +=
+                        receive_round(&mut procs[i], ProcessId::new(i), round, &sends, policy);
+                    outcomes[i] = Some(Outcome::Crashed { round });
+                    continue;
+                }
+                let twin = representative.filter(|&(rep, _)| grouped && reach[rep] == reach[i]);
+                if let Some((rep, delivered)) = twin {
+                    // `rep` came earlier in ascending `active`.
+                    let (served, rest) = procs.split_at_mut(i);
+                    if rest[0].adopt(round, &served[rep]) {
+                        messages_delivered += delivered;
+                        // The representative's step: `None` if it went on.
+                        outcomes[i] = outcomes[rep].clone();
+                        continue;
+                    }
+                }
+                let delivered =
+                    receive_round(&mut procs[i], ProcessId::new(i), round, &sends, policy);
+                messages_delivered += delivered;
+                if let Step::Decide(value) = procs[i].compute(round) {
+                    outcomes[i] = Some(Outcome::Decided { value, round });
+                }
+                if twin.is_none() {
+                    representative = Some((i, delivered));
+                }
             }
         }
         record_round(round_started);
@@ -1043,6 +1110,210 @@ mod tests {
         let trace = run_protocol(call_logs::<true>(2), &pattern, 5).unwrap();
         assert_eq!(trace.crashed_count(), 2);
         assert_eq!(trace.messages_delivered(), 2 + 1);
+    }
+
+    thread_local! {
+        /// Every `receive` and every `adopt` offer made to an
+        /// [`AdoptLog`] on this thread, as `(round, me, from)` and
+        /// `(round, me, twin)`: test instrumentation, read by no process.
+        static RECEIVES: std::cell::RefCell<Vec<(usize, usize, usize)>> =
+            const { std::cell::RefCell::new(Vec::new()) };
+        static OFFERS: std::cell::RefCell<Vec<(usize, usize, usize)>> =
+            const { std::cell::RefCell::new(Vec::new()) };
+    }
+
+    /// Decides, in round 3, the `(round, from)` of every message it
+    /// received. When `ADOPTS` it adopts whenever its log so far is the
+    /// twin's, by taking over the twin's receipts of the round — the law
+    /// for a log: from there on the two log and decide alike. Otherwise
+    /// it declines, like any protocol that overrides nothing.
+    #[derive(Debug)]
+    struct AdoptLog<const ADOPTS: bool> {
+        me: usize,
+        received: Vec<(usize, usize)>,
+    }
+
+    impl<const ADOPTS: bool> SyncProtocol for AdoptLog<ADOPTS> {
+        type Msg = ();
+        type Output = Vec<(usize, usize)>;
+
+        fn message(&mut self, _round: usize) {}
+
+        fn receive(&mut self, round: usize, from: ProcessId, _msg: &()) {
+            RECEIVES.with_borrow_mut(|log| log.push((round, self.me, from.index())));
+            self.received.push((round, from.index()));
+        }
+
+        fn adopt(&mut self, round: usize, twin: &Self) -> bool {
+            OFFERS.with_borrow_mut(|log| log.push((round, self.me, twin.me)));
+            let (before, of_round) = twin
+                .received
+                .split_at(twin.received.partition_point(|&(r, _)| r < round));
+            if !ADOPTS || before != self.received {
+                return false;
+            }
+            self.received.extend_from_slice(of_round);
+            true
+        }
+
+        fn compute(&mut self, round: usize) -> Step<Self::Output> {
+            if round >= 3 {
+                Step::Decide(self.received.clone())
+            } else {
+                Step::Continue
+            }
+        }
+    }
+
+    /// Runs `n` [`AdoptLog`]s under the pattern with the logs cleared
+    /// first, and returns the trace with the receives and offers made.
+    #[allow(clippy::type_complexity)]
+    fn adopt_logs<const ADOPTS: bool>(
+        n: usize,
+        pattern: &FailurePattern,
+    ) -> (
+        Trace<Vec<(usize, usize)>>,
+        Vec<(usize, usize, usize)>,
+        Vec<(usize, usize, usize)>,
+    ) {
+        RECEIVES.with_borrow_mut(Vec::clear);
+        OFFERS.with_borrow_mut(Vec::clear);
+        let procs = (0..n)
+            .map(|me| AdoptLog::<ADOPTS> {
+                me,
+                received: Vec::new(),
+            })
+            .collect();
+        let trace = run_protocol(procs, pattern, 5).unwrap();
+        (
+            trace,
+            RECEIVES.with_borrow_mut(std::mem::take),
+            OFFERS.with_borrow_mut(std::mem::take),
+        )
+    }
+
+    fn pattern_of(
+        n: usize,
+        crashes: impl IntoIterator<Item = (usize, usize, usize)>,
+    ) -> FailurePattern {
+        let mut pattern = FailurePattern::none(n);
+        for (victim, round, prefix) in crashes {
+            pattern
+                .crash(ProcessId::new(victim), CrashSpec::new(round, prefix))
+                .unwrap();
+        }
+        pattern
+    }
+
+    /// The processes that `receive`d in `round`, ascending.
+    fn receivers(receives: &[(usize, usize, usize)], round: usize) -> Vec<usize> {
+        let mut who: Vec<usize> = receives
+            .iter()
+            .filter(|&&(r, _, _)| r == round)
+            .map(|&(_, me, _)| me)
+            .collect();
+        who.dedup();
+        who
+    }
+
+    #[test]
+    fn a_representative_receives_per_message_and_each_twin_adopts_once() {
+        // p1 crashes in round 1 reaching p1..p3: p2 and p3 form one reach
+        // class, p4..p6 the other. Rounds 2 and 3 lose nobody.
+        let pattern = pattern_of(6, [(0, 1, 3)]);
+        let (trace, receives, offers) = adopt_logs::<true>(6, &pattern);
+        // Round 1: the victim and one representative per class receive,
+        // each everything that reached it, in sender order.
+        assert_eq!(receivers(&receives, 1), [0, 1, 3]);
+        let of = |me: usize| -> Vec<usize> {
+            receives
+                .iter()
+                .filter(|&&(r, who, _)| r == 1 && who == me)
+                .map(|&(_, _, from)| from)
+                .collect()
+        };
+        assert_eq!(of(1), [0, 1, 2, 3, 4, 5]);
+        assert_eq!(of(3), [1, 2, 3, 4, 5]);
+        // Every other survivor is offered its class's representative,
+        // once a round. From round 2 on all survivors are reached alike,
+        // but only p3 has p2's history: p4..p6 decline and receive.
+        assert_eq!(
+            offers,
+            [
+                (1, 2, 1),
+                (1, 4, 3),
+                (1, 5, 3),
+                (2, 2, 1),
+                (2, 3, 1),
+                (2, 4, 1),
+                (2, 5, 1),
+                (3, 2, 1),
+                (3, 3, 1),
+                (3, 4, 1),
+                (3, 5, 1)
+            ]
+        );
+        assert_eq!(receivers(&receives, 2), [1, 3, 4, 5]);
+        // The trace is the per-message loop's, count included.
+        let (reference, all_receive, _) = adopt_logs::<false>(6, &pattern);
+        assert_eq!(trace, reference);
+        assert_eq!(receivers(&all_receive, 2), [1, 2, 3, 4, 5]);
+        assert_eq!(trace.messages_delivered(), (5 * 6 + 3) + 5 * 5 + 5 * 5);
+    }
+
+    #[test]
+    fn a_victim_between_two_twins_neither_adopts_nor_represents() {
+        // In round 1 p1 crashes reaching nobody and p4 reaching everybody:
+        // every survivor is reached alike, and p4 sits between p3 and p5.
+        let pattern = pattern_of(6, [(0, 1, 0), (3, 1, 6)]);
+        let (trace, receives, offers) = adopt_logs::<true>(6, &pattern);
+        let round_one: Vec<_> = offers.iter().filter(|&&(r, _, _)| r == 1).collect();
+        assert_eq!(round_one, [&(1, 2, 1), &(1, 4, 1), &(1, 5, 1)]);
+        // The victims receive what reached them, per message.
+        assert_eq!(receivers(&receives, 1), [0, 1, 3]);
+        let victim: Vec<usize> = receives
+            .iter()
+            .filter(|&&(r, me, _)| r == 1 && me == 3)
+            .map(|&(_, _, from)| from)
+            .collect();
+        assert_eq!(victim, [1, 2, 3, 4, 5]);
+        assert!(trace.outcome(ProcessId::new(3)).is_crashed());
+        let (reference, _, _) = adopt_logs::<false>(6, &pattern);
+        assert_eq!(trace, reference);
+    }
+
+    #[test]
+    fn a_declining_adopt_falls_back_with_identical_counts() {
+        let (declining, receives, offers) = adopt_logs::<false>(6, &three_crashes());
+        // Offered as often as an adopting protocol is, and every offer
+        // declined: every survivor received per message, every round.
+        let (adopting, _, adopted) = adopt_logs::<true>(6, &three_crashes());
+        assert_eq!(offers, adopted);
+        assert!(!offers.is_empty());
+        assert_eq!(receivers(&receives, 1), [0, 1, 2, 3, 4, 5]);
+        assert_eq!(declining, adopting);
+        // The count of the folding and of the per-message loop alike.
+        let per_message = run_protocol(call_logs::<false>(6), &three_crashes(), 5).unwrap();
+        assert_eq!(
+            declining.messages_delivered(),
+            per_message.messages_delivered()
+        );
+    }
+
+    #[test]
+    fn a_round_with_more_crashers_than_signature_bits_groups_nothing() {
+        // 65 of 70 processes crash in round 1, each reaching nobody: the
+        // five survivors are reached alike, but a `u64` cannot say so.
+        let silent = |crashers: usize| pattern_of(70, (0..crashers).map(|i| (i, 1, 0)));
+        let (trace, receives, offers) = adopt_logs::<true>(70, &silent(65));
+        assert!(offers.iter().all(|&(r, _, _)| r > 1), "round 1 grouped");
+        assert_eq!(receivers(&receives, 1), (0..70).collect::<Vec<_>>());
+        let (reference, _, _) = adopt_logs::<false>(70, &silent(65));
+        assert_eq!(trace, reference);
+        // At 64 crashers the signature holds them all, and round 1 groups
+        // the six survivors: one representative, five offers.
+        let (_, _, offers) = adopt_logs::<true>(70, &silent(64));
+        assert_eq!(offers.iter().filter(|&&(r, _, _)| r == 1).count(), 5);
     }
 
     #[test]

@@ -52,6 +52,9 @@ impl<Out: fmt::Display> fmt::Display for Step<Out> {
 /// 3. [`compute`](SyncProtocol::compute) — local computation; returning
 ///    [`Step::Decide`] ends the process's participation.
 ///
+/// Where the protocol opted in (*Adopted rounds* below), one
+/// [`adopt`](SyncProtocol::adopt) may stand for steps 2 and 3 together.
+///
 /// Rounds are numbered from 1, matching the paper.
 ///
 /// **Delivery order.** Within a round a process receives its messages in
@@ -86,6 +89,35 @@ impl<Out: fmt::Display> fmt::Display for Step<Out> {
 ///   runtime and the node tier do not yet, and call `receive` only.
 /// * For every protocol, and every round, that declines — the provided
 ///   methods always do — ascending sender order stays the contract.
+///
+/// **Adopted rounds.** What a process makes of a round is often a
+/// function of what it received in it (Figure 2's round 1: lines 5–8
+/// read the view `V_i` and nothing else), so two processes that received
+/// the same messages end it alike. In a round whose fold declines, a
+/// crashing sender's broadcast reaches some recipients and not others,
+/// but recipients it reached alike receive alike; a protocol may let one
+/// of them take over what another made of the round, round by round, by
+/// overriding [`adopt`](SyncProtocol::adopt):
+///
+/// * **The law.** `self.adopt(r, &twin)` returning `true` leaves `self`,
+///   as far as every later call can observe, as if it had received in
+///   round `r` exactly what `twin` received (the same senders and
+///   messages, in ascending sender order) and then run `compute(r)`; the
+///   executor gives `self` the [`Step`] that `twin` took. Returning
+///   `false` leaves `self` untouched, and it receives and computes the
+///   round as ever.
+/// * An executor offers `adopt` only where the law can hold: in a round
+///   whose fold declined, between two processes of which neither crashes
+///   in it, that received the same messages, and once `twin` has computed
+///   the round (by receiving it, or by adopting it in turn).
+///   [`run_protocol`](crate::run_protocol) and
+///   [`run_protocol_unordered`](crate::run_protocol_unordered) do — each
+///   run of consecutive recipients that the round's crashing senders
+///   reached alike is served once, to its first member, and offered to
+///   the rest; the fault-composed loops, the threaded runtime and the
+///   node tier never adopt.
+/// * Whether a process adopts is decided by what `adopt` returns and
+///   nothing else: the provided method declines every round.
 ///
 /// Delivery is **zero-copy**: a broadcast produces one owned message per
 /// sender per round, and every executor hands that same message to each
@@ -146,6 +178,22 @@ pub trait SyncProtocol {
     fn receive_folded(&mut self, round: usize, count: usize, folded: &Self::Msg) {
         let _ = (count, folded);
         unreachable!("a protocol that folds round {round} must override receive_folded")
+    }
+
+    /// Takes over what `twin`, which received the same messages in
+    /// `round`, made of that round — in place of receiving them and
+    /// running [`compute`](SyncProtocol::compute) — or declines with
+    /// `false`, leaving `self` untouched. See *Adopted rounds* above for
+    /// the law and for when an executor offers it.
+    ///
+    /// `Self: Sized` only keeps the trait usable as a `dyn` object. The
+    /// provided implementation declines every round.
+    fn adopt(&mut self, round: usize, twin: &Self) -> bool
+    where
+        Self: Sized,
+    {
+        let _ = (round, twin);
+        false
     }
 
     /// End-of-round computation.

@@ -23,6 +23,13 @@
 //!   cache-bound run that finds every cell warm frees not even that: it
 //!   serves the grid from the calling thread and starts no worker.
 //!
+//! * **An adopted round 1 allocates nothing.** In a crash-free
+//!   condition-based cell one process assembles and decodes a round-1
+//!   view and the other `n − 1` adopt what it made of it
+//!   (`SyncProtocol::adopt`): at least `n − 1` fewer `alloc` calls than
+//!   the same cell with every process on its own, and no `realloc` after
+//!   round 1.
+//!
 //! * **A `C_max` question never regrows a buffer either.** Every
 //!   process asks one per cell in its compute phase, on whichever thread
 //!   runs the cell; `MaxCondition::{decode_view, matches, contains}`
@@ -38,7 +45,9 @@ use std::cell::Cell;
 use std::sync::atomic::{AtomicU32, AtomicUsize, Ordering};
 
 use setagree::conditions::{ConditionOracle, LegalityParams, MaxCondition};
-use setagree::core::{ConditionBasedConfig, ProtocolSpec, ScenarioSuite, SuiteCache};
+use setagree::core::{
+    ConditionBased, ConditionBasedConfig, ProtocolSpec, ScenarioSuite, SuiteCache,
+};
 use setagree::sync::{
     run_protocol, run_protocol_faulty, FailurePattern, FaultPlan, LinkFault, Step, SyncProtocol,
 };
@@ -217,18 +226,27 @@ fn crashing_pattern() -> FailurePattern {
 /// Runs `run` and returns the allocator calls this thread made from the
 /// start of round `from_round` to the returned trace.
 fn counted_from_round(from_round: usize, run: impl FnOnce() -> usize) -> Counts {
+    let (rounds, counts) = counted_from_mark(from_round, run);
+    assert_eq!(rounds, ROUNDS, "the flood runs its full length");
+    counts
+}
+
+/// Runs `run`, whose process 0 marks the start of round `from_round`,
+/// and returns what it returned with the allocator calls this thread
+/// made from the mark on.
+fn counted_from_mark<T>(from_round: usize, run: impl FnOnce() -> T) -> (T, Counts) {
     MARKED_ROUND.with(|round| round.set(from_round));
     COUNTS_AT_MARK.with(|mark| mark.set(None));
-    let rounds = run();
-    assert_eq!(rounds, ROUNDS, "the flood runs its full length");
+    let result = run();
     let at_mark = COUNTS_AT_MARK
         .with(Cell::get)
         .expect("process 0 sent in the marked round");
     let at_end = counts_on_this_thread();
-    Counts {
+    let counts = Counts {
         allocs: at_end.allocs - at_mark.allocs,
         reallocs: at_end.reallocs - at_mark.reallocs,
-    }
+    };
+    (result, counts)
 }
 
 fn reallocs_after_round_one(run: impl FnOnce() -> usize) -> u64 {
@@ -406,6 +424,94 @@ fn a_benign_plan_allocates_exactly_what_the_plain_loop_does() {
     });
     assert!(plain.allocs > 0, "the flood clones a view per send");
     assert_eq!(faulty, plain, "the benign plan costs an allocation");
+}
+
+/// A protocol that marks the rounds as [`Flood`] does, forwarding all
+/// else. When `SHARES`, it forwards `fold`, `receive_folded` and `adopt`
+/// too; otherwise it keeps the trait's declining defaults, and every
+/// process receives every message and computes every round itself.
+struct Marking<P, const SHARES: bool> {
+    me: usize,
+    inner: P,
+}
+
+impl<P: SyncProtocol, const SHARES: bool> SyncProtocol for Marking<P, SHARES> {
+    type Msg = P::Msg;
+    type Output = P::Output;
+
+    fn message(&mut self, round: usize) -> P::Msg {
+        if self.me == 0 && round == MARKED_ROUND.with(Cell::get) {
+            COUNTS_AT_MARK.with(|mark| mark.set(Some(counts_on_this_thread())));
+        }
+        self.inner.message(round)
+    }
+
+    fn receive(&mut self, round: usize, from: ProcessId, msg: &P::Msg) {
+        self.inner.receive(round, from, msg);
+    }
+
+    fn fold(round: usize, batch: &mut dyn Iterator<Item = (ProcessId, &P::Msg)>) -> Option<P::Msg> {
+        if SHARES {
+            P::fold(round, batch)
+        } else {
+            None
+        }
+    }
+
+    fn receive_folded(&mut self, round: usize, count: usize, folded: &P::Msg) {
+        self.inner.receive_folded(round, count, folded);
+    }
+
+    fn adopt(&mut self, round: usize, twin: &Self) -> bool {
+        SHARES && self.inner.adopt(round, &twin.inner)
+    }
+
+    fn compute(&mut self, round: usize) -> Step<P::Output> {
+        self.inner.compute(round)
+    }
+}
+
+/// A crash-free condition-based cell at `N`, its input in `C_max`.
+fn condition_based_cell<const SHARES: bool>(
+) -> Vec<Marking<ConditionBased<u32, MaxCondition>, SHARES>> {
+    let config = ConditionBasedConfig::builder(N, 16, 2)
+        .condition_degree(4)
+        .ell(1)
+        .build()
+        .expect("valid");
+    let oracle = MaxCondition::new(config.legality());
+    (0..N)
+        .map(|me| {
+            let proposal = if me % 4 == 0 { me as u32 } else { 1_000 };
+            let inner = ConditionBased::new(config, ProcessId::new(me), proposal, oracle);
+            Marking { me, inner }
+        })
+        .collect()
+}
+
+#[test]
+fn an_adopted_round_one_builds_one_view_not_n() {
+    fn run<const SHARES: bool>() -> usize {
+        run_protocol(
+            condition_based_cell::<SHARES>(),
+            &FailurePattern::none(N),
+            N,
+        )
+        .expect("the cell terminates")
+        .rounds_executed()
+    }
+    // Round 1 on: one representative assembles a view and decodes it,
+    // the other `N − 1` adopt its classification and allocate nothing.
+    let (rounds, adopting) = counted_from_mark(1, run::<true>);
+    let (_, per_message) = counted_from_mark(1, run::<false>);
+    assert_eq!(rounds, 2, "the input is in the condition");
+    assert!(
+        adopting.allocs + (N as u64 - 1) <= per_message.allocs,
+        "adopting: {adopting:?}, every process on its own: {per_message:?}"
+    );
+    // Round 2 on: nothing regrows.
+    let (_, after_round_one) = counted_from_mark(2, run::<true>);
+    assert_eq!(after_round_one.reallocs, 0, "a buffer was regrown");
 }
 
 #[test]

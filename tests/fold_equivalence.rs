@@ -1,22 +1,29 @@
-//! A folded round is the per-message round, computed once.
+//! A folded round is the per-message round, computed once; an adopted
+//! round is a twin's round, computed once.
 //!
 //! `SyncProtocol::fold` lets a protocol combine the messages a round
 //! delivers to every process alike into one, and `receive_folded` take
 //! that one in their place; the plain round loop then hands each
-//! recipient a single call where it used to make `n`. Two things are
-//! checked here, neither through a switch in the library:
+//! recipient a single call where it used to make `n`. In a round that
+//! declines to fold, `SyncProtocol::adopt` lets a process that received
+//! what another did take over what that one made of the round; the plain
+//! loop then serves one recipient per reach class. Three things are
+//! checked here, none through a switch in the library:
 //!
-//! * **the law**, family by family — whatever state a process is in,
-//!   `receive_folded(fold(batch))` leaves it as the batch's `receive`s,
-//!   in ascending sender order, would: from then on the two emit equal
-//!   messages and compute equal steps. A batch holding a round-1
-//!   `Proposal` declines, and so does an empty one;
+//! * **the fold law**, family by family — whatever state a process is
+//!   in, `receive_folded(fold(batch))` leaves it as the batch's
+//!   `receive`s, in ascending sender order, would: from then on the two
+//!   emit equal messages and compute equal steps. A batch holding a
+//!   round-1 `Proposal` declines, and so does an empty one;
+//! * **the adopt law**, for the two families that adopt — a process that
+//!   adopts round 1 from one that received it, or from one that adopted
+//!   it in turn, is from then on indistinguishable from it;
 //! * **whole runs** — every family under seeded ordered and unordered
 //!   crash patterns, run as it is and wrapped in [`Unfolded`], a newtype
 //!   that forwards `message` / `receive` / `compute` and so inherits the
-//!   declining defaults: the wrapper *is* the per-message reference, and
-//!   the two [`Trace`]s — outcomes, rounds, `messages_delivered` — are
-//!   equal.
+//!   declining `fold` and `adopt`: the wrapper *is* the per-message
+//!   reference for both paths, and the two [`Trace`]s — outcomes,
+//!   rounds, `messages_delivered` — are equal.
 
 use proptest::prelude::*;
 
@@ -46,8 +53,10 @@ fn config(k: usize) -> ConditionBasedConfig {
         .expect("valid")
 }
 
-/// The per-message reference: the wrapped protocol with `fold` and
-/// `receive_folded` left at the trait's declining defaults.
+/// The per-message reference for both the fold and the adopt path: the
+/// wrapped protocol with `fold`, `receive_folded` and `adopt` left at the
+/// trait's declining defaults, so every recipient receives every message
+/// and computes every round itself.
 #[derive(Debug)]
 struct Unfolded<P>(P);
 
@@ -252,6 +261,114 @@ proptest! {
     }
 }
 
+/// Checks the adopt law on one round-1 batch. The three processes `mes`
+/// (distinct), each proposing `values[me]`, are handed the same round 1:
+/// a proposal from every process not `silent`, their own three among
+/// them. The first receives it and computes; the second adopts from the
+/// first and the third from the second, each taking the first's step.
+/// From then on the three must send equal messages, take equal steps
+/// through the state rounds `later`, and decline to adopt any of those.
+fn adopt_law_holds<P>(
+    fresh: impl Fn(ProcessId, u32) -> P,
+    proposal: impl Fn(u32) -> P::Msg,
+    mes: [usize; 3],
+    values: &[u32],
+    silent: &[usize],
+    later: &[Vec<(ProcessId, P::Msg)>],
+) where
+    P: SyncProtocol,
+    P::Msg: PartialEq,
+{
+    let round_1: Vec<_> = (0..N)
+        .filter(|&from| mes.contains(&from) || !silent.contains(&from))
+        .map(|from| (ProcessId::new(from), proposal(values[from])))
+        .collect();
+    let [mut first, mut second, mut third] = mes.map(|me| fresh(ProcessId::new(me), values[me]));
+    for process in [&mut first, &mut second, &mut third] {
+        process.message(1);
+    }
+    for (from, msg) in &round_1 {
+        first.receive(1, *from, msg);
+    }
+    let step = first.compute(1);
+    assert!(second.adopt(1, &first), "round 1 adopts");
+    assert!(third.adopt(1, &second), "an adopted round 1 adopts in turn");
+    let mut steps = [step.clone(), step.clone(), step];
+    let mut processes = [first, second, third];
+    for (earlier, batch) in later.iter().enumerate() {
+        if steps[0] != Step::Continue {
+            break;
+        }
+        let round = earlier + 2;
+        let [first, second, third] = processes.each_mut().map(|p| p.message(round));
+        assert_eq!(first, second, "round {round} after {round_1:?}");
+        assert_eq!(first, third, "round {round} after {round_1:?}");
+        let [a, b, c] = &mut processes;
+        assert!(!b.adopt(round, a), "a state round declines");
+        assert!(!c.adopt(round, a), "a state round declines");
+        for process in &mut processes {
+            for (from, msg) in batch {
+                process.receive(round, *from, msg);
+            }
+        }
+        steps = processes.each_mut().map(|p| p.compute(round));
+        assert_eq!(steps[0], steps[1], "round {round} after {round_1:?}");
+        assert_eq!(steps[0], steps[2], "round {round} after {round_1:?}");
+    }
+}
+
+/// Three distinct processes: `first` and the two after it, `gaps` apart
+/// (gaps of 1 to 4 never wrap onto `first` at `N = 10`).
+fn three_processes(first: usize, (gap_a, gap_b): (usize, usize)) -> [usize; 3] {
+    [first, (first + gap_a) % N, (first + gap_a + gap_b) % N]
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn condition_based_adopts_by_the_law(
+        first in 0usize..N,
+        gaps in (1usize..=4, 1usize..=4),
+        values in proptest::collection::vec(value(), N),
+        silent in proptest::collection::vec(0usize..N, 0..=5),
+        later in proptest::collection::vec(slots(cb_state()), 0..=3),
+        k in 1usize..=2,
+    ) {
+        let cfg = config(k);
+        let oracle = MaxCondition::new(cfg.legality());
+        adopt_law_holds(
+            |me, v| ConditionBased::new(cfg, me, v, oracle),
+            CbMessage::Proposal,
+            three_processes(first, gaps),
+            &values,
+            &silent,
+            &later.into_iter().map(batch_of).collect::<Vec<_>>(),
+        );
+    }
+
+    #[test]
+    fn early_condition_based_adopts_by_the_law(
+        first in 0usize..N,
+        gaps in (1usize..=4, 1usize..=4),
+        values in proptest::collection::vec(value(), N),
+        silent in proptest::collection::vec(0usize..N, 0..=5),
+        later in proptest::collection::vec(slots(ecb_state()), 0..=3),
+        k in 1usize..=2,
+    ) {
+        let cfg = config(k);
+        let oracle = MaxCondition::new(cfg.legality());
+        adopt_law_holds(
+            |me, v| EarlyConditionBased::new(cfg, me, v, oracle),
+            EcbMessage::Proposal,
+            three_processes(first, gaps),
+            &values,
+            &silent,
+            &later.into_iter().map(batch_of).collect::<Vec<_>>(),
+        );
+    }
+}
+
 /// A stale proposal among states (what a delaying link can produce in a
 /// later round) makes the whole batch decline, wherever it sits.
 #[test]
@@ -413,6 +530,66 @@ fn every_shape_of_round_folds_to_the_per_message_trace() {
             assert_eq!(
                 trace.messages_delivered(),
                 100 + (80 + 10) + (48 + 4) + 3 * 36
+            );
+        }
+    }
+}
+
+/// Each shape of round 1 the adopt path distinguishes, in one run: p1
+/// crashes reaching nobody (prefix 0) and p2 everybody (prefix n); p3
+/// crashes mid-broadcast and reaches, among others, p4 — itself crashing
+/// this round. Under ordered sends that leaves two reach classes, p5–p6
+/// and p7–p10; under the unordered twin p5, p7, p9 share one class and
+/// p8, p10 another, none of them adjacent. When `everyone`, every other
+/// process crashes in round 1 as well: nobody is left to represent.
+#[test]
+fn every_shape_of_round_one_adopts_to_the_per_message_trace() {
+    let inputs = [4, 1, 6, 2, 2, 5, 3, 6, 1, 4];
+    for everyone in [false, true] {
+        let mut ordered = FailurePattern::none(N);
+        let mut unordered = UnorderedFailurePattern::none(N);
+        let mut crash = |victim: usize, prefix: usize, reached: ProcessSet| {
+            ordered
+                .crash(ProcessId::new(victim), CrashSpec::new(1, prefix))
+                .expect("valid");
+            unordered
+                .crash(ProcessId::new(victim), SubsetCrash::new(1, reached))
+                .expect("valid");
+        };
+        crash(0, 0, subset([]));
+        crash(1, N, subset(0..N));
+        crash(2, 6, subset([3, 5, 7, 9]));
+        crash(3, 2, subset([5]));
+        if everyone {
+            for victim in 4..N {
+                crash(victim, victim - 2, subset([victim, 4, 9]));
+            }
+        }
+        assert_every_family(&inputs, &ordered, &unordered);
+
+        let cfg = config(1);
+        let oracle = MaxCondition::new(cfg.legality());
+        let (trace, _) = assert_folding_changes_nothing(
+            || {
+                (0..N)
+                    .map(|i| ConditionBased::new(cfg, ProcessId::new(i), inputs[i], oracle))
+                    .collect()
+            },
+            &ordered,
+            &unordered,
+            cfg.round_limit(),
+        );
+        if everyone {
+            assert_eq!(trace.rounds_executed(), 1);
+            assert_eq!(trace.crashed_count(), N);
+        } else {
+            // Round 1 by hand: p2's 10, p3's prefix of 6 and p4's of 2,
+            // and each of the 6 survivors' to everyone; then 6 × 6 a
+            // round.
+            let round_1 = 10 + 6 + 2 + 6 * N as u64;
+            assert_eq!(
+                trace.messages_delivered(),
+                round_1 + 36 * (trace.rounds_executed() as u64 - 1)
             );
         }
     }
