@@ -13,7 +13,7 @@ use setagree_conditions::MaxCondition;
 use setagree_core::{
     ConditionBasedConfig, DenseFlood, Executor, ProtocolSpec, Scenario, ScenarioSuite,
 };
-use setagree_runtime::run_threaded;
+use setagree_node::run_loopback;
 use setagree_sync::{run_protocol, FailurePattern, Step, SyncProtocol};
 use setagree_types::{DenseVector, InputVector, ProcessId, ValueTable, View};
 
@@ -201,12 +201,12 @@ fn bench_broadcast(c: &mut Criterion) {
     for n in [16usize, 64] {
         let pattern = FailurePattern::none(n);
         group.bench_with_input(BenchmarkId::new("threaded", n), &n, |b, &n| {
-            b.iter(|| run_threaded(ViewFlood::system(n, ROUNDS), &pattern, ROUNDS + 1).unwrap());
+            b.iter(|| run_loopback(ViewFlood::system(n, ROUNDS), &pattern, ROUNDS + 1).unwrap());
         });
         let inputs = dense_inputs(n);
         group.bench_with_input(BenchmarkId::new("dense_threaded", n), &n, |b, _| {
             b.iter(|| {
-                run_threaded(DenseFlood::system(&inputs, ROUNDS), &pattern, ROUNDS + 1).unwrap()
+                run_loopback(DenseFlood::system(&inputs, ROUNDS), &pattern, ROUNDS + 1).unwrap()
             });
         });
     }

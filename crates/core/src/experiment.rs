@@ -3,7 +3,7 @@
 //! it — an [`Executor`] — then call [`Scenario::run`] for a [`Report`].
 //!
 //! This replaces the four parallel `run_*` helpers and the per-backend
-//! entry points (`run_protocol`, `run_threaded`) with one front door:
+//! entry points (`run_protocol`, `run_loopback`) with one front door:
 //!
 //! ```
 //! use setagree_conditions::MaxCondition;
@@ -54,7 +54,6 @@ use setagree_async::{
 use setagree_conditions::{ConditionOracle, LegalityParams, MaxCondition};
 pub use setagree_node::TransportKind;
 use setagree_node::{run_loopback, run_loopback_faulty, NodeError};
-use setagree_runtime::{run_threaded, ThreadedError};
 use setagree_sync::{
     run_protocol, run_protocol_faulty, run_protocol_unordered, run_protocol_unordered_faulty,
     EngineError, FailurePattern, FaultPlan, SyncProtocol, Trace, UnorderedFailurePattern,
@@ -69,8 +68,8 @@ use crate::early_deciding::EarlyDeciding;
 use crate::report::Report;
 
 /// Everything that can go wrong preparing or running a scenario — the
-/// single error type absorbing the former `RunError`, `EngineError` and
-/// `ThreadedError`.
+/// single error type absorbing the former `RunError`, the simulator's
+/// `EngineError` and the node tier's `NodeError`.
 ///
 /// Backend errors are *flattened* into matching variants rather than
 /// wrapped (no `source()` chain): that keeps the type `Clone + Eq`,
@@ -119,13 +118,15 @@ pub enum ExperimentError {
         /// Pattern system size.
         pattern: usize,
     },
-    /// A process thread panicked (threaded executor only).
+    /// A process's protocol implementation panicked (threaded and
+    /// networked executors).
     ProcessPanicked {
         /// The panicking process.
         process: ProcessId,
     },
     /// The executor cannot realize the requested adversary: the threaded
-    /// runtime implements only the paper's ordered-send model, and the
+    /// executor runs only the paper's ordered-send model, the networked
+    /// loopback executor adds [`Adversary::Omission`], and the
     /// asynchronous executors take [`Adversary::Async`] schedules (or any
     /// failure-free pattern).
     UnsupportedAdversary {
@@ -271,25 +272,6 @@ impl From<EngineError> for ExperimentError {
     }
 }
 
-impl From<ThreadedError> for ExperimentError {
-    fn from(e: ThreadedError) -> Self {
-        match e {
-            ThreadedError::RoundLimitExceeded { limit } => {
-                ExperimentError::RoundLimitExceeded { limit }
-            }
-            ThreadedError::SystemSizeMismatch { processes, pattern } => {
-                ExperimentError::SystemSizeMismatch { processes, pattern }
-            }
-            ThreadedError::ProcessPanicked { process } => {
-                ExperimentError::ProcessPanicked { process }
-            }
-            other => ExperimentError::Internal {
-                message: other.to_string(),
-            },
-        }
-    }
-}
-
 impl From<NodeError> for ExperimentError {
     fn from(e: NodeError) -> Self {
         match e {
@@ -320,9 +302,11 @@ pub enum Executor {
     /// The deterministic in-process round simulator (fast; the default).
     #[default]
     Simulator,
-    /// The real-thread runtime: one OS thread per process, channels as
-    /// links. Observationally identical to the simulator on ordered
-    /// patterns — which `tests/executor_equivalence.rs` asserts.
+    /// Real threads: one pooled node task per process over the loopback
+    /// delivery mesh, driven by the same round loop as the networked
+    /// tier; crash victims depart the round structure. Runs ordered-send
+    /// patterns only, observationally identical to the simulator — which
+    /// `tests/executor_equivalence.rs` asserts.
     Threaded,
     /// The asynchronous shared-memory runtime (Section 4): single-writer
     /// registers with atomic snapshots, a seeded scheduler picking which
@@ -1189,7 +1173,7 @@ where
 {
     /// Runs the scenario on the configured executor.
     ///
-    /// The `Send + Sync + 'static` bounds exist for the threaded arm
+    /// The `Send + Sync + 'static` bounds exist for the node arm
     /// (recipient threads share each broadcast behind an `Arc`); a
     /// non-`Send` oracle can still run on the simulator through
     /// [`Scenario::run_simulated`].
@@ -1203,53 +1187,25 @@ where
     pub fn run(&self) -> Result<Report<V>, ExperimentError> {
         match self.executor {
             Executor::Simulator => self.run_simulated(),
-            Executor::Threaded => self.run_on_threads(),
             Executor::AsyncSharedMemory { .. } | Executor::AsyncMessagePassing { .. } => {
                 self.run_on_async(self.executor)
             }
-            Executor::Networked { .. } => self.run_on_network(),
+            Executor::Threaded | Executor::Networked { .. } => self.run_on_nodes(),
         }
     }
 
-    fn run_on_threads(&self) -> Result<Report<V>, ExperimentError> {
-        self.reject_async_spec(Executor::Threaded)?;
-        let (input, adversary) = self.validate()?;
-        let predicted = self.predicted_rounds(input, &adversary);
-        let limit = self
-            .round_limit
-            .unwrap_or_else(|| self.spec.default_round_limit());
-        let Adversary::Ordered(pattern) = &*adversary else {
-            return Err(ExperimentError::UnsupportedAdversary {
-                executor: Executor::Threaded,
-            });
-        };
-        let trace = dispatch_spec!(self.spec, input, |procs| run_threaded(
-            procs, pattern, limit
-        )
-        .map_err(ExperimentError::from))?;
-        Ok(Report::new(
-            trace,
-            Arc::clone(input),
-            self.spec.k(),
-            predicted,
-            self.spec.protocol(),
-            Executor::Threaded,
-        ))
-    }
-
-    /// The networked arm: real node tasks over the loopback transport,
-    /// victims killed mid-round. Deliberately shaped like
-    /// [`Scenario::run_on_threads`] — same validation, same adversary
-    /// restriction, same report — with `setagree_node::run_loopback` as
-    /// the backend, so the tier differs only in *how* processes run.
-    fn run_on_network(&self) -> Result<Report<V>, ExperimentError> {
+    /// The threaded and networked arm: one pooled node task per process
+    /// over the loopback transport (`setagree_node::run_loopback`),
+    /// victims killed mid-round. `Executor::Threaded` runs the paper's
+    /// ordered-send patterns; `Executor::Networked` with
+    /// [`TransportKind::Loopback`] also runs [`Adversary::Omission`].
+    fn run_on_nodes(&self) -> Result<Report<V>, ExperimentError> {
         let executor = self.executor;
-        let Executor::Networked { transport } = executor else {
-            unreachable!("run() routes only networked executors here")
-        };
         self.reject_async_spec(executor)?;
-        if transport != TransportKind::Loopback {
-            return Err(ExperimentError::UnsupportedTransport { transport });
+        if let Executor::Networked { transport } = executor {
+            if transport != TransportKind::Loopback {
+                return Err(ExperimentError::UnsupportedTransport { transport });
+            }
         }
         let (input, adversary) = self.validate()?;
         let predicted = self.predicted_rounds(input, &adversary);
@@ -1261,7 +1217,7 @@ where
                 procs, pattern, limit
             )
             .map_err(ExperimentError::from))?,
-            Adversary::Omission { plan, crashes } => {
+            Adversary::Omission { plan, crashes } if executor != Executor::Threaded => {
                 dispatch_spec!(self.spec, input, |procs| run_loopback_faulty(
                     procs, crashes, plan, limit
                 )
@@ -1743,7 +1699,7 @@ mod tests {
     fn error_conversions_and_display() {
         let e: ExperimentError = EngineError::RoundLimitExceeded { limit: 5 }.into();
         assert_eq!(e, ExperimentError::RoundLimitExceeded { limit: 5 });
-        let e: ExperimentError = ThreadedError::ProcessPanicked {
+        let e: ExperimentError = NodeError::ProcessPanicked {
             process: ProcessId::new(1),
         }
         .into();

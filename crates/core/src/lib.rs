@@ -20,7 +20,7 @@
 //!   produces a [`Report`] checking termination/validity/agreement and
 //!   comparing measured rounds against the paper's formulas. The
 //!   executors cover both of the paper's models: the synchronous
-//!   simulator and real-thread runtime, and the Section 4 asynchronous
+//!   simulator and real-thread executor, and the Section 4 asynchronous
 //!   shared-memory and message-passing runtimes
 //!   ([`Executor::AsyncSharedMemory`] / [`Executor::AsyncMessagePassing`],
 //!   seeded adversaries included);

@@ -16,13 +16,12 @@
 
 use std::sync::atomic::{AtomicI64, Ordering};
 use std::sync::Arc;
-use std::thread;
 
-use setagree_sync::{FailurePattern, FaultInbox, FaultPlan, Outcome, SyncProtocol, Trace};
+use setagree_sync::{FailurePattern, FaultInbox, FaultPlan, SyncProtocol, Trace};
 use setagree_types::ProcessId;
 
 use crate::loopback::loopback_mesh;
-use crate::node::{drive, DriveError, NodeError};
+use crate::node::{run_nodes, NodeError};
 use crate::transport::Transport;
 
 /// A transport with a [`FaultPlan`] injected at its collect boundary.
@@ -109,9 +108,9 @@ where
 }
 
 /// [`run_loopback`](crate::run_loopback) with a [`FaultPlan`] wrapped
-/// around every node's transport: one task per process over the shared
-/// delivery mesh, crash victims killed at their scheduled point, link
-/// faults injected at each receiver's collect boundary.
+/// around every node's transport: one pooled task per process over the
+/// shared delivery mesh, crash victims killed at their scheduled point,
+/// link faults injected at each receiver's collect boundary.
 ///
 /// The trace's delivered count is the mesh's broadcast-accept total
 /// corrected by the wrappers' shared adjustment — the same discipline
@@ -149,45 +148,15 @@ where
 
     let adjust = Arc::new(AtomicI64::new(0));
     let (transports, stats) = loopback_mesh::<P::Msg>(n);
-    let mut handles = Vec::with_capacity(n);
-    for (transport, proto) in transports.into_iter().zip(processes) {
-        let crash = pattern.spec(transport.me());
-        let faulty = FaultyTransport::new(transport, plan.clone(), Arc::clone(&adjust));
-        handles.push(thread::spawn(move || {
-            drive(proto, faulty, crash, max_rounds)
-        }));
-    }
-
-    let mut outcomes = Vec::with_capacity(n);
-    for (i, handle) in handles.into_iter().enumerate() {
-        match handle.join() {
-            Ok(Ok(outcome)) => outcomes.push(outcome),
-            Ok(Err(DriveError::Panicked)) | Err(_) => {
-                return Err(NodeError::ProcessPanicked {
-                    process: ProcessId::new(i),
-                })
-            }
-            Ok(Err(DriveError::Transport(infallible))) => match infallible {},
-        }
-    }
-    if outcomes.iter().any(|o| matches!(o, Outcome::Undecided)) {
-        return Err(NodeError::RoundLimitExceeded { limit: max_rounds });
-    }
-    let rounds_executed = outcomes
-        .iter()
-        .map(|o| match o {
-            Outcome::Decided { round, .. } | Outcome::Crashed { round } => *round,
-            Outcome::Undecided => 0,
-        })
-        .max()
-        .unwrap_or(0);
-    let delivered = stats.messages_delivered() as i64 + adjust.load(Ordering::Relaxed);
-    debug_assert!(delivered >= 0, "drops only subtract accepted deliveries");
-    Ok(Trace::from_parts(
-        outcomes,
-        rounds_executed,
-        delivered.max(0) as u64,
-    ))
+    let faulty = transports
+        .into_iter()
+        .map(|transport| FaultyTransport::new(transport, plan.clone(), Arc::clone(&adjust)))
+        .collect();
+    run_nodes(processes, faulty, pattern, max_rounds, || {
+        let delivered = stats.messages_delivered() as i64 + adjust.load(Ordering::Relaxed);
+        debug_assert!(delivered >= 0, "drops only subtract accepted deliveries");
+        delivered.max(0) as u64
+    })
 }
 
 #[cfg(test)]

@@ -6,10 +6,11 @@
 //! instance through the shared round loop ([`drive`]) over a
 //! [`Transport`]:
 //!
-//! * [`LoopbackTransport`] — in-process node tasks over the same
-//!   [`delivery`](setagree_runtime::delivery) mesh the threaded runtime
-//!   uses. Trace-equivalent to the deterministic simulator (pinned by
-//!   the `tests/node_equivalence.rs` property suite); the backend of
+//! * [`LoopbackTransport`] — in-process node tasks over the shared
+//!   [`delivery`](setagree_runtime::delivery) mesh. Trace-equivalent to
+//!   the deterministic simulator (pinned by the
+//!   `tests/node_equivalence.rs` property suite); the backend of both
+//!   `Executor::Threaded` and
 //!   `Executor::Networked { transport: TransportKind::Loopback }` in
 //!   `setagree-core`.
 //! * [`TcpTransport`] — real sockets between node processes, framed

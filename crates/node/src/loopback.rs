@@ -1,21 +1,21 @@
 //! The in-process loopback transport: real node tasks, channel links,
 //! and a kill-tolerant round gate.
 //!
-//! Message movement is the shared
-//! [`delivery`](setagree_runtime::delivery) mesh — the same
-//! `Arc`-envelope fan-out the threaded runtime uses — so a loopback
-//! execution is trace-equivalent to the simulator by construction: same
-//! ordered-send prefixes, same settled-recipient skipping, same delivery
-//! counting, same sender-ordered inboxes.
+//! This is the transport under both `Executor::Threaded` and the
+//! networked loopback tier. Message movement is the shared
+//! [`delivery`](setagree_runtime::delivery) mesh — one `Arc`-envelope
+//! fan-out per broadcast — so a loopback execution is trace-equivalent
+//! to the simulator by construction: same ordered-send prefixes, same
+//! settled-recipient skipping, same delivery counting, same
+//! sender-ordered inboxes.
 //!
-//! What distinguishes this tier from `run_threaded` is the crash model:
-//! a victim is *killed*. Its task leaves the round structure mid-round
-//! and its endpoint (the receiving channel) is dropped, instead of the
-//! thread lingering and silently crossing barriers until the execution
-//! winds down. A `std::sync::Barrier` cannot survive that — its
-//! membership is fixed — so rounds are synchronized by a [`RoundGate`]:
-//! a generation-counted gate whose membership shrinks when a node is
-//! killed, releasing any generation the departure completes.
+//! The crash model is the kill: a victim's task leaves the round
+//! structure mid-round and its endpoint (the receiving channel) is
+//! dropped, instead of lingering and silently crossing barriers until
+//! the execution winds down. A `std::sync::Barrier` cannot survive that
+//! — its membership is fixed — so rounds are synchronized by a
+//! [`RoundGate`]: a generation-counted gate whose membership shrinks when
+//! a node is killed, releasing any generation the departure completes.
 
 use std::convert::Infallible;
 use std::sync::{Arc, Condvar, Mutex};
@@ -85,6 +85,12 @@ impl RoundGate {
             self.cv.notify_all();
         }
     }
+
+    /// Members arrived at the current generation so far.
+    #[cfg(test)]
+    pub(crate) fn arrived(&self) -> usize {
+        self.state.lock().expect("gate poisoned").arrived
+    }
 }
 
 /// One node's loopback transport: a [`delivery`](setagree_runtime::delivery)
@@ -112,8 +118,7 @@ pub fn loopback_mesh<M>(n: usize) -> (Vec<LoopbackTransport<M>>, MeshStats) {
 
 impl<M> Transport for LoopbackTransport<M> {
     type Msg = M;
-    // The sender's own allocation, shared: zero-copy delivery, exactly
-    // like the threaded runtime.
+    // The sender's own allocation, shared: zero-copy delivery.
     type Letter = Arc<M>;
     type Error = Infallible;
 
@@ -157,9 +162,9 @@ impl<M> Transport for LoopbackTransport<M> {
     fn depart(&mut self, _round: usize) {
         // The kill: settle (future broadcasts skip this node — the flag
         // flips after the sends-done gate, so the current round's send
-        // phase already read it as live, same discipline as the threaded
-        // runtime), then leave the round structure for good. The caller
-        // drops the transport, closing the inbound channel.
+        // phase already read it as live), then leave the round structure
+        // for good. The caller drops the transport, closing the inbound
+        // channel.
         self.endpoint.settle();
         self.gate.leave();
     }
@@ -198,15 +203,25 @@ mod tests {
 
     #[test]
     fn leaving_completes_a_stalled_generation() {
+        // The waiter is already blocked inside `wait`: the departure is
+        // what releases it.
         let gate = Arc::new(RoundGate::new(2));
         let waiter = {
             let gate = Arc::clone(&gate);
             thread::spawn(move || gate.wait())
         };
-        // Give the waiter time to arrive, then depart instead of arriving.
-        thread::sleep(std::time::Duration::from_millis(20));
+        while gate.arrived() == 0 {
+            thread::yield_now();
+        }
         gate.leave();
         waiter.join().expect("waiter released by the departure");
+
+        // The departure comes first: the lone remaining member's `wait`
+        // completes the generation by itself.
+        let gate = RoundGate::new(2);
+        gate.leave();
+        gate.wait();
+        assert_eq!(gate.arrived(), 0);
     }
 
     #[test]

@@ -1,21 +1,21 @@
 //! The node: one protocol instance driven over one [`Transport`].
 //!
-//! [`drive`] is the round loop every networked tier shares — loopback
-//! tasks and TCP node processes run the identical control flow, so the
-//! semantics of a round (ordered-send prefix, crash-before-compute,
-//! sender-ordered receive, decide-then-settle) live here exactly once.
-//! [`run_loopback`] spawns one task per process over the loopback
-//! transport and assembles the familiar [`Trace`], mirroring
-//! `setagree_runtime::run_threaded` — except that crashed and panicked
-//! nodes are genuinely *killed*: their task departs the round structure
-//! and their channel closes.
+//! [`drive`] is the round loop every threaded and networked tier shares —
+//! `Executor::Threaded`, loopback tasks and TCP node processes run the
+//! identical control flow, so the semantics of a round (ordered-send
+//! prefix, crash-before-compute, sender-ordered receive,
+//! decide-then-settle) live here exactly once. [`run_loopback`] runs one
+//! pooled task per process over the loopback transport and assembles the
+//! familiar [`Trace`]. Crashed and panicked nodes are *killed*: their
+//! task departs the round structure and their channel closes.
 
 use std::borrow::Borrow;
+use std::convert::Infallible;
 use std::error::Error;
 use std::fmt;
 use std::panic;
-use std::thread;
 
+use setagree_runtime::pool;
 use setagree_sync::{CrashSpec, FailurePattern, Outcome, Step, SyncProtocol, Trace};
 use setagree_types::ProcessId;
 
@@ -181,17 +181,20 @@ impl fmt::Display for NodeError {
 
 impl Error for NodeError {}
 
-/// Runs the protocol instances as loopback nodes — one task per process
-/// over the shared delivery mesh — under the failure pattern, killing
-/// each victim's task at its crash point.
+/// Runs the protocol instances as loopback nodes — one pooled task per
+/// process over the shared delivery mesh — under the failure pattern,
+/// killing each victim's task at its crash point. This is the backend of
+/// both `Executor::Threaded` and `Executor::Networked` with the loopback
+/// transport.
 ///
-/// Observationally identical to the simulator and the threaded runtime;
-/// the integration suite compares whole [`Trace`]s.
+/// Observationally identical to the simulator; the integration suite
+/// compares whole [`Trace`]s.
 ///
 /// # Errors
 ///
-/// Mirrors `run_threaded`: size mismatches, round-limit violations, and
-/// [`NodeError::ProcessPanicked`] if a protocol implementation panics.
+/// Mirrors the simulator: size mismatches and round-limit violations,
+/// plus [`NodeError::ProcessPanicked`] if a protocol implementation
+/// panics.
 pub fn run_loopback<P>(
     processes: Vec<P>,
     pattern: &FailurePattern,
@@ -209,17 +212,41 @@ where
             pattern: pattern.system_size(),
         });
     }
-
     let (transports, stats) = loopback_mesh::<P::Msg>(n);
-    let mut handles = Vec::with_capacity(n);
-    for (transport, proto) in transports.into_iter().zip(processes) {
-        let crash = pattern.spec(transport.me());
-        handles.push(thread::spawn(move || {
-            drive(proto, transport, crash, max_rounds)
-        }));
-    }
+    run_nodes(processes, transports, pattern, max_rounds, || {
+        stats.messages_delivered()
+    })
+}
 
-    let mut outcomes = Vec::with_capacity(n);
+/// The body both loopback runners share: one pooled task per process
+/// driving it over its transport, joined in index order, then the
+/// outcomes assembled into a [`Trace`] whose delivered count
+/// `delivered` reads once every task is done.
+///
+/// The pool starts every task on its own thread, so tasks blocking on
+/// the round gate cannot starve one another.
+pub(crate) fn run_nodes<P, T>(
+    processes: Vec<P>,
+    transports: Vec<T>,
+    pattern: &FailurePattern,
+    max_rounds: usize,
+    delivered: impl FnOnce() -> u64,
+) -> Result<Trace<P::Output>, NodeError>
+where
+    P: SyncProtocol + Send + 'static,
+    P::Output: Send,
+    T: Transport<Msg = P::Msg, Error = Infallible> + Send + 'static,
+{
+    let handles: Vec<_> = transports
+        .into_iter()
+        .zip(processes)
+        .map(|(transport, proto)| {
+            let crash = pattern.spec(transport.me());
+            pool::spawn(move || drive(proto, transport, crash, max_rounds))
+        })
+        .collect();
+
+    let mut outcomes = Vec::with_capacity(handles.len());
     for (i, handle) in handles.into_iter().enumerate() {
         match handle.join() {
             Ok(Ok(outcome)) => outcomes.push(outcome),
@@ -242,11 +269,7 @@ where
         })
         .max()
         .unwrap_or(0);
-    Ok(Trace::from_parts(
-        outcomes,
-        rounds_executed,
-        stats.messages_delivered(),
-    ))
+    Ok(Trace::from_parts(outcomes, rounds_executed, delivered()))
 }
 
 #[cfg(test)]
@@ -316,34 +339,57 @@ mod tests {
 
     #[test]
     fn a_panicking_node_is_killed_not_deadlocked() {
+        #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+        enum Hook {
+            Message,
+            Receive,
+            Compute,
+        }
+        /// Panics in `explode`'s hook, decides 7 in round 1 otherwise.
         #[derive(Debug)]
         struct Volatile {
-            explode: bool,
+            explode: Option<Hook>,
+        }
+        impl Volatile {
+            fn trip(&self, hook: Hook) {
+                if self.explode == Some(hook) {
+                    panic!("protocol bug in {hook:?}");
+                }
+            }
         }
         impl SyncProtocol for Volatile {
             type Msg = ();
             type Output = u32;
-            fn message(&mut self, _round: usize) {}
-            fn receive(&mut self, _round: usize, _from: ProcessId, _msg: &()) {}
+            fn message(&mut self, _round: usize) {
+                self.trip(Hook::Message);
+            }
+            fn receive(&mut self, _round: usize, _from: ProcessId, _msg: &()) {
+                self.trip(Hook::Receive);
+            }
             fn compute(&mut self, _round: usize) -> Step<u32> {
-                if self.explode {
-                    panic!("protocol bug");
-                }
+                self.trip(Hook::Compute);
                 Step::Decide(7)
             }
         }
-        let procs = vec![
-            Volatile { explode: false },
-            Volatile { explode: true },
-            Volatile { explode: false },
-        ];
-        let err = run_loopback(procs, &FailurePattern::none(3), 5).unwrap_err();
-        assert_eq!(
-            err,
-            NodeError::ProcessPanicked {
-                process: ProcessId::new(1)
+        for hook in [Hook::Message, Hook::Receive, Hook::Compute] {
+            for n in [2usize, 3, 8] {
+                for victim in 0..n {
+                    let procs = (0..n)
+                        .map(|i| Volatile {
+                            explode: (i == victim).then_some(hook),
+                        })
+                        .collect();
+                    let err = run_loopback(procs, &FailurePattern::none(n), 5).unwrap_err();
+                    assert_eq!(
+                        err,
+                        NodeError::ProcessPanicked {
+                            process: ProcessId::new(victim)
+                        },
+                        "{hook:?} panics at p{victim} of {n}"
+                    );
+                }
             }
-        );
+        }
     }
 
     #[test]

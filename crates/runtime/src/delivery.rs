@@ -1,14 +1,13 @@
 //! Shared broadcast delivery: the `Arc`-envelope fan-out used by every
 //! in-process execution tier.
 //!
-//! Both the threaded runtime ([`run_threaded`](crate::run_threaded)) and
-//! the loopback transport of `setagree-node` realize the paper's
-//! broadcast-based synchronous rounds the same way: one owned message per
-//! sender per round, fanned out as `n` `Arc` bumps through per-process
-//! channels, with settled processes (decided or crashed) dropped from the
-//! recipient set. This module is that mechanism, in exactly one place —
-//! an [`Endpoint`] per process, wired into a full [`mesh`] — so the two
-//! tiers cannot drift apart in delivery semantics.
+//! The loopback transport of `setagree-node` — the links under both
+//! `Executor::Threaded` and the networked loopback tier — realizes the
+//! paper's broadcast-based synchronous rounds with this module: one owned
+//! message per sender per round, fanned out as `n` `Arc` bumps through
+//! per-process channels, with settled processes (decided or crashed)
+//! dropped from the recipient set. The mechanism lives here in exactly
+//! one place: an [`Endpoint`] per process, wired into a full [`mesh`].
 //!
 //! The discipline that makes executions trace-equivalent to the
 //! simulator:
@@ -18,7 +17,7 @@
 //! * a delivery to a settled recipient is skipped and **not** counted;
 //! * the settled flag of a process flips only in the compute half of a
 //!   round, strictly synchronization-separated from the send half that
-//!   reads it (the caller's barrier or gate enforces the separation);
+//!   reads it (the caller's round gate enforces the separation);
 //! * each round's inbox is drained in sender order.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -66,7 +65,7 @@ pub fn mesh<M>(n: usize) -> (Vec<Endpoint<M>>, MeshStats) {
     let (senders, receivers): Links<M> = (0..n).map(|_| unbounded()).unzip();
     let senders = Arc::new(senders);
     // Settled processes (decided or crashed) stop receiving; the flag flips
-    // only in the compute half of a round, strictly barrier-separated from
+    // only in the compute half of a round, strictly gate-separated from
     // the send half that reads it.
     let settled: Arc<Vec<AtomicBool>> = Arc::new((0..n).map(|_| AtomicBool::new(false)).collect());
     let settled_count = Arc::new(AtomicU64::new(0));

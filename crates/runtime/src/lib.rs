@@ -1,372 +1,16 @@
-//! A real-thread synchronous runtime: one OS thread per process, crossbeam
-//! channels as links, and a barrier realizing the round structure.
+//! The in-process plumbing every threaded execution tier shares: a
+//! worker [`pool`] with `thread::spawn` semantics and the [`delivery`]
+//! mesh that fans each broadcast out as `Arc` bumps.
 //!
-//! This crate runs the *same* [`SyncProtocol`] implementations as the
-//! deterministic simulator in `setagree-sync`, on actual concurrency:
-//! each process is a thread, each link a channel, and each round a pair of
-//! barrier crossings (sends happen before the first crossing, receives and
-//! local computation between the two). Crash injection honours the same
-//! [`FailurePattern`] — including ordered-send prefixes — so an execution
-//! here is observationally identical to the simulator's, which the
-//! integration tests assert by comparing whole [`Trace`]s.
-//!
-//! Use the simulator for experiments (faster, no thread overhead); use
-//! this runtime to demonstrate the protocols really are message-passing
-//! programs and not artifacts of a sequential executor. Most callers
-//! should not invoke [`run_threaded`] directly: select
-//! `Executor::Threaded` on a `setagree_core` `Scenario` instead.
-//!
-//! # Example
-//!
-//! ```
-//! use setagree_runtime::run_threaded;
-//! use setagree_sync::{FailurePattern, Step, SyncProtocol};
-//! use setagree_types::ProcessId;
-//!
-//! /// A three-round max-flood: decides the largest input it heard.
-//! struct MaxFlood { best: u32 }
-//! impl SyncProtocol for MaxFlood {
-//!     type Msg = u32;
-//!     type Output = u32;
-//!     fn message(&mut self, _round: usize) -> u32 { self.best }
-//!     fn receive(&mut self, _round: usize, _from: ProcessId, msg: &u32) {
-//!         self.best = self.best.max(*msg);
-//!     }
-//!     fn compute(&mut self, round: usize) -> Step<u32> {
-//!         if round >= 3 { Step::Decide(self.best) } else { Step::Continue }
-//!     }
-//! }
-//!
-//! let procs: Vec<_> = [3u32, 9, 1, 4].into_iter().map(|best| MaxFlood { best }).collect();
-//! let trace = run_threaded(procs, &FailurePattern::none(4), 10)?;
-//! assert_eq!(trace.decided_values(), [9].into_iter().collect());
-//! # Ok::<(), setagree_runtime::ThreadedError>(())
-//! ```
+//! The round loop itself lives elsewhere. `Executor::Threaded` and the
+//! loopback transport of `setagree-node` run `setagree_node::drive` on one
+//! pooled task per process over this crate's mesh; the suite engine runs
+//! its workers on the same pool.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs, missing_debug_implementations)]
-
-use std::error::Error;
-use std::fmt;
-use std::panic;
-use std::sync::{Arc, Barrier};
-
-use setagree_sync::{FailurePattern, Outcome, Step, SyncProtocol, Trace};
-use setagree_types::ProcessId;
 
 pub mod delivery;
 pub mod pool;
 
 pub use pool::PooledJoinHandle;
-
-/// Error running a threaded execution.
-#[derive(Debug, Clone, PartialEq, Eq)]
-#[non_exhaustive]
-pub enum ThreadedError {
-    /// Some process neither decided nor crashed within the round limit.
-    RoundLimitExceeded {
-        /// The configured limit.
-        limit: usize,
-    },
-    /// Process count and failure-pattern system size differ.
-    SystemSizeMismatch {
-        /// Protocol instances supplied.
-        processes: usize,
-        /// Pattern system size.
-        pattern: usize,
-    },
-    /// A process thread panicked.
-    ProcessPanicked {
-        /// The panicking process.
-        process: ProcessId,
-    },
-}
-
-impl fmt::Display for ThreadedError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            ThreadedError::RoundLimitExceeded { limit } => {
-                write!(
-                    f,
-                    "execution exceeded the {limit}-round limit without termination"
-                )
-            }
-            ThreadedError::SystemSizeMismatch { processes, pattern } => write!(
-                f,
-                "{processes} protocol instances but the failure pattern is over {pattern} processes"
-            ),
-            ThreadedError::ProcessPanicked { process } => {
-                write!(f, "thread of {process} panicked")
-            }
-        }
-    }
-}
-
-impl Error for ThreadedError {}
-
-/// Runs the protocol instances on one thread each, rounds realized by a
-/// barrier, links by [`delivery`] channels, under the failure pattern.
-///
-/// # Errors
-///
-/// Mirrors the simulator: size mismatches and round-limit violations, plus
-/// [`ThreadedError::ProcessPanicked`] if a protocol implementation panics.
-pub fn run_threaded<P>(
-    processes: Vec<P>,
-    pattern: &FailurePattern,
-    max_rounds: usize,
-) -> Result<Trace<P::Output>, ThreadedError>
-where
-    P: SyncProtocol + Send + 'static,
-    P::Msg: Send + Sync,
-    P::Output: Send,
-{
-    let n = processes.len();
-    if n != pattern.system_size() {
-        return Err(ThreadedError::SystemSizeMismatch {
-            processes: n,
-            pattern: pattern.system_size(),
-        });
-    }
-
-    let (endpoints, stats) = delivery::mesh::<P::Msg>(n);
-    let barrier = Arc::new(Barrier::new(n));
-
-    let mut handles = Vec::with_capacity(n);
-    for (endpoint, mut proto) in endpoints.into_iter().zip(processes) {
-        let me = endpoint.me();
-        let spec = pattern.spec(me);
-        let barrier = Arc::clone(&barrier);
-
-        // A panicking protocol must not deadlock the barrier: every
-        // protocol call is wrapped in `catch_unwind`, and a panicked
-        // worker keeps crossing barriers (silent, like a crashed process)
-        // until the execution winds down, then reports `Err`. Processes
-        // run on pooled threads — the pool's spawn guarantees each task
-        // its own thread, so the barrier discipline is unchanged, but a
-        // suite sweeping thousands of runs reuses threads instead of
-        // recreating `n` of them per run.
-        handles.push(pool::spawn(move || -> Result<Outcome<P::Output>, ()> {
-            let mut outcome: Option<Outcome<P::Output>> = None;
-            let mut panicked = false;
-            for round in 1..=max_rounds {
-                let active = outcome.is_none() && !panicked;
-
-                // Send phase: broadcast in the predetermined p_1 … p_n
-                // order, truncated to the crash prefix if this is the
-                // crash round.
-                if active {
-                    let reach = match spec {
-                        Some(s) if s.round == round => s.after_sends,
-                        _ => n,
-                    };
-                    let sent = panic::catch_unwind(panic::AssertUnwindSafe(|| {
-                        let msg = proto.message(round);
-                        endpoint.broadcast(round, msg, reach);
-                    }));
-                    panicked = sent.is_err();
-                }
-                barrier.wait(); // all sends of this round are in flight
-
-                if active {
-                    if panicked {
-                        // The settled flag flips only in this compute
-                        // half, barrier-separated from the send half that
-                        // reads it — same discipline as a crash.
-                        endpoint.settle();
-                    } else if spec.map(|s| s.round == round).unwrap_or(false) {
-                        // Crash takes effect before local computation.
-                        outcome = Some(Outcome::Crashed { round });
-                        endpoint.settle();
-                    } else {
-                        // Receive phase: drain in sender order (the
-                        // paper's deterministic delivery), then compute.
-                        let step = panic::catch_unwind(panic::AssertUnwindSafe(|| {
-                            for env in endpoint.drain_round(round) {
-                                proto.receive(env.round, env.from, &env.msg);
-                            }
-                            proto.compute(round)
-                        }));
-                        match step {
-                            Ok(Step::Decide(value)) => {
-                                outcome = Some(Outcome::Decided { value, round });
-                                endpoint.settle();
-                            }
-                            Ok(Step::Continue) => {}
-                            Err(_) => {
-                                panicked = true;
-                                endpoint.settle();
-                            }
-                        }
-                    }
-                }
-                barrier.wait(); // all compute phases (and settled flags) done
-
-                if endpoint.all_settled() {
-                    break;
-                }
-            }
-            if panicked {
-                Err(())
-            } else {
-                Ok(outcome.unwrap_or(Outcome::Undecided))
-            }
-        }));
-    }
-
-    let mut outcomes = Vec::with_capacity(n);
-    for (i, handle) in handles.into_iter().enumerate() {
-        match handle.join() {
-            Ok(Ok(outcome)) => outcomes.push(outcome),
-            Ok(Err(())) | Err(_) => {
-                return Err(ThreadedError::ProcessPanicked {
-                    process: ProcessId::new(i),
-                })
-            }
-        }
-    }
-    if outcomes.iter().any(|o| matches!(o, Outcome::Undecided)) {
-        return Err(ThreadedError::RoundLimitExceeded { limit: max_rounds });
-    }
-    let rounds_executed = outcomes
-        .iter()
-        .map(|o| match o {
-            Outcome::Decided { round, .. } | Outcome::Crashed { round } => *round,
-            Outcome::Undecided => 0,
-        })
-        .max()
-        .unwrap_or(0);
-    Ok(Trace::from_parts(
-        outcomes,
-        rounds_executed,
-        stats.messages_delivered(),
-    ))
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use setagree_sync::{run_protocol, CrashSpec};
-
-    /// A local max-flooding protocol (the crate cannot dev-depend on
-    /// `setagree-core`'s `FloodSet` — core depends on this crate for the
-    /// `Executor::Threaded` backend). Floods the best value seen and
-    /// decides it after `rounds` rounds.
-    #[derive(Debug)]
-    struct MaxFlood {
-        rounds: usize,
-        best: u32,
-    }
-
-    impl SyncProtocol for MaxFlood {
-        type Msg = u32;
-        type Output = u32;
-        fn message(&mut self, _round: usize) -> u32 {
-            self.best
-        }
-        fn receive(&mut self, _round: usize, _from: ProcessId, msg: &u32) {
-            self.best = self.best.max(*msg);
-        }
-        fn compute(&mut self, round: usize) -> Step<u32> {
-            if round >= self.rounds {
-                Step::Decide(self.best)
-            } else {
-                Step::Continue
-            }
-        }
-    }
-
-    fn floods(t: usize, k: usize, inputs: &[u32]) -> Vec<MaxFlood> {
-        let rounds = t / k + 1;
-        inputs
-            .iter()
-            .map(|&v| MaxFlood { rounds, best: v })
-            .collect()
-    }
-
-    #[test]
-    fn failure_free_matches_simulator() {
-        let inputs = [3u32, 9, 1, 4];
-        let pattern = FailurePattern::none(4);
-        let threaded = run_threaded(floods(2, 1, &inputs), &pattern, 10).unwrap();
-        let simulated = run_protocol(floods(2, 1, &inputs), &pattern, 10).unwrap();
-        assert_eq!(threaded, simulated);
-    }
-
-    #[test]
-    fn prefix_crashes_match_simulator() {
-        let inputs = [9u32, 1, 1, 1, 1];
-        let mut pattern = FailurePattern::none(5);
-        pattern
-            .crash(ProcessId::new(0), CrashSpec::new(1, 2))
-            .unwrap();
-        pattern
-            .crash(ProcessId::new(4), CrashSpec::new(2, 0))
-            .unwrap();
-        let threaded = run_threaded(floods(2, 1, &inputs), &pattern, 10).unwrap();
-        let simulated = run_protocol(floods(2, 1, &inputs), &pattern, 10).unwrap();
-        assert_eq!(threaded, simulated);
-    }
-
-    #[test]
-    fn panicking_process_reports_instead_of_deadlocking() {
-        /// Panics in compute on the second process, decides elsewhere.
-        #[derive(Debug)]
-        struct Volatile {
-            explode: bool,
-        }
-        impl SyncProtocol for Volatile {
-            type Msg = ();
-            type Output = u32;
-            fn message(&mut self, _round: usize) {}
-            fn receive(&mut self, _round: usize, _from: ProcessId, _msg: &()) {}
-            fn compute(&mut self, _round: usize) -> Step<u32> {
-                if self.explode {
-                    panic!("protocol bug");
-                }
-                Step::Decide(7)
-            }
-        }
-        let procs = vec![
-            Volatile { explode: false },
-            Volatile { explode: true },
-            Volatile { explode: false },
-        ];
-        let err = run_threaded(procs, &FailurePattern::none(3), 5).unwrap_err();
-        assert_eq!(
-            err,
-            ThreadedError::ProcessPanicked {
-                process: ProcessId::new(1)
-            }
-        );
-    }
-
-    #[test]
-    fn size_mismatch_is_reported() {
-        let err = run_threaded(floods(1, 1, &[1, 2]), &FailurePattern::none(3), 5).unwrap_err();
-        assert_eq!(
-            err,
-            ThreadedError::SystemSizeMismatch {
-                processes: 2,
-                pattern: 3
-            }
-        );
-    }
-
-    #[test]
-    fn round_limit_is_reported() {
-        #[derive(Debug)]
-        struct Stubborn;
-        impl SyncProtocol for Stubborn {
-            type Msg = ();
-            type Output = u32;
-            fn message(&mut self, _round: usize) {}
-            fn receive(&mut self, _round: usize, _from: ProcessId, _msg: &()) {}
-            fn compute(&mut self, _round: usize) -> Step<u32> {
-                Step::Continue
-            }
-        }
-        let err = run_threaded(vec![Stubborn, Stubborn], &FailurePattern::none(2), 3).unwrap_err();
-        assert_eq!(err, ThreadedError::RoundLimitExceeded { limit: 3 });
-    }
-}

@@ -1,20 +1,20 @@
 //! A long-lived worker pool with `thread::spawn` semantics.
 //!
-//! The threaded runtime spawns one OS thread per process and the suite
-//! engine one per worker — for a sweep of thousands of short runs that
-//! is thousands of `clone(2)` calls doing identical setup. This pool
-//! keeps finished workers parked for a grace period and hands them the
-//! next task instead.
+//! The threaded and loopback executors spawn one task per process and
+//! the suite engine one per worker — for a sweep of thousands of short
+//! runs that is thousands of `clone(2)` calls doing identical setup.
+//! This pool keeps finished workers parked for a grace period and hands
+//! them the next task instead.
 //!
 //! The design constraint is that pooled tasks *block on each other*:
-//! the runtime's process tasks rendezvous on a [`Barrier`](std::sync::Barrier)
-//! every round, and suite workers block in `ClaimWindow` admission. A
-//! fixed-size pool with a shared queue would deadlock the moment a
-//! cohort of mutually-waiting tasks exceeds the pool size, so this pool
-//! is *cached*, not fixed: [`spawn`] hands the task to a parked idle
-//! worker if one exists and **starts a fresh thread otherwise** — every
-//! task is running on its own thread by the time `spawn` returns, the
-//! exact liveness guarantee of `thread::spawn`. Parked workers expire
+//! the executors' process tasks rendezvous on `setagree-node`'s
+//! `RoundGate` every round, and suite workers block in `ClaimWindow`
+//! admission. A fixed-size pool with a shared queue would deadlock the
+//! moment a cohort of mutually-waiting tasks exceeds the pool size, so
+//! this pool is *cached*, not fixed: [`spawn`] hands the task to a parked
+//! idle worker if one exists and **starts a fresh thread otherwise** —
+//! every task is running on its own thread by the time `spawn` returns,
+//! the exact liveness guarantee of `thread::spawn`. Parked workers expire
 //! after [`idle_expiry`] (default [`IDLE_EXPIRY`], overridable via
 //! `SETAGREE_POOL_IDLE_MS`) so an idle program holds no threads.
 //!
@@ -347,7 +347,7 @@ mod tests {
 
     #[test]
     fn mutually_blocking_tasks_all_run() {
-        // The liveness property the runtime depends on: a cohort larger
+        // The liveness property the executors depend on: a cohort larger
         // than any plausible idle pool, all meeting on one barrier.
         // With a fixed-size queueing pool this deadlocks; here every
         // spawn gets its own thread.

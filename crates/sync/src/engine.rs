@@ -52,8 +52,7 @@
 //! arbitrary-subset crashes the runs split the classes further, which
 //! shares less and changes nothing else. A victim of the round receives
 //! what reached it, then crashes; it never represents or adopts. The
-//! fault-composed loop, the threaded runtime and the node tier never
-//! adopt.
+//! fault-composed loop and the node tier never adopt.
 
 use std::error::Error;
 use std::fmt;

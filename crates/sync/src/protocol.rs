@@ -114,15 +114,14 @@ impl<Out: fmt::Display> fmt::Display for Step<Out> {
 ///   [`run_protocol_unordered`](crate::run_protocol_unordered) do — each
 ///   run of consecutive recipients that the round's crashing senders
 ///   reached alike is served once, to its first member, and offered to
-///   the rest; the fault-composed loops, the threaded runtime and the
-///   node tier never adopt.
+///   the rest; the fault-composed loops and the node tier never adopt.
 /// * Whether a process adopts is decided by what `adopt` returns and
 ///   nothing else: the provided method declines every round.
 ///
 /// Delivery is **zero-copy**: a broadcast produces one owned message per
 /// sender per round, and every executor hands that same message to each
 /// recipient by reference — the simulator delivers `n` borrows of the
-/// sender's message, the threaded runtime fans one `Arc` out through the
+/// sender's message, the loopback nodes fan one `Arc` out through the
 /// channels. `Msg` therefore needs no `Clone` bound; a receiver that wants
 /// to keep part of a message clones exactly the pieces it stores (or
 /// merges them in place, e.g. `View::merge_from`).

@@ -17,7 +17,8 @@
 //!   (counters, gauges, log-bucket histograms, mergeable snapshots with
 //!   a Prometheus-style rendering) and a structured event recorder,
 //!   threaded through every execution tier and near-free when disabled;
-//! * [`runtime`] — a real-thread, channel-based synchronous runtime;
+//! * [`runtime`] — the worker pool and `Arc`-broadcast delivery mesh the
+//!   threaded and loopback executors share;
 //! * [`codec`] — the shared wire tier: a never-panicking binary
 //!   reader/writer, the length-prefixed network frame codec, and the
 //!   hash-chained execution journal behind crash-resumable sweeps;
@@ -31,7 +32,7 @@
 //! Experiments go through the unified [`Scenario`](core::Scenario) API:
 //! pick a protocol, give it an input and an adversary, choose an
 //! [`Executor`](core::Executor), and run. All four executors — the
-//! synchronous simulator and real-thread runtime, and the seeded
+//! synchronous simulator and real-thread executor, and the seeded
 //! asynchronous shared-memory and message-passing runtimes of Section 4
 //! — produce the same unified [`Report`](core::Report).
 //!

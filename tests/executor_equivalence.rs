@@ -1,6 +1,7 @@
-//! The deterministic simulator and the real-thread runtime are
-//! observationally equivalent: same decisions, same rounds, same message
-//! counts. Randomized property test over the unified `Scenario` API —
+//! The deterministic simulator and the real-thread executor
+//! (`Executor::Threaded`: pooled node tasks running the shared node round
+//! loop over the loopback mesh) are observationally equivalent: same
+//! decisions, same rounds, same message counts. Randomized property test over the unified `Scenario` API —
 //! one generated scenario, two `Executor`s, identical `Trace`s — across
 //! seeds, all four protocols, and proptest-generated failure patterns.
 //!
@@ -82,7 +83,7 @@ proptest! {
             let threaded = scenario
                 .executor(Executor::Threaded)
                 .run()
-                .expect("threaded runtime");
+                .expect("threaded executor");
             prop_assert_eq!(
                 simulated.trace(),
                 threaded.trace(),

@@ -1,6 +1,6 @@
 //! The zero-copy broadcast path is a pure optimization: delivering each
 //! sender's one owned message to all recipients by reference (simulator)
-//! or behind one `Arc` (threaded runtime) must be observationally
+//! or behind one `Arc` (loopback nodes) must be observationally
 //! identical to the seed engine's clone-per-recipient semantics.
 //!
 //! The reference implementation below is a line-for-line port of the seed
@@ -8,8 +8,8 @@
 //! recipient; the property tests sweep seeded adversaries over every
 //! protocol family and assert byte-identical [`Trace`]s — same outcomes,
 //! same rounds, same `messages_delivered` counts — from the reference
-//! engine, the zero-copy simulator, and the `Arc`-fan-out threaded
-//! runtime.
+//! engine, the zero-copy simulator, and the `Arc`-fan-out loopback
+//! nodes that `Executor::Threaded` runs on.
 
 use proptest::prelude::*;
 
@@ -18,7 +18,7 @@ use setagree::core::{
     ConditionBased, ConditionBasedConfig, EarlyConditionBased, EarlyDeciding, Executor, FloodSet,
     Scenario,
 };
-use setagree::runtime::run_threaded;
+use setagree::node::run_loopback;
 use setagree::sync::{run_protocol, CrashSpec, FailurePattern, Outcome, Step, SyncProtocol, Trace};
 use setagree::types::{InputVector, ProcessId, View};
 
@@ -222,23 +222,20 @@ where
 {
     let reference = run_protocol_cloning(make(), pattern, limit);
     let zero_copy = run_protocol(make(), pattern, limit).expect("simulator");
-    let threaded = run_threaded(make(), pattern, limit).expect("threaded runtime");
+    let nodes = run_loopback(make(), pattern, limit).expect("loopback nodes");
     assert_eq!(
         reference, zero_copy,
         "zero-copy simulator diverged from clone-based semantics under {pattern}"
     );
     assert_eq!(
-        reference, threaded,
-        "Arc-broadcast runtime diverged from clone-based semantics under {pattern}"
+        reference, nodes,
+        "Arc-broadcast loopback nodes diverged from clone-based semantics under {pattern}"
     );
     assert_eq!(
         reference.messages_delivered(),
         zero_copy.messages_delivered()
     );
-    assert_eq!(
-        reference.messages_delivered(),
-        threaded.messages_delivered()
-    );
+    assert_eq!(reference.messages_delivered(), nodes.messages_delivered());
     reference
 }
 
@@ -295,8 +292,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     /// Every protocol family, every seeded adversary: the reference
-    /// clone-based engine, the zero-copy simulator and the threaded
-    /// runtime produce identical traces.
+    /// clone-based engine, the zero-copy simulator and the loopback
+    /// nodes produce identical traces.
     #[test]
     fn zero_copy_matches_cloning_semantics(
         entries in proptest::collection::vec(1u32..=5, N),
