@@ -1,7 +1,8 @@
 //! Batched experiments: a [`ScenarioSuite`] expands the cartesian grid
 //! *executors × specs × inputs × patterns* (plus any explicit
 //! [`cases`](ScenarioSuite::cases)) and executes every cell across a
-//! worker pool.
+//! worker pool. The consuming thread is one of the workers: while the
+//! block of cells it must emit next is still out, it runs blocks itself.
 //!
 //! Three ways to consume a suite:
 //!
@@ -70,7 +71,6 @@
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 
-use std::any::Any;
 use std::collections::BTreeMap;
 use std::fmt;
 use std::hash::Hash;
@@ -506,7 +506,8 @@ impl<V: Ord, O> ScenarioSuite<V, O> {
     }
 
     /// Caps the suite's worker threads (`1` forces sequential execution;
-    /// default: the machine's available parallelism). Note that when any
+    /// default: the machine's available parallelism). `w` workers are
+    /// the calling thread plus `w − 1` pool tasks. Note that when any
     /// grid executor is `Threaded`, the default worker count is divided
     /// by the largest system size so concurrent threaded cells cannot
     /// multiply OS threads past the machine — which also serializes the
@@ -576,6 +577,7 @@ struct RunCounters {
 struct SuiteMetrics {
     cell_latency_us: Arc<setagree_obs::Histogram>,
     queue_wait_us: Arc<setagree_obs::Histogram>,
+    emit_wait_us: Arc<setagree_obs::Histogram>,
     cache_hits: Arc<setagree_obs::Counter>,
     cache_misses: Arc<setagree_obs::Counter>,
 }
@@ -585,6 +587,7 @@ fn suite_metrics() -> &'static SuiteMetrics {
     METRICS.get_or_init(|| SuiteMetrics {
         cell_latency_us: setagree_obs::histogram("suite_cell_latency_us", &[]),
         queue_wait_us: setagree_obs::histogram("suite_queue_wait_us", &[]),
+        emit_wait_us: setagree_obs::histogram("suite_emit_wait_us", &[]),
         cache_hits: setagree_obs::counter("suite_cache_hits", &[]),
         cache_misses: setagree_obs::counter("suite_cache_misses", &[]),
     })
@@ -627,7 +630,10 @@ impl Blocks {
 /// buffer at `window` blocks — channel backpressure alone would not: a
 /// slow cell at the front of grid order forces the consumer to drain
 /// every later completion into the buffer, freeing channel slots and
-/// letting the grid race arbitrarily far ahead.
+/// letting the grid race arbitrarily far ahead. The consumer is a
+/// worker too, but it advances the frontier itself and so must never
+/// wait at the edge: it claims with [`try_claim`](Self::try_claim),
+/// inside the window or not at all.
 #[derive(Debug, Default)]
 struct ClaimWindow {
     /// The next unclaimed block.
@@ -645,6 +651,15 @@ impl ClaimWindow {
     /// Claims the next block (which may lie past the grid's end).
     fn claim(&self) -> usize {
         self.next.fetch_add(1, Ordering::Relaxed)
+    }
+
+    /// Claims the next block if it lies below `limit`.
+    fn try_claim(&self, limit: usize) -> Option<usize> {
+        self.next
+            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |next| {
+                (next < limit).then_some(next + 1)
+            })
+            .ok()
     }
 
     fn is_closed(&self) -> bool {
@@ -926,16 +941,19 @@ where
     /// over its cases, in deterministic grid order, as they complete.
     ///
     /// Cells execute on a worker pool (sized like
-    /// [`ScenarioSuite::run`]'s). Workers claim the grid in contiguous
+    /// [`ScenarioSuite::run`]'s) whose first worker is the thread that
+    /// consumes the iterator. Workers claim the grid in contiguous
     /// *blocks* of cells — `cells / (4 × workers)`, at least 1 and at
     /// most 64, so a grid of up to `4 × workers` cells is dispatched
-    /// cell by cell — and hand each block over whole, which makes the
-    /// claim, the wake-up and the channel send per-block costs. A
-    /// bounded reorder buffer — at most `2 × workers` completed blocks
-    /// in flight — puts completions back into grid order, so memory
-    /// stays bounded however large the sweep is. Dropping the iterator
-    /// early stops the run: workers finish their in-progress cell (not
-    /// their block) and exit.
+    /// cell by cell — and pool tasks hand each block over whole, which
+    /// makes the claim, the wake-up and the channel send per-block
+    /// costs. While the block it must emit next is still out, `next()`
+    /// runs the next unclaimed block itself, and waits only when none is
+    /// left inside the window. A bounded reorder buffer — at most
+    /// `2 × workers` completed blocks in flight — puts completions back
+    /// into grid order, so memory stays bounded however large the sweep
+    /// is. Dropping the iterator early stops the run: pool tasks finish
+    /// their in-progress cell (not their block) and exit.
     ///
     /// **Cached prefix.** With a [cache](ScenarioSuite::cache) attached,
     /// a parallel run begins on the calling thread: this call looks the
@@ -1018,9 +1036,10 @@ where
     }
 }
 
-/// Starts a pool of up to `worker_count` workers over `cells` — the
+/// Starts a run of up to `worker_count` workers over `cells` — the
 /// whole grid, or the rest of it behind a cached prefix — and returns
-/// the consumer's half.
+/// the consumer's half. The consuming thread is one of the workers, so
+/// the pool gets one task fewer.
 fn start_workers<V, O>(
     plan: &Arc<GridPlan<V, O>>,
     cells: Range<usize>,
@@ -1039,7 +1058,7 @@ where
     let window_size = worker_count * 2;
     let (tx, rx) = mpsc::sync_channel(window_size);
     let window = Arc::new(ClaimWindow::default());
-    let handles = (0..worker_count)
+    let handles = (1..worker_count)
         .map(|_| {
             let plan = Arc::clone(plan);
             let window = Arc::clone(&window);
@@ -1072,11 +1091,14 @@ where
             })
         })
         .collect();
+    let plan = Arc::clone(plan);
     WorkerSource {
         handles,
         rx,
         window,
-        _plan: Arc::clone(plan) as Arc<dyn Any + Send + Sync>,
+        blocks,
+        window_size,
+        run: Box::new(move |case| plan.run_case(case)),
         pending: BTreeMap::new(),
         next_block: 0,
         current: Vec::new().into_iter(),
@@ -1107,8 +1129,9 @@ enum RunSource<V: Ord> {
         ready: Option<SuiteCase<V>>,
         probe: Box<dyn Fn(usize) -> Probe<V> + Send>,
     },
-    /// Parallel: a worker pool sends completed blocks through a bounded
-    /// channel, gated by the claim window; the consumer reorders them.
+    /// Parallel: pool tasks send completed blocks through a bounded
+    /// channel, gated by the claim window; the consumer runs blocks of
+    /// its own while the next one it must emit is out, and reorders.
     Workers(WorkerSource<V>),
 }
 
@@ -1123,13 +1146,17 @@ enum RunSource<V: Ord> {
 /// one arena lock for every `realloc` and cache refill (measured: a
 /// two-worker sweep at 0.4× the speed of a one-worker sweep). So the
 /// consumer keeps its own handle on each until [`SuiteRun`]'s `Drop`
-/// has joined the workers.
+/// has joined the workers; its handle on the plan is the one inside
+/// `run`.
 struct WorkerSource<V: Ord> {
     handles: Vec<setagree_runtime::PooledJoinHandle<()>>,
     rx: mpsc::Receiver<(usize, Vec<SuiteCase<V>>)>,
     window: Arc<ClaimWindow>,
-    /// The workers' `Arc<GridPlan<V, O>>`, kept only to be dropped last.
-    _plan: Arc<dyn Any + Send + Sync>,
+    blocks: Blocks,
+    window_size: usize,
+    /// Runs one cell on the consuming thread; owns the consumer's
+    /// `Arc<GridPlan<V, O>>`, which is dropped only after the workers.
+    run: Box<dyn Fn(usize) -> SuiteCase<V> + Send>,
     /// Completed blocks waiting for their turn, by block index.
     pending: BTreeMap<usize, Vec<SuiteCase<V>>>,
     next_block: usize,
@@ -1141,36 +1168,57 @@ struct WorkerSource<V: Ord> {
 
 impl<V: Ord> WorkerSource<V> {
     /// The next case in grid order, pulling the next block out of the
-    /// reorder buffer (or waiting for it) when the current one is spent.
+    /// reorder buffer when the current one is spent. While that block
+    /// is out, the consumer takes what the pool has sent, else runs the
+    /// next block inside the window itself, and waits only when there
+    /// is neither.
     fn next_case(&mut self, total: usize) -> SuiteCase<V> {
         loop {
             if let Some(case) = self.current.next() {
                 return case;
             }
+            let limit = (self.next_block + self.window_size).min(self.blocks.count());
             let block = loop {
                 if let Some(block) = self.pending.remove(&self.next_block) {
                     break block;
                 }
-                match self.rx.recv() {
-                    Ok((index, block)) => {
-                        self.pending.insert(index, block);
-                        #[cfg(test)]
-                        {
-                            self.pending_high_water =
-                                self.pending_high_water.max(self.pending.len());
+                let (index, block) = match self.rx.try_recv() {
+                    Ok(sent) => sent,
+                    Err(_) => match self.window.try_claim(limit) {
+                        Some(claimed) => {
+                            (claimed, self.blocks.cells(claimed).map(&self.run).collect())
                         }
-                    }
-                    Err(_) => panic!(
-                        "suite worker died before completing the grid \
-                         (block {} of a {total}-cell grid never arrived)",
-                        self.next_block
-                    ),
+                        None => self.wait_for_block(total),
+                    },
+                };
+                self.pending.insert(index, block);
+                #[cfg(test)]
+                {
+                    self.pending_high_water = self.pending_high_water.max(self.pending.len());
                 }
             };
             self.next_block += 1;
             self.window.advance();
             self.current = block.into_iter();
         }
+    }
+
+    /// Waits for the pool's next block: nothing is claimable inside the
+    /// window, so the block to emit is one a pool task is running.
+    fn wait_for_block(&self, total: usize) -> (usize, Vec<SuiteCase<V>>) {
+        let blocked_at = setagree_obs::enabled().then(Instant::now);
+        let sent = self.rx.recv().unwrap_or_else(|_| {
+            panic!(
+                "suite worker died before completing the grid \
+                 (block {} of a {total}-cell grid never arrived)",
+                self.next_block
+            )
+        });
+        if let Some(at) = blocked_at {
+            let us = u64::try_from(at.elapsed().as_micros()).unwrap_or(u64::MAX);
+            suite_metrics().emit_wait_us.record(us);
+        }
+        sent
     }
 
     /// Stops the run: hangs up, lets the workers run out, reaps them.
@@ -1433,6 +1481,7 @@ mod tests {
     use setagree_sync::FailurePattern;
     use setagree_types::View;
     use std::collections::BTreeSet;
+    use std::time::Duration;
 
     fn config() -> ConditionBasedConfig {
         ConditionBasedConfig::builder(6, 3, 2)
@@ -1501,6 +1550,8 @@ mod tests {
     #[derive(Debug, Default)]
     struct GateState {
         seen: BTreeSet<u32>,
+        /// The thread each value was presented on.
+        ran_on: BTreeMap<u32, thread::ThreadId>,
         released: bool,
     }
 
@@ -1537,6 +1588,22 @@ mod tests {
         fn seen(&self) -> BTreeSet<u32> {
             self.state.0.lock().unwrap().seen.clone()
         }
+
+        fn ran_on(&self) -> BTreeMap<u32, thread::ThreadId> {
+            self.state.0.lock().unwrap().ran_on.clone()
+        }
+
+        /// Releases the gate from a helper thread `grace` after `value`
+        /// is seen: for a run whose calling thread, a worker itself, must
+        /// get there.
+        fn release_once_seen(&self, value: u32, grace: Duration) -> thread::JoinHandle<()> {
+            let gate = self.clone();
+            thread::spawn(move || {
+                gate.wait_until_seen(value);
+                thread::sleep(grace);
+                gate.release();
+            })
+        }
     }
 
     impl ConditionOracle<u32> for Gate {
@@ -1548,6 +1615,7 @@ mod tests {
                 let (state, changed) = &*self.state;
                 let mut state = state.lock().unwrap();
                 state.seen.insert(value);
+                state.ran_on.insert(value, thread::current().id());
                 changed.notify_all();
                 while value == self.hold && !state.released {
                     state = changed.wait(state).unwrap();
@@ -1703,19 +1771,24 @@ mod tests {
 
     #[test]
     fn reorder_buffer_holds_at_most_two_blocks_per_worker() {
-        // Blocks of 8, window of 4 blocks. The worker holding block 0 is
-        // parked in the grid's first cell while the other one runs as
-        // far ahead as the window lets it: blocks 1 to 3, then the edge.
+        // Blocks of 8, window of 4 blocks, one pool task. The pool task
+        // holding block 0 is parked in the grid's first cell while the
+        // calling thread runs as far ahead as the window lets it: blocks
+        // 1 to 3, then the edge.
         const WORKERS: usize = 2;
         assert_eq!(Blocks::new(0..64, WORKERS).size, 8);
         let gate = Gate::holding(1);
         let suite = gate.suite(64).threads(WORKERS);
         let mut stream = suite.stream();
-        // The last cell of block 3 has started, so blocks 1 and 2 are in
-        // the channel, ahead of block 0.
-        gate.wait_until_seen(32);
-        gate.release();
+        // The calling thread has claimed nothing yet: the pool task holds
+        // block 0.
+        gate.wait_until_seen(1);
+        // Once the last cell of block 3 has started, blocks 1 and 2 are
+        // in the buffer, ahead of block 0. The grace gives a calling
+        // thread that claimed past the window's edge the time to show it.
+        let releaser = gate.release_once_seen(32, Duration::from_millis(20));
         let emitted: Vec<usize> = stream.by_ref().map(|case| case.input_index).collect();
+        releaser.join().unwrap();
         assert!(emitted.iter().copied().eq(0..64), "grid order");
         let high_water = stream.workers().pending_high_water;
         assert!(
@@ -1723,6 +1796,27 @@ mod tests {
             "buffered up to {high_water} blocks"
         );
         assert!(stream.workers().pending.is_empty(), "all of it emitted");
+    }
+
+    #[test]
+    fn the_calling_thread_carries_the_run() {
+        // Blocks of 8, window of 4 blocks, one pool task. Whichever
+        // thread presents cell 0 parks there, and the other runs blocks 1
+        // to 3 up to the window's edge, so the gate opens once cell 31
+        // has started: the calling thread ran cell 0 or blocks 1 to 3.
+        const WORKERS: usize = 2;
+        assert_eq!(Blocks::new(0..64, WORKERS).size, 8);
+        let gate = Gate::holding(1);
+        let releaser = gate.release_once_seen(32, Duration::ZERO);
+        let parallel = gate.suite(64).threads(WORKERS).run();
+        releaser.join().unwrap();
+        let ran_on = gate.ran_on();
+        assert_eq!(ran_on.len(), 64);
+        assert!(
+            ran_on.values().any(|&id| id == thread::current().id()),
+            "the calling thread ran at least one cell"
+        );
+        assert_eq!(parallel.cases(), gate.suite(64).threads(1).run().cases());
     }
 
     #[test]
@@ -2053,8 +2147,9 @@ mod tests {
             "ten hits, and nothing looked up to be executed since the fill"
         );
         assert_eq!(run.next().unwrap().input_index, 10);
-        // 30 cells left for 3 workers: blocks of 2 from cell 10 on.
-        assert_eq!(run.workers().handles.len(), 3);
+        // 30 cells left for 3 workers: blocks of 2 from cell 10 on, run
+        // by the calling thread and two pool tasks.
+        assert_eq!(run.workers().handles.len(), 2);
         assert!(run.by_ref().map(|case| case.input_index).eq(11..40));
         assert_eq!(run.workers().next_block, 15);
         assert_eq!((run.cache_hits(), run.cache_misses()), (10, 30));

@@ -155,6 +155,8 @@ proptest! {
 /// end on a block boundary, 65 and 71 leave a last block of 1 and of 7,
 /// and 511 / 512 / 513 straddle the 64-cell cap (blocks of 63 with a
 /// last one of 7; eight full blocks; eight full blocks and one cell).
+/// Three and four workers (the calling thread and two or three pool
+/// tasks) cut the same totals at other boundaries.
 #[test]
 fn totals_straddling_block_boundaries_stream_in_grid_order() {
     for total in [5usize, 8, 63, 64, 65, 71, 511, 512, 513] {
@@ -165,26 +167,28 @@ fn totals_straddling_block_boundaries_stream_in_grid_order() {
                 .threads(threads)
         };
         let serial = grid(1).run();
-        let suite = grid(2);
-        let batch = suite.run();
-        assert_eq!(batch.len(), total);
-        assert_eq!(
-            batch.cases(),
-            serial.cases(),
-            "{total} cells: run() ≡ serial"
-        );
+        for threads in 2..=4 {
+            let suite = grid(threads);
+            let batch = suite.run();
+            assert_eq!(batch.len(), total);
+            assert_eq!(
+                batch.cases(),
+                serial.cases(),
+                "{total} cells at {threads} workers: run() ≡ serial"
+            );
 
-        let mut run = suite.stream();
-        assert_eq!(run.len(), total);
-        let streamed: Vec<_> = run.by_ref().collect();
-        assert_eq!(run.len(), 0, "exact-size to the end");
-        assert_eq!(
-            streamed.as_slice(),
-            batch.cases(),
-            "{total} cells: stream ≡ run()"
-        );
-        for (i, case) in streamed.iter().enumerate() {
-            assert_eq!(case.input_index, i);
+            let mut run = suite.stream();
+            assert_eq!(run.len(), total);
+            let streamed: Vec<_> = run.by_ref().collect();
+            assert_eq!(run.len(), 0, "exact-size to the end");
+            assert_eq!(
+                streamed.as_slice(),
+                batch.cases(),
+                "{total} cells at {threads} workers: stream ≡ run()"
+            );
+            for (i, case) in streamed.iter().enumerate() {
+                assert_eq!(case.input_index, i);
+            }
         }
     }
 }
