@@ -58,10 +58,11 @@
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 //!
-//! The former one-call helpers `run_async` / `run_message_passing` remain
-//! as deprecated shims over the same engines ([`execute_shared_memory`],
-//! [`execute_message_passing`]) and replay identical executions for
-//! identical seeds.
+//! `Scenario` runs the engines [`execute_shared_memory`] and
+//! [`execute_message_passing`] at [`default_step_budget`] and
+//! [`default_delivery_budget`] unless a step budget is set; call the
+//! engines directly for an explicit budget. Identical seeds replay
+//! identical executions.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs, missing_debug_implementations)]
@@ -73,13 +74,9 @@ pub mod report;
 pub mod scheduler;
 
 pub use memory::SharedMemory;
-#[allow(deprecated)]
-pub use message_passing::run_message_passing;
 pub use message_passing::{
     default_delivery_budget, execute_message_passing, MessagePassingSystem, MpMessage,
 };
 pub use process::{AsyncPhase, CondSetAgreement};
 pub use report::{AsyncOutcome, AsyncReport};
-#[allow(deprecated)]
-pub use scheduler::run_async;
 pub use scheduler::{default_step_budget, execute_shared_memory, AsyncCrashes, Scheduler};

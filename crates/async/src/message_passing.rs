@@ -343,47 +343,25 @@ where
     system.into_report()
 }
 
-/// One-call helper: [`execute_message_passing`] with the default budget.
-///
-/// # Errors
-///
-/// Infallible; the unified entry point reports failures through
-/// `ExperimentError` instead.
-#[deprecated(
-    since = "0.2.0",
-    note = "use `Scenario::async_set_agreement(n, params, oracle).input(input)\
-            .pattern(crashes).executor(Executor::AsyncMessagePassing { seed }).run()`"
-)]
-pub fn run_message_passing<V, O>(
-    oracle: &O,
-    x: usize,
-    input: &InputVector<V>,
-    crashes: &crate::scheduler::AsyncCrashes,
-    seed: u64,
-) -> AsyncReport<V>
-where
-    V: ProposalValue,
-    O: ConditionOracle<V> + Clone,
-{
-    execute_message_passing(
-        oracle,
-        x,
-        input,
-        crashes,
-        seed,
-        default_delivery_budget(input.len()),
-    )
-}
-
 #[cfg(test)]
-// The tests drive the deprecated `run_message_passing` shim on purpose:
-// it must keep replaying the engine's executions byte-for-byte until it
-// is removed, so exercising it here keeps its budget wiring covered.
-#[allow(deprecated)]
 mod tests {
     use super::*;
+    use crate::scheduler::tests::run_sm;
     use crate::scheduler::AsyncCrashes;
     use setagree_conditions::{LegalityParams, MaxCondition};
+
+    /// The message-passing engine at the default budget, as `Scenario`
+    /// runs it.
+    fn run_mp(
+        oracle: &MaxCondition,
+        x: usize,
+        input: &InputVector<u32>,
+        crashes: &AsyncCrashes,
+        seed: u64,
+    ) -> AsyncReport<u32> {
+        let budget = default_delivery_budget(input.len());
+        execute_message_passing(oracle, x, input, crashes, seed, budget)
+    }
 
     fn oracle(x: usize, ell: usize) -> MaxCondition {
         MaxCondition::new(LegalityParams::new(x, ell).unwrap())
@@ -397,7 +375,7 @@ mod tests {
     fn failure_free_terminates_with_ell_values() {
         let inp = input(&[9, 9, 8, 8, 1]);
         for seed in 0..40 {
-            let report = run_message_passing(&oracle(2, 2), 2, &inp, &AsyncCrashes::none(), seed);
+            let report = run_mp(&oracle(2, 2), 2, &inp, &AsyncCrashes::none(), seed);
             assert!(report.all_correct_decided(), "seed {seed}: {report}");
             assert!(
                 report.decided_values().len() <= 2,
@@ -414,7 +392,7 @@ mod tests {
     fn consensus_grade_agreement() {
         let inp = input(&[7, 7, 7, 2, 3, 7]);
         for seed in 0..40 {
-            let report = run_message_passing(&oracle(2, 1), 2, &inp, &AsyncCrashes::none(), seed);
+            let report = run_mp(&oracle(2, 1), 2, &inp, &AsyncCrashes::none(), seed);
             assert!(report.all_correct_decided(), "seed {seed}");
             assert!(report.decided_values().len() <= 1, "seed {seed}");
         }
@@ -427,7 +405,7 @@ mod tests {
             .crash_after(ProcessId::new(3), 0)
             .crash_after(ProcessId::new(4), 0);
         for seed in 0..30 {
-            let report = run_message_passing(&oracle(2, 1), 2, &inp, &crashes, seed);
+            let report = run_mp(&oracle(2, 1), 2, &inp, &crashes, seed);
             assert_eq!(report.crashed_count(), 2, "seed {seed}");
             assert!(report.all_correct_decided(), "seed {seed}: {report}");
             assert!(report.decided_values().len() <= 1, "seed {seed}");
@@ -439,14 +417,14 @@ mod tests {
     /// views decode through different completions and split. ([20]'s
     /// message-passing protocol avoids this by emulating registers over
     /// majority quorums, i.e. by reducing to the shared-memory substrate,
-    /// which our `scheduler::run_async` keeps safe unconditionally.)
+    /// which [`execute_shared_memory`] keeps safe unconditionally.)
     #[test]
     fn out_of_condition_safety_is_not_guaranteed() {
         let inp = input(&[1, 2, 3, 4]);
         let mut blocked_total = 0;
         let mut max_decided = 0;
         for seed in 0..40 {
-            let report = run_message_passing(&oracle(1, 1), 1, &inp, &AsyncCrashes::none(), seed);
+            let report = run_mp(&oracle(1, 1), 1, &inp, &AsyncCrashes::none(), seed);
             max_decided = max_decided.max(report.decided_values().len());
             blocked_total += report.blocked_count();
         }
@@ -462,8 +440,7 @@ mod tests {
         // Contrast: the shared-memory substrate stays safe on the same
         // out-of-condition input under every schedule.
         for seed in 0..40 {
-            let sm =
-                crate::scheduler::run_async(&oracle(1, 1), 1, &inp, &AsyncCrashes::none(), seed);
+            let sm = run_sm(&oracle(1, 1), 1, &inp, &AsyncCrashes::none(), seed);
             assert!(
                 sm.decided_values().len() <= 1,
                 "seed {seed}: snapshots keep MP-safety"
@@ -474,8 +451,8 @@ mod tests {
     #[test]
     fn replay_is_deterministic() {
         let inp = input(&[9, 9, 8, 8, 1]);
-        let a = run_message_passing(&oracle(2, 2), 2, &inp, &AsyncCrashes::none(), 77);
-        let b = run_message_passing(&oracle(2, 2), 2, &inp, &AsyncCrashes::none(), 77);
+        let a = run_mp(&oracle(2, 2), 2, &inp, &AsyncCrashes::none(), 77);
+        let b = run_mp(&oracle(2, 2), 2, &inp, &AsyncCrashes::none(), 77);
         assert_eq!(a, b);
     }
 
@@ -487,8 +464,8 @@ mod tests {
         let inp = input(&[6, 6, 5, 5, 1, 6]);
         let o = oracle(2, 2);
         for seed in 0..20 {
-            let mp = run_message_passing(&o, 2, &inp, &AsyncCrashes::none(), seed);
-            let sm = crate::scheduler::run_async(&o, 2, &inp, &AsyncCrashes::none(), seed);
+            let mp = run_mp(&o, 2, &inp, &AsyncCrashes::none(), seed);
+            let sm = run_sm(&o, 2, &inp, &AsyncCrashes::none(), seed);
             for r in [&mp, &sm] {
                 assert!(r.all_correct_decided(), "seed {seed}");
                 assert!(r.decided_values().len() <= 2, "seed {seed}");

@@ -217,46 +217,23 @@ where
     Scheduler::new(seed, max_steps).run(processes, &mut memory, crashes)
 }
 
-/// One-call helper: [`execute_shared_memory`] with the default budget.
-///
-/// # Errors
-///
-/// Infallible; the unified entry point reports failures through
-/// `ExperimentError` instead.
-#[deprecated(
-    since = "0.2.0",
-    note = "use `Scenario::async_set_agreement(n, params, oracle).input(input)\
-            .pattern(crashes).executor(Executor::AsyncSharedMemory { seed }).run()`"
-)]
-pub fn run_async<V, O>(
-    oracle: &O,
-    x: usize,
-    input: &InputVector<V>,
-    crashes: &AsyncCrashes,
-    seed: u64,
-) -> AsyncReport<V>
-where
-    V: ProposalValue,
-    O: ConditionOracle<V> + Clone,
-{
-    execute_shared_memory(
-        oracle,
-        x,
-        input,
-        crashes,
-        seed,
-        default_step_budget(input.len()),
-    )
-}
-
 #[cfg(test)]
-// The tests drive the deprecated `run_async` shim on purpose: it must
-// keep replaying the engine's executions byte-for-byte until it is
-// removed, so exercising it here keeps its budget wiring covered.
-#[allow(deprecated)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use setagree_conditions::{LegalityParams, MaxCondition};
+
+    /// The shared-memory engine at the default budget, as `Scenario`
+    /// runs it.
+    pub(crate) fn run_sm(
+        oracle: &MaxCondition,
+        x: usize,
+        input: &InputVector<u32>,
+        crashes: &AsyncCrashes,
+        seed: u64,
+    ) -> AsyncReport<u32> {
+        let budget = default_step_budget(input.len());
+        execute_shared_memory(oracle, x, input, crashes, seed, budget)
+    }
 
     fn oracle(x: usize, ell: usize) -> MaxCondition {
         MaxCondition::new(LegalityParams::new(x, ell).unwrap())
@@ -271,7 +248,7 @@ mod tests {
         // (x, ℓ) = (2, 2); input's top-2 {8, 9} occupy 4 > 2 entries: in C.
         let inp = input(&[9, 9, 8, 8, 1]);
         for seed in 0..30 {
-            let report = run_async(&oracle(2, 2), 2, &inp, &AsyncCrashes::none(), seed);
+            let report = run_sm(&oracle(2, 2), 2, &inp, &AsyncCrashes::none(), seed);
             assert!(report.all_settled_or_crashed(), "seed {seed}");
             assert!(report.decided_values().len() <= 2, "seed {seed}");
             for v in report.decided_values() {
@@ -289,7 +266,7 @@ mod tests {
             .crash_after(ProcessId::new(3), 0)
             .crash_after(ProcessId::new(4), 1);
         for seed in 0..30 {
-            let report = run_async(&oracle(2, 1), 2, &inp, &crashes, seed);
+            let report = run_sm(&oracle(2, 1), 2, &inp, &crashes, seed);
             assert!(report.all_settled_or_crashed(), "seed {seed}: {report}");
             // Model guarantee, not a seed artefact: a budgeted process
             // stays runnable until scheduled past its budget, and the run
@@ -313,7 +290,7 @@ mod tests {
         let inp = input(&[1, 2, 3, 4]);
         let mut fully_blocked = 0;
         for seed in 0..30 {
-            let report = run_async(&oracle(1, 1), 1, &inp, &AsyncCrashes::none(), seed);
+            let report = run_sm(&oracle(1, 1), 1, &inp, &AsyncCrashes::none(), seed);
             assert!(report.all_settled_or_crashed(), "seed {seed}: {report}");
             assert!(
                 report.blocked_count() >= 1,
@@ -339,7 +316,7 @@ mod tests {
             .crash_after(ProcessId::new(1), 0)
             .crash_after(ProcessId::new(2), 0);
         for seed in 0..30 {
-            let report = run_async(&oracle(1, 1), 1, &inp, &crashes, seed);
+            let report = run_sm(&oracle(1, 1), 1, &inp, &crashes, seed);
             assert_eq!(report.crashed_count(), 3, "seed {seed}");
             assert_eq!(report.unfinished_count(), 1, "seed {seed}: {report}");
             assert!(!report.all_settled_or_crashed(), "seed {seed}");
@@ -350,8 +327,8 @@ mod tests {
     fn replay_is_deterministic() {
         let inp = input(&[9, 9, 8, 8, 1]);
         let crashes = AsyncCrashes::none().crash_after(ProcessId::new(2), 1);
-        let a = run_async(&oracle(2, 2), 2, &inp, &crashes, 99);
-        let b = run_async(&oracle(2, 2), 2, &inp, &crashes, 99);
+        let a = run_sm(&oracle(2, 2), 2, &inp, &crashes, 99);
+        let b = run_sm(&oracle(2, 2), 2, &inp, &crashes, 99);
         assert_eq!(a, b);
     }
 

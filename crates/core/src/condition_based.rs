@@ -60,8 +60,8 @@ pub enum CbMessage<V> {
 ///
 /// Construct one instance per process with the same configuration and
 /// oracle, then execute them with
-/// [`run_protocol`](setagree_sync::run_protocol) or the
-/// [`runner`](crate::runner) helpers.
+/// [`run_protocol`](setagree_sync::run_protocol), or run the whole
+/// system through [`Scenario::condition_based`](crate::Scenario::condition_based).
 pub struct ConditionBased<V, O> {
     config: ConditionBasedConfig,
     me: ProcessId,

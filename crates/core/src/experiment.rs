@@ -68,8 +68,8 @@ use crate::early_deciding::EarlyDeciding;
 use crate::report::Report;
 
 /// Everything that can go wrong preparing or running a scenario — the
-/// single error type absorbing the former `RunError`, the simulator's
-/// `EngineError` and the node tier's `NodeError`.
+/// single error type absorbing the simulator's `EngineError` and the
+/// node tier's `NodeError`.
 ///
 /// Backend errors are *flattened* into matching variants rather than
 /// wrapped (no `source()` chain): that keeps the type `Clone + Eq`,
@@ -1073,8 +1073,7 @@ impl<V: ProposalValue, O: ConditionOracle<V> + Clone> Scenario<V, O> {
     ///
     /// Unlike [`Scenario::run`] this needs no `Send + 'static` bounds,
     /// so it accepts oracles that cannot cross threads (e.g. an
-    /// `ExplicitOracle` over a borrowing recognizing function) — the
-    /// same capability the deprecated `run_*` helpers had.
+    /// `ExplicitOracle` over a borrowing recognizing function).
     ///
     /// # Errors
     ///
@@ -1528,20 +1527,33 @@ mod tests {
     #[test]
     fn async_over_budget_schedules_probe_the_frontier() {
         // 3 initial crashes against x = 1: legal to schedule — the report
-        // shows the stranded survivor instead of a validation error.
+        // shows the stranded survivor instead of a validation error. It
+        // never sees n − x = 3 entries, so it keeps stepping until the
+        // budget cuts it off: with no step_budget set, the run's length
+        // is exactly the default budget.
         let params = LegalityParams::new(1, 1).unwrap();
         let crashes = AsyncCrashes::none()
             .crash_after(ProcessId::new(0), 0)
             .crash_after(ProcessId::new(1), 0)
             .crash_after(ProcessId::new(2), 0);
-        let report = Scenario::async_set_agreement(4, params, MaxCondition::new(params))
+        let scenario = Scenario::async_set_agreement(4, params, MaxCondition::new(params))
             .input(vec![5u32, 5, 1, 2])
-            .pattern(crashes)
-            .executor(Executor::AsyncSharedMemory { seed: 7 })
-            .run()
-            .unwrap();
-        assert_eq!(report.async_report().unwrap().unfinished_count(), 1);
-        assert!(!report.within_predicted_rounds(), "budget cut the run off");
+            .pattern(crashes);
+        for seed in [0, 7, 42] {
+            let report = scenario
+                .clone()
+                .executor(Executor::AsyncSharedMemory { seed })
+                .run()
+                .unwrap();
+            let stranded = report.async_report().unwrap();
+            assert_eq!(stranded.unfinished_count(), 1, "seed {seed}");
+            assert_eq!(
+                stranded.total_steps(),
+                default_step_budget(4),
+                "seed {seed}"
+            );
+            assert!(!report.within_predicted_rounds(), "budget cut the run off");
+        }
     }
 
     #[test]

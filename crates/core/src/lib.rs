@@ -93,7 +93,6 @@ pub mod early_deciding;
 pub mod experiment;
 pub mod report;
 mod round_one;
-pub mod runner;
 pub mod suite;
 
 pub use baselines::FloodSet;
@@ -104,13 +103,7 @@ pub use dense_flood::DenseFlood;
 pub use early_condition::{EarlyConditionBased, EcbMessage};
 pub use early_deciding::EarlyDeciding;
 pub use experiment::{Adversary, Executor, ExperimentError, ProtocolKind, ProtocolSpec, Scenario};
-#[allow(deprecated)]
-pub use report::RunReport;
 pub use report::{Execution, Report};
-#[allow(deprecated)]
-pub use runner::{
-    run_condition_based, run_early_condition_based, run_early_deciding, run_floodset, RunError,
-};
 // Re-exported so scenario authors can build async adversaries and read
 // raw async outcomes without a separate setagree-async dependency.
 pub use setagree_async::{AsyncCrashes, AsyncOutcome, AsyncReport};

@@ -57,13 +57,6 @@ pub struct Report<V: Ord> {
     executor: Executor,
 }
 
-/// Former name of [`Report`].
-#[deprecated(
-    since = "0.2.0",
-    note = "renamed to `Report`; produced by `Scenario::run`"
-)]
-pub type RunReport<V> = Report<V>;
-
 impl<V: ProposalValue> Report<V> {
     pub(crate) fn new(
         trace: Trace<V>,

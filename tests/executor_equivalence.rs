@@ -5,14 +5,17 @@
 //! one generated scenario, two `Executor`s, identical `Trace`s — across
 //! seeds, all four protocols, and proptest-generated failure patterns.
 //!
-//! The asynchronous side gets the same treatment: the deprecated
-//! `run_async`/`run_message_passing` shims must replay byte-identical
-//! executions to `Executor::AsyncSharedMemory`/`AsyncMessagePassing` for
-//! fixed seeds, and a `ScenarioSuite` grid can mix synchronous and
+//! The asynchronous side gets the same treatment:
+//! `Executor::AsyncSharedMemory`/`AsyncMessagePassing` must replay the
+//! byte-identical executions of the raw engines at their default budgets
+//! for fixed seeds, and a `ScenarioSuite` grid can mix synchronous and
 //! asynchronous cells.
 
 use proptest::prelude::*;
 
+use setagree::asynchronous::{
+    default_delivery_budget, default_step_budget, execute_message_passing, execute_shared_memory,
+};
 use setagree::conditions::{LegalityParams, MaxCondition};
 use setagree::core::{
     AsyncCrashes, ConditionBasedConfig, Executor, ProtocolKind, ProtocolSpec, Scenario,
@@ -141,12 +144,11 @@ fn async_crashes_strategy(n: usize, x: usize) -> impl Strategy<Value = AsyncCras
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// The deprecated async one-call helpers are trace-identical shims:
+    /// The async executors are the engines at their default budgets:
     /// for any fixed seed, input and crash schedule they replay the
-    /// byte-identical `AsyncReport` the `Executor` variants produce.
+    /// byte-identical `AsyncReport` the engine entry points produce.
     #[test]
-    #[allow(deprecated)]
-    fn deprecated_async_shims_are_trace_identical(
+    fn async_executors_replay_the_engines(
         entries in proptest::collection::vec(1u32..=5, 6),
         crashes in async_crashes_strategy(6, 2),
         seed in any::<u64>(),
@@ -158,7 +160,8 @@ proptest! {
             .input(input.clone())
             .pattern(crashes.clone());
 
-        let shim = setagree::asynchronous::run_async(&oracle, 2, &input, &crashes, seed);
+        let budget = default_step_budget(6);
+        let engine = execute_shared_memory(&oracle, 2, &input, &crashes, seed, budget);
         let unified = scenario
             .clone()
             .executor(Executor::AsyncSharedMemory { seed })
@@ -166,20 +169,21 @@ proptest! {
             .expect("valid scenario");
         prop_assert_eq!(
             unified.async_report().expect("asynchronous run"),
-            &shim,
-            "shared-memory shim diverged at seed {}",
+            &engine,
+            "shared-memory executor diverged at seed {}",
             seed
         );
 
-        let shim = setagree::asynchronous::run_message_passing(&oracle, 2, &input, &crashes, seed);
+        let budget = default_delivery_budget(6);
+        let engine = execute_message_passing(&oracle, 2, &input, &crashes, seed, budget);
         let unified = scenario
             .executor(Executor::AsyncMessagePassing { seed })
             .run()
             .expect("valid scenario");
         prop_assert_eq!(
             unified.async_report().expect("asynchronous run"),
-            &shim,
-            "message-passing shim diverged at seed {}",
+            &engine,
+            "message-passing executor diverged at seed {}",
             seed
         );
     }
