@@ -29,14 +29,12 @@
 #![warn(missing_docs, missing_debug_implementations)]
 
 pub mod chain;
-pub mod dense;
 pub mod frame;
 pub mod journal;
 pub mod obs;
 pub mod wire;
 
 pub use chain::ChainHash;
-pub use dense::{decode_dense_view, encode_dense_view};
 pub use frame::{Frame, FrameError, FrameKind, MAX_FRAME_LEN};
 pub use journal::{Cursor, JournalTail, JournalWriter, JOURNAL_MAGIC, MAX_RECORD_LEN};
 pub use obs::SnapshotCodec;

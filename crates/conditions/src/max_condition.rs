@@ -55,9 +55,7 @@ use std::fmt;
 
 use serde::{Deserialize, Serialize};
 
-use setagree_types::{
-    DenseVector, DenseView, IdSet, InputVector, ProcessId, ProposalValue, ValueId, View,
-};
+use setagree_types::{DenseView, IdSet, InputVector, ProcessId, ProposalValue, ValueId, View};
 
 use crate::condition::Condition;
 use crate::legality::LegalityParams;
@@ -113,13 +111,6 @@ impl MaxCondition {
     /// non-member get `max_ℓ` of it all the same (the function is total).
     pub fn decode<V: ProposalValue>(&self, vector: &InputVector<V>) -> BTreeSet<V> {
         vector.greatest_distinct(self.params.ell())
-    }
-
-    /// [`MaxCondition::contains`] on the dense engine: interned ids, one
-    /// counting pass, zero value clones (id order is value order, so the
-    /// check never resolves a [`ValueId`] back to its value).
-    pub fn contains_dense(&self, vector: &DenseVector) -> bool {
-        vector.greatest_distinct_weight(self.params.ell()) > self.params.x()
     }
 
     /// The view predicate `P(J)` on the dense engine — the id-bitmap

@@ -162,16 +162,16 @@ pub enum ExperimentError {
         transport: TransportKind,
     },
     /// A networked round timed out on peers that were never confirmed
-    /// dead: they were *suspected* — slow, partitioned, or silently
-    /// lossy — and the transport's resend/reconnect budget ran out
-    /// before either a frame or an end-of-stream arrived. Distinct from
+    /// dead: still connected — slow, partitioned, or silently lossy —
+    /// they sent neither their frame nor an end-of-stream before the
+    /// round deadline, resend requests notwithstanding. Distinct from
     /// a crash on purpose: mislabelling a slow node as a paper-model
     /// crash would fabricate a failure pattern the adversary never
     /// scheduled.
     RoundTimeout {
         /// The round that timed out.
         round: usize,
-        /// The suspected-but-unconfirmed peers.
+        /// The connected but silent peers.
         peers: Vec<ProcessId>,
     },
     /// An engine or runtime error this crate predates (the backends'

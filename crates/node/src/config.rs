@@ -17,20 +17,15 @@ pub const DEFAULT_CONNECT_TIMEOUT: Duration = Duration::from_secs(10);
 /// CLI default derives from.
 pub const DEFAULT_ROUND_TIMEOUT: Duration = Duration::from_secs(10);
 
-/// Default for [`NodeConfig::reconnect_attempts`].
-pub const DEFAULT_RECONNECT_ATTEMPTS: u32 = 3;
-
-/// Default for [`NodeConfig::reconnect_base_delay`].
-pub const DEFAULT_RECONNECT_BASE_DELAY: Duration = Duration::from_millis(25);
-
-/// Default for [`NodeConfig::reconnect_window`].
-pub const DEFAULT_RECONNECT_WINDOW: Duration = Duration::from_millis(500);
-
 /// Configuration of one node in an `n`-node TCP system.
 ///
 /// Node `i` listens on `peers[i]`; the full peer list is the system
 /// membership, identical on every node (the synchronous model's known,
 /// fixed membership).
+///
+/// Link recovery has no knobs: a broken link gets one redial campaign
+/// and one 500 ms reconnect window, after which the peer is confirmed
+/// dead (see the [`tcp`](crate::tcp) module's "Self-healing").
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct NodeConfig {
     /// This node's identity.
@@ -40,20 +35,10 @@ pub struct NodeConfig {
     /// How long to keep retrying the initial full-mesh connection.
     pub connect_timeout: Duration,
     /// How long one round may wait for missing peers before the
-    /// transport gives up: peers whose stream closed are then confirmed
+    /// transport gives up: peers whose link is closed are then confirmed
     /// dead, and still-connected silent peers surface as a round
     /// timeout rather than a fabricated crash.
     pub round_timeout: Duration,
-    /// How many redial campaigns a broken outbound link gets before the
-    /// peer is confirmed dead (each campaign retries with bounded
-    /// exponential backoff from [`NodeConfig::reconnect_base_delay`]).
-    pub reconnect_attempts: u32,
-    /// First retry delay of a redial campaign; doubles per attempt.
-    pub reconnect_base_delay: Duration,
-    /// How long a peer whose stream closed may take to re-handshake
-    /// before it is confirmed dead (the inbound-side reconnect budget —
-    /// the closed peer must redial us within this window).
-    pub reconnect_window: Duration,
     /// An injected link-fault plan, applied to first-arrival `Msg`
     /// frames at this node's receive boundary (recovery frames are
     /// exempt — they model recovery, not fresh transmissions).
@@ -62,8 +47,8 @@ pub struct NodeConfig {
 
 impl NodeConfig {
     /// A configuration with default timeouts
-    /// ([`DEFAULT_CONNECT_TIMEOUT`], [`DEFAULT_ROUND_TIMEOUT`]), default
-    /// reconnect budgets and no fault plan.
+    /// ([`DEFAULT_CONNECT_TIMEOUT`], [`DEFAULT_ROUND_TIMEOUT`]) and no
+    /// fault plan.
     ///
     /// # Errors
     ///
@@ -84,9 +69,6 @@ impl NodeConfig {
             peers,
             connect_timeout: DEFAULT_CONNECT_TIMEOUT,
             round_timeout: DEFAULT_ROUND_TIMEOUT,
-            reconnect_attempts: DEFAULT_RECONNECT_ATTEMPTS,
-            reconnect_base_delay: DEFAULT_RECONNECT_BASE_DELAY,
-            reconnect_window: DEFAULT_RECONNECT_WINDOW,
             fault_plan: None,
         })
     }
@@ -110,19 +92,6 @@ impl NodeConfig {
     /// Overrides the per-round wait for missing peers.
     pub fn with_round_timeout(mut self, timeout: Duration) -> NodeConfig {
         self.round_timeout = timeout;
-        self
-    }
-
-    /// Overrides the reconnect budget (campaigns and backoff base).
-    pub fn with_reconnect(mut self, attempts: u32, base_delay: Duration) -> NodeConfig {
-        self.reconnect_attempts = attempts;
-        self.reconnect_base_delay = base_delay;
-        self
-    }
-
-    /// Overrides the inbound-side reconnect window.
-    pub fn with_reconnect_window(mut self, window: Duration) -> NodeConfig {
-        self.reconnect_window = window;
         self
     }
 

@@ -79,6 +79,5 @@ pub use setagree_codec::{Frame, FrameError, FrameKind, MAX_FRAME_LEN};
 pub use tcp::{TcpError, TcpTransport};
 pub use testnet::{run_testnet, run_testnet_observed, TestnetConfig, TestnetError};
 pub use transport::{
-    DenseViewCodec, MsgCodec, Transport, TransportKind, Typed, TypedError, U32Codec,
-    UnknownTransport,
+    MsgCodec, Transport, TransportKind, Typed, TypedError, U32Codec, UnknownTransport,
 };

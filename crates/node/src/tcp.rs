@@ -15,20 +15,25 @@
 //!
 //! # Self-healing
 //!
-//! An anomaly is not instantly a death. A round that stalls escalates
-//! through **suspicion**: the node rebroadcasts [`FrameKind::Resend`]
-//! requests, and any peer answers with [`FrameKind::Relay`] copies of
-//! the round's broadcasts it has seen (including a crashed sender's
-//! delivered prefix — relays propagate it to peers the prefix missed).
-//! A *closed* stream starts a bounded-exponential-backoff redial
-//! campaign (for peers this node dials) or an acceptance window on the
-//! persistent listener (for peers that dial this node); a successful
-//! re-handshake resumes at the current round by replaying the sender's
-//! recent frames. Only when the reconnect budget is exhausted does the
-//! transport fall back to the old kill-detection and confirm the peer
-//! dead. A peer that stays *connected but silent* past `round_timeout`
-//! is **not** declared crashed — that would fabricate a paper-model
-//! failure the adversary never scheduled — and surfaces as
+//! An anomaly is not instantly a death. A round that stalls
+//! rebroadcasts [`FrameKind::Resend`] requests, and any peer answers
+//! with [`FrameKind::Relay`] copies of the round's broadcasts it has
+//! seen (including a crashed sender's delivered prefix — relays
+//! propagate it to peers the prefix missed). A resend changes no link
+//! state.
+//!
+//! A link is up, or closed since some instant, and a break closes it
+//! once: a `Closed` from a replaced stream is stale. The dialing side
+//! then redials with doubling backoff and the accepting side waits on
+//! its persistent listener, both for one reconnect window. A
+//! re-handshake that beats the old stream's close is parked until that
+//! close arrives, and discarded once older than the window, so a stray
+//! hello never takes over a link. A successful re-handshake resumes at
+//! the current round by replaying the sender's recent frames. A link
+//! closed for the whole window, or through a round deadline, confirms
+//! the peer dead. A peer that stays *connected but silent* past
+//! `round_timeout` is **not** declared crashed — that would fabricate a
+//! paper-model failure the adversary never scheduled — and surfaces as
 //! [`TcpError::RoundTimeout`] instead.
 //!
 //! # Injected faults
@@ -72,10 +77,17 @@ use crate::transport::Transport;
 /// How many past rounds of broadcasts are retained for relay service.
 const RELAY_KEEP: usize = 4;
 
-/// Poll granularity of the collect loop: how often suspicion deadlines,
-/// reconnect windows and the round deadline are re-checked while
-/// blocked on the event channel.
+/// Poll granularity of the collect loop: how often reconnect windows
+/// and the round deadline are re-checked while blocked on the event
+/// channel.
 const COLLECT_TICK: Duration = Duration::from_millis(25);
+
+/// First delay of a redial campaign; doubles per attempt.
+const REDIAL_BASE_DELAY: Duration = Duration::from_millis(25);
+
+/// How long a closed link may take to re-handshake before the peer is
+/// confirmed dead. Also the lifetime of a parked re-handshake.
+const RECONNECT_WINDOW: Duration = Duration::from_millis(500);
 
 /// Every frame kind, in tag order — drives the per-kind counter arrays.
 const FRAME_KINDS: [FrameKind; 5] = [
@@ -165,14 +177,13 @@ pub enum TcpError {
     /// Not every peer connected before the deadline.
     HandshakeTimeout,
     /// A round stalled past `round_timeout` on peers that are still
-    /// *connected* — suspected, resent to, but neither heard from nor
-    /// confirmed dead. Treating them as crashed would mislabel a slow
-    /// node as a paper-model failure, so the round fails loudly
-    /// instead.
+    /// *connected* — resent to, but neither heard from nor confirmed
+    /// dead. Treating them as crashed would mislabel a slow node as a
+    /// paper-model failure, so the round fails loudly instead.
     RoundTimeout {
         /// The round that stalled.
         round: usize,
-        /// The suspected-but-unconfirmed peers.
+        /// The connected but silent peers.
         peers: Vec<ProcessId>,
     },
 }
@@ -211,40 +222,33 @@ impl Error for TcpError {}
 #[derive(Debug)]
 enum PeerEvent {
     Frame(Frame),
-    Closed,
+    /// The reader of the stream adopted at this epoch saw end-of-stream
+    /// or a read error.
+    Closed(u64),
     /// A (re)connected, hello-identified stream for this peer — from the
-    /// persistent listener (peer redialled us) or from one of our redial
-    /// campaigns (we reached the peer again).
+    /// persistent listener (peer redialled us) or from our redial
+    /// campaign (we reached the peer again).
     Reconnected(TcpStream),
-    /// A redial campaign exhausted its backoff budget.
-    GaveUp,
 }
 
-/// What this node knows about one peer.
-#[derive(Debug, Clone, Copy)]
+/// What this node knows about one peer. The link is up while
+/// `closed_at` is `None`, and closed since that instant otherwise.
+#[derive(Debug, Default)]
 struct PeerState {
     /// The round after which the peer (cleanly) stopped participating.
     settled_at: Option<usize>,
-    /// Confirmed dead: stream closed *and* the reconnect budget ran out.
+    /// Confirmed dead: the link stayed closed for the reconnect window,
+    /// or through a round deadline.
     down: bool,
-    /// The peer's stream closed; recovery is in progress.
-    suspect: bool,
-    /// When the stream closed (drives the inbound reconnect window).
+    /// When the link closed; `None` while it is up.
     closed_at: Option<Instant>,
-    /// Redial campaigns left before a closed outbound link is final.
-    redials_left: u32,
-}
-
-impl PeerState {
-    fn fresh(redials: u32) -> PeerState {
-        PeerState {
-            settled_at: None,
-            down: false,
-            suspect: false,
-            closed_at: None,
-            redials_left: redials,
-        }
-    }
+    /// Streams adopted since the mesh formed. A `Closed` from the reader
+    /// of an older stream reports a break already recorded.
+    epoch: u64,
+    /// A re-handshake that arrived while the link was still up, and
+    /// when: adopted once the current stream closes, if it is younger
+    /// than the reconnect window by then.
+    parked: Option<(TcpStream, Instant)>,
 }
 
 /// One node's TCP connection to the rest of the system.
@@ -278,9 +282,6 @@ pub struct TcpTransport {
     current_round: usize,
     settled_round: Option<usize>,
     round_timeout: Duration,
-    reconnect_attempts: u32,
-    reconnect_base_delay: Duration,
-    reconnect_window: Duration,
     fault_plan: Option<FaultPlan>,
 }
 
@@ -395,7 +396,7 @@ impl TcpTransport {
             let reader = writer
                 .try_clone()
                 .map_err(|e| TcpError::io("clone stream", e))?;
-            spawn_reader(peer, reader, event_tx.clone());
+            spawn_reader(peer, 0, reader, event_tx.clone());
         }
 
         Ok(TcpTransport {
@@ -405,7 +406,7 @@ impl TcpTransport {
             events,
             event_tx,
             peer_addrs: config.peers.clone(),
-            peers: vec![PeerState::fresh(config.reconnect_attempts); n],
+            peers: (0..n).map(|_| PeerState::default()).collect(),
             pending: BTreeMap::new(),
             self_letter: None,
             sent_log: BTreeMap::new(),
@@ -415,9 +416,6 @@ impl TcpTransport {
             current_round: 0,
             settled_round: None,
             round_timeout: config.round_timeout,
-            reconnect_attempts: config.reconnect_attempts,
-            reconnect_base_delay: config.reconnect_base_delay,
-            reconnect_window: config.reconnect_window,
             fault_plan: config.fault_plan.clone(),
         })
     }
@@ -429,46 +427,57 @@ impl TcpTransport {
     }
 
     /// Whether the round loop still expects a frame from `peer` in
-    /// `round`. Suspects are expected: they may heal.
+    /// `round`. A closed link is expected until confirmed dead: it may
+    /// heal.
     fn expects(&self, peer: usize, round: usize) -> bool {
-        let state = self.peers[peer];
+        let state = &self.peers[peer];
         !state.down && state.settled_at.is_none_or(|r| r >= round)
     }
 
-    /// Confirms a peer dead: its stream is gone and its reconnect budget
-    /// is spent. The old instant-death path, now the last resort.
+    /// Confirms a peer dead: its link stayed closed for the reconnect
+    /// window, or through a round deadline.
     fn mark_down(&mut self, peer: usize) {
         if !self.peers[peer].down && setagree_obs::enabled() {
             tcp_metrics().peers_confirmed_down.inc();
         }
         self.peers[peer].down = true;
-        self.peers[peer].suspect = false;
         if let Some(w) = self.writers[peer].take() {
             let _ = w.shutdown(Shutdown::Both);
         }
     }
 
-    /// A peer's stream broke (EOF, read error or write failure): mark it
-    /// suspect and start recovery — a redial campaign if we are the
-    /// dialing side, otherwise the listener's reconnect window.
+    /// A peer's stream broke (EOF, read error or write failure). The
+    /// first report closes the link and starts its one recovery: adopt
+    /// a parked re-handshake that is still inside the window, or else,
+    /// on the dialing side, redial until the window ends. Later reports
+    /// of the same break change nothing.
     fn note_closed(&mut self, peer: usize) {
-        if self.peers[peer].down {
+        let state = &mut self.peers[peer];
+        if state.down || state.closed_at.is_some() {
             return;
         }
+        let now = Instant::now();
+        state.closed_at = Some(now);
+        let parked = state.parked.take();
         if let Some(w) = self.writers[peer].take() {
             let _ = w.shutdown(Shutdown::Both);
         }
-        let state = &mut self.peers[peer];
-        state.suspect = true;
-        state.closed_at = Some(Instant::now());
-        if peer < self.me.index() && state.redials_left > 0 {
-            state.redials_left -= 1;
+        match parked {
+            Some((stream, at)) if now < at + RECONNECT_WINDOW => {
+                return self.adopt_stream(peer, stream);
+            }
+            Some((stale, _)) => {
+                let _ = stale.shutdown(Shutdown::Both);
+            }
+            None => {}
+        }
+        if peer < self.me.index() {
+            let deadline = now + RECONNECT_WINDOW;
             spawn_redial(
                 self.me,
                 peer,
                 self.peer_addrs[peer],
-                self.reconnect_attempts,
-                self.reconnect_base_delay,
+                deadline,
                 self.event_tx.clone(),
             );
         }
@@ -477,27 +486,30 @@ impl TcpTransport {
     /// Adopts a freshly (re)identified stream for `peer` and resumes at
     /// the current round: replay our recent broadcasts (the originals
     /// may have died with the old socket) and our settlement, then pull
-    /// whatever we missed.
+    /// whatever we missed. While the link is still up the stream is
+    /// parked instead: the old stream's `Closed` may be in flight behind
+    /// this handshake.
     fn adopt_stream(&mut self, peer: usize, stream: TcpStream) {
-        if peer >= self.n || peer == self.me.index() || self.peers[peer].down {
+        if peer == self.me.index() || self.peers[peer].down {
             let _ = stream.shutdown(Shutdown::Both);
             return;
         }
-        if !self.peers[peer].suspect && self.writers[peer].is_some() {
-            // The link is healthy; a spurious extra handshake (hostile
-            // or raced) must not hijack it.
-            let _ = stream.shutdown(Shutdown::Both);
+        if self.peers[peer].closed_at.is_none() {
+            let parked = (stream, Instant::now());
+            if let Some((older, _)) = self.peers[peer].parked.replace(parked) {
+                let _ = older.shutdown(Shutdown::Both);
+            }
             return;
         }
         let Ok(reader) = stream.try_clone() else {
             let _ = stream.shutdown(Shutdown::Both);
             return;
         };
-        self.writers[peer] = Some(stream);
-        spawn_reader(peer, reader, self.event_tx.clone());
         let state = &mut self.peers[peer];
-        state.suspect = false;
+        state.epoch += 1;
         state.closed_at = None;
+        spawn_reader(peer, state.epoch, reader, self.event_tx.clone());
+        self.writers[peer] = Some(stream);
 
         // Resume: recent broadcasts as ordinary first-arrival Msg frames
         // (an injected plan judges them exactly once, deterministically),
@@ -685,15 +697,11 @@ impl TcpTransport {
         }
         match event {
             PeerEvent::Frame(frame) => self.note_frame(peer, frame, round, got),
-            PeerEvent::Closed => self.note_closed(peer),
+            PeerEvent::Closed(epoch) if epoch == self.peers[peer].epoch => self.note_closed(peer),
+            // The reader of a stream already replaced: its break was
+            // recorded when it happened.
+            PeerEvent::Closed(_) => {}
             PeerEvent::Reconnected(stream) => self.adopt_stream(peer, stream),
-            PeerEvent::GaveUp => {
-                // The campaign failed; if the link healed through the
-                // listener in the meantime, the give-up is stale.
-                if self.peers[peer].suspect {
-                    self.mark_down(peer);
-                }
-            }
         }
     }
 
@@ -705,7 +713,12 @@ impl TcpTransport {
     }
 }
 
-fn spawn_reader(peer: usize, mut reader: TcpStream, tx: mpsc::Sender<(usize, PeerEvent)>) {
+fn spawn_reader(
+    peer: usize,
+    epoch: u64,
+    mut reader: TcpStream,
+    tx: mpsc::Sender<(usize, PeerEvent)>,
+) {
     thread::spawn(move || loop {
         match Frame::read_from(&mut reader) {
             Ok(Some(frame)) => {
@@ -714,26 +727,27 @@ fn spawn_reader(peer: usize, mut reader: TcpStream, tx: mpsc::Sender<(usize, Pee
                 }
             }
             Ok(None) | Err(_) => {
-                let _ = tx.send((peer, PeerEvent::Closed));
+                let _ = tx.send((peer, PeerEvent::Closed(epoch)));
                 return;
             }
         }
     });
 }
 
-/// One redial campaign: bounded exponential backoff, then give up.
+/// The redial campaign for one break: retries with doubling backoff
+/// from [`REDIAL_BASE_DELAY`] until `deadline`, the end of the
+/// reconnect window, then stops.
 fn spawn_redial(
     me: ProcessId,
     peer: usize,
     addr: SocketAddr,
-    attempts: u32,
-    base_delay: Duration,
+    deadline: Instant,
     tx: mpsc::Sender<(usize, PeerEvent)>,
 ) {
     thread::spawn(move || {
         let obs_on = setagree_obs::enabled();
-        let mut delay = base_delay;
-        for _ in 0..attempts.max(1) {
+        let mut delay = REDIAL_BASE_DELAY;
+        loop {
             if obs_on {
                 tcp_metrics().redial_attempts.inc();
             }
@@ -747,13 +761,15 @@ fn spawn_redial(
                     return;
                 }
             }
+            if Instant::now() + delay >= deadline {
+                break;
+            }
             thread::sleep(delay);
             delay = delay.saturating_mul(2);
         }
         if obs_on {
             tcp_metrics().redials_failed.inc();
         }
-        let _ = tx.send((peer, PeerEvent::GaveUp));
     });
 }
 
@@ -816,7 +832,7 @@ impl Transport for TcpTransport {
             }
         }
         let deadline = Instant::now() + self.round_timeout;
-        // Suspicion cadence: a stalled round asks for relays well before
+        // Resend cadence: a stalled round asks for relays well before
         // the deadline, and keeps asking.
         let resend_interval =
             (self.round_timeout / 10).clamp(Duration::from_millis(50), Duration::from_secs(1));
@@ -831,26 +847,25 @@ impl Transport for TcpTransport {
                 break;
             }
             let now = Instant::now();
-            // A closed peer that did not re-handshake within the window
-            // has spent its reconnect budget: confirmed dead.
+            // A link that stayed closed for the whole reconnect window
+            // confirms its peer dead.
             for &p in &missing {
-                let state = self.peers[p];
-                if let (true, Some(at)) = (state.suspect, state.closed_at) {
-                    if now >= at + self.reconnect_window {
-                        self.mark_down(p);
-                    }
+                if self.peers[p]
+                    .closed_at
+                    .is_some_and(|at| now >= at + RECONNECT_WINDOW)
+                {
+                    self.mark_down(p);
                 }
             }
             if now >= deadline {
                 let mut silent = Vec::new();
                 for &p in &missing {
-                    let state = self.peers[p];
+                    let state = &self.peers[p];
                     if state.down {
                         continue;
                     }
-                    if state.suspect {
-                        // Stream gone and the deadline beat the window:
-                        // the budget is spent either way.
+                    if state.closed_at.is_some() {
+                        // Closed, and the deadline beat the window.
                         self.mark_down(p);
                     } else {
                         silent.push(ProcessId::new(p));
@@ -869,11 +884,6 @@ impl Transport for TcpTransport {
             }
             if now >= next_resend {
                 self.send_resends(round);
-                for &p in &missing {
-                    if !self.peers[p].down {
-                        self.peers[p].suspect = true;
-                    }
-                }
                 next_resend = now + resend_interval;
             }
             let wait = COLLECT_TICK
@@ -1020,6 +1030,76 @@ mod tests {
         tcp_system_with(port_base, inputs, crash, None, Duration::from_secs(5))
     }
 
+    /// A 2-node mesh formed in-process; the caller drives both ends.
+    fn tcp_pair(port_base: u16, round_timeout: Duration) -> (TcpTransport, TcpTransport) {
+        let peers = localhost_peers(2, port_base);
+        let establish = |i: usize| {
+            let config = NodeConfig::new(ProcessId::new(i), peers.clone())
+                .expect("valid config")
+                .with_round_timeout(round_timeout);
+            thread::spawn(move || TcpTransport::establish(&config).expect("mesh forms"))
+        };
+        let (a, b) = (establish(0), establish(1));
+        (a.join().expect("node 0"), b.join().expect("node 1"))
+    }
+
+    /// Handles the next event of `node`, outside any round.
+    fn pump(node: &mut TcpTransport) {
+        let (peer, event) = node
+            .events
+            .recv_timeout(Duration::from_secs(5))
+            .expect("an event within 5 s");
+        node.handle_event(peer, event, 0, &mut BTreeMap::new());
+    }
+
+    /// Slams node 1's stream to node 0 (a transient break, not a kill),
+    /// reports the break to node 1 `extra` more times, and handles node
+    /// 1's events until it has adopted its redial.
+    fn break_and_redial(b: &mut TcpTransport, extra: usize) {
+        if let Some(w) = &b.writers[0] {
+            let _ = w.shutdown(Shutdown::Both);
+        }
+        for _ in 0..extra {
+            b.event_tx.send((0, PeerEvent::Closed(0))).expect("inject");
+        }
+        while b.peers[0].closed_at.is_some() || b.peers[0].epoch == 0 {
+            pump(b);
+        }
+    }
+
+    /// Takes node 0's own events for the break off its channel
+    /// unhandled — the old stream's `Closed` and node 1's re-handshake —
+    /// so the test can replay them in the order it chooses.
+    fn withhold_break(a: &mut TcpTransport) -> TcpStream {
+        let (mut closed, mut handshake) = (false, None);
+        while !closed || handshake.is_none() {
+            match a.events.recv_timeout(Duration::from_secs(5)) {
+                Ok((1, PeerEvent::Closed(0))) => closed = true,
+                Ok((1, PeerEvent::Reconnected(stream))) => handshake = Some(stream),
+                other => panic!("unexpected event: {other:?}"),
+            }
+        }
+        handshake.expect("collected")
+    }
+
+    /// Node 0 and node 1 hold the two ends of one stream, complete round
+    /// 1 over it, and neither has confirmed the other dead.
+    fn assert_one_stream(a: &mut TcpTransport, b: &mut TcpTransport) {
+        let a_end = a.writers[1].as_ref().expect("node 0's link is up");
+        let b_end = b.writers[0].as_ref().expect("node 1's link is up");
+        assert_eq!(a_end.peer_addr().ok(), b_end.local_addr().ok());
+        for (i, node) in [&mut *a, &mut *b].into_iter().enumerate() {
+            node.broadcast(1, vec![i as u8], 2).expect("broadcast");
+        }
+        for node in [&mut *a, &mut *b] {
+            assert_eq!(node.collect(1).expect("collect").len(), 2);
+        }
+        assert!(
+            !a.peers[1].down && !b.peers[0].down,
+            "a live peer confirmed dead"
+        );
+    }
+
     #[test]
     fn failure_free_mesh_floods_the_maximum() {
         let outcomes = tcp_system(42110, &[3, 9, 1, 4], None);
@@ -1068,13 +1148,7 @@ mod tests {
             thread::spawn(move || {
                 let config = NodeConfig::new(ProcessId::new(i), peers)
                     .expect("valid config")
-                    .with_round_timeout(Duration::from_secs(5))
-                    // The default 3×3 redial budget and 500 ms window are
-                    // marginal when the whole suite's meshes run in
-                    // parallel; the property under test is that the link
-                    // heals, not that it heals on a shoestring.
-                    .with_reconnect(5, Duration::from_millis(25))
-                    .with_reconnect_window(Duration::from_secs(5));
+                    .with_round_timeout(Duration::from_secs(5));
                 let mut tcp = TcpTransport::establish(&config).expect("mesh forms");
                 let mut counts = Vec::new();
                 for round in 1..=3 {
@@ -1096,6 +1170,90 @@ mod tests {
         let b = run(1, true);
         assert_eq!(a.join().expect("node 0"), vec![2, 2, 2]);
         assert_eq!(b.join().expect("node 1"), vec![2, 2, 2]);
+    }
+
+    /// A node 1 that connects and identifies itself but never
+    /// broadcasts. Node 0's round must fail as a round timeout naming
+    /// it, not pass with node 1 counted as crashed.
+    #[test]
+    fn a_silent_connected_peer_is_a_round_timeout() {
+        let (mut a, b) = tcp_pair(42170, Duration::from_millis(600));
+        a.broadcast(1, vec![0], 2).expect("broadcast");
+        match a.collect(1) {
+            Err(TcpError::RoundTimeout { round, peers }) => {
+                assert_eq!((round, peers), (1, vec![ProcessId::new(1)]));
+            }
+            other => panic!("expected a round timeout, got {other:?}"),
+        }
+        assert!(!a.peers[1].down, "a connected peer was confirmed dead");
+        drop(b);
+    }
+
+    /// One break, reported out of order and twice on each side: node
+    /// 0's listener hands over node 1's re-handshake *before* the old
+    /// stream's `Closed`, and a second `Closed` follows. Node 1 hears
+    /// about its own break twice more. The events go through `event_tx`
+    /// in this order, so the interleaving is fixed.
+    #[test]
+    fn a_reordered_and_repeated_break_heals_onto_one_stream() {
+        let (mut a, mut b) = tcp_pair(42180, Duration::from_secs(5));
+        break_and_redial(&mut b, 2);
+        let handshake = withhold_break(&mut a);
+        a.event_tx
+            .send((1, PeerEvent::Reconnected(handshake)))
+            .expect("inject");
+        pump(&mut a);
+        assert!(
+            a.peers[1].parked.is_some(),
+            "an open link parks a handshake"
+        );
+        for _ in 0..2 {
+            a.event_tx.send((1, PeerEvent::Closed(0))).expect("inject");
+            pump(&mut a);
+        }
+
+        // One campaign: no further handshake reaches either side, and
+        // the old streams' late `Closed` events are stale. The wait can
+        // only miss a second campaign, never invent one.
+        thread::sleep(Duration::from_millis(300));
+        for node in [&mut a, &mut b] {
+            while let Ok((peer, event)) = node.events.try_recv() {
+                let second = matches!(event, PeerEvent::Reconnected(_));
+                assert!(!second, "a second campaign");
+                node.handle_event(peer, event, 0, &mut BTreeMap::new());
+            }
+        }
+        assert_eq!((a.peers[1].epoch, b.peers[0].epoch), (1, 1));
+        assert_one_stream(&mut a, &mut b);
+    }
+
+    /// A stray hello parks on node 0's healthy link and lingers past the
+    /// reconnect window. When the link later breaks for real and node 0
+    /// sees the break before node 1's redial, it must adopt the redial,
+    /// not the stale stray.
+    #[test]
+    fn a_stale_parked_handshake_cannot_take_over_a_link() {
+        let (mut a, mut b) = tcp_pair(42190, Duration::from_secs(5));
+        let mut stray = TcpStream::connect(a.peer_addrs[0]).expect("stray dial");
+        Frame::hello(ProcessId::new(1))
+            .write_to(&mut stray)
+            .expect("stray hello");
+        pump(&mut a);
+        assert!(
+            a.peers[1].parked.is_some(),
+            "an open link parks a handshake"
+        );
+        thread::sleep(RECONNECT_WINDOW + Duration::from_millis(100));
+
+        break_and_redial(&mut b, 0);
+        let handshake = withhold_break(&mut a);
+        a.event_tx.send((1, PeerEvent::Closed(0))).expect("inject");
+        a.event_tx
+            .send((1, PeerEvent::Reconnected(handshake)))
+            .expect("inject");
+        pump(&mut a);
+        pump(&mut a);
+        assert_one_stream(&mut a, &mut b);
     }
 
     /// A hostile peer speaks the frame protocol badly on purpose:

@@ -202,31 +202,6 @@ impl MsgCodec for U32Codec {
     }
 }
 
-/// The codec for interned view payloads
-/// ([`DenseView`](setagree_types::DenseView) messages — view-flood
-/// protocols on real sockets): the flat id-slot wire form of
-/// [`setagree_codec::encode_dense_view`], with every decode re-validated
-/// against the declared domain before a view is built.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct DenseViewCodec;
-
-impl MsgCodec for DenseViewCodec {
-    type Msg = setagree_types::DenseView;
-
-    fn encode(&self, msg: &Self::Msg) -> Vec<u8> {
-        let mut w = setagree_codec::Writer::new();
-        setagree_codec::encode_dense_view(&mut w, msg);
-        w.into_vec()
-    }
-
-    fn decode(&self, bytes: &[u8]) -> Option<Self::Msg> {
-        let mut r = setagree_codec::Reader::new(bytes);
-        let view = setagree_codec::decode_dense_view(&mut r).ok()?;
-        r.finish().ok()?;
-        Some(view)
-    }
-}
-
 /// Lifts a byte transport (`Msg = Vec<u8>`) to a typed one through a
 /// [`MsgCodec`].
 #[derive(Debug)]

@@ -670,13 +670,13 @@ impl DenseView {
         ))
     }
 
-    /// The raw slots (`u32::MAX` is `⊥`), for the wire codec.
+    /// The raw slots (`u32::MAX` is `⊥`).
     pub fn as_slots(&self) -> &[u32] {
         self.slots.as_slice(self.n as usize)
     }
 
     /// Rebuilds a view from raw slots (`u32::MAX` is `⊥`) over a domain
-    /// of `domain` interned values — the wire codec's decode path.
+    /// of `domain` interned values.
     ///
     /// Returns `None` if `slots` is empty or an entry is outside the
     /// domain.

@@ -259,11 +259,6 @@ proptest! {
             oracle.decode_dense(&dense).map(|ids| resolve_ids(&table, &ids)),
             oracle.decode_view(&generic)
         );
-
-        if let Some(full) = generic.to_vector() {
-            let dense_full = table.intern_vector(&full);
-            prop_assert_eq!(oracle.contains_dense(&dense_full), oracle.contains(&full));
-        }
     }
 }
 
