@@ -5,12 +5,15 @@
 //! This is the workhorse protocol of the large-`n` tier. Messages are
 //! flat id arrays over a shared [`ValueTable`](setagree_types::ValueTable) domain, merges are the
 //! word-level [`DenseView::merge_missing_from`] (a saturated 64-entry
-//! chunk of the view costs one bitmap test to skip), and the decision
-//! is a single counting pass — no value clones anywhere in the round
-//! loop. The `broadcast` benches, the `flood-smoke` CI binary, and the
-//! dense-equivalence property suite all run this protocol; its generic
-//! twin (a `View<V>`-flooding protocol with the same shape) is what the
-//! before/after numbers in the README compare against.
+//! chunk of the view costs one bitmap test to skip, and a converged
+//! view with no `⊥` left costs one test for the whole delivery), and
+//! the decision is a single counting pass — no value clones anywhere in
+//! the round loop. It prices one merge per delivery: O(n/64) until the
+//! receiver converges, O(1) after. The `broadcast` benches, the
+//! `flood-smoke` CI binary, and the dense-equivalence property suite all
+//! run this protocol; its generic twin (a `View<V>`-flooding protocol
+//! with the same shape) is what the before/after numbers in the README
+//! compare against.
 
 use std::fmt;
 
@@ -70,6 +73,8 @@ impl SyncProtocol for DenseFlood {
         self.view.clone()
     }
 
+    // Inlinable into the engine's delivery loop in `setagree-sync`.
+    #[inline]
     fn receive(&mut self, _round: usize, _from: ProcessId, msg: &DenseView) {
         self.view.merge_missing_from(msg);
     }

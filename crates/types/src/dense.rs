@@ -19,8 +19,9 @@
 //!   [`DenseView::count_bottom`] is an O(1) read;
 //! * [`DenseView::merge_from`] walks the presence bitmap a word (64
 //!   entries) at a time and [`DenseView::merge_missing_from`] skips
-//!   already-saturated words entirely — the steady state of a flood is
-//!   O(n/64) per delivery instead of O(n) `Option` clones;
+//!   already-saturated words entirely — O(n/64) per delivery instead of
+//!   O(n) `Option` clones, and O(1) once the receiver has no `⊥` left,
+//!   the steady state of a flood;
 //! * [`DenseView::distinct_count`] is a single counting pass over a
 //!   stack-allocated id bitmap, and [`DenseView::count_in`]/
 //!   [`DenseView::greatest_distinct`] are id-bitmap ([`IdSet`]) passes
@@ -613,15 +614,24 @@ impl DenseView {
 
     /// Union of observations: copies only entries that are `⊥` here and
     /// observed in `other`, skipping already-saturated bitmap words
-    /// entirely — O(n/64) per call once a flood converges. For views of
-    /// the same input vector (the only way protocols merge) this equals
+    /// entirely. A receiver with no `⊥` left has nothing to copy and
+    /// returns after the length check, so a call costs O(1) once the
+    /// receiver has converged and O(n/64) otherwise. For views of the
+    /// same input vector (the only way protocols merge) this equals
     /// [`DenseView::merge_from`].
     ///
     /// # Panics
     ///
     /// Panics if the views have different lengths.
+    // Inlinable across crates: it is a dense flood's whole per-delivery
+    // cost, called from `setagree-core`, and the release profile has no
+    // LTO to inline a non-generic function without the attribute.
+    #[inline]
     pub fn merge_missing_from(&mut self, other: &DenseView) {
         assert_eq!(self.n, other.n, "views over different systems");
+        if self.bottoms == 0 {
+            return;
+        }
         let n = self.n as usize;
         let theirs_words = other.present.as_slice();
         let mine_words = self.present.as_mut_slice();
@@ -991,6 +1001,32 @@ mod tests {
         // Overwrite adopts b's conflicting entry — the View::merge_from
         // semantics.
         assert_eq!(c.get(ProcessId::new(0)), Some(ValueId::new(2)));
+    }
+
+    #[test]
+    fn merge_missing_into_a_complete_view_changes_nothing() {
+        // n = 130: three presence words, heap slots.
+        let n = 130;
+        let t = table(&(0..n as u32).collect::<Vec<_>>());
+        let full = DenseVector::from_ids(t.len(), (0..n as u32).map(ValueId::new));
+        let mut complete = full.to_view();
+        let mut conflicting = DenseView::all_bottom(n, &t);
+        for i in (0..n).step_by(3) {
+            conflicting.set(ProcessId::new(i), ValueId::new((n - 1 - i) as u32));
+        }
+        complete.merge_missing_from(&conflicting);
+        complete.merge_missing_from(&DenseView::all_bottom(n, &t));
+        assert_eq!(complete, full.to_view(), "every entry is kept");
+        assert_eq!(complete.count_bottom(), 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "views over different systems")]
+    fn merge_missing_into_a_complete_view_still_checks_lengths() {
+        let t = table(&[1, 2]);
+        let full = t.intern_vector(&InputVector::new(vec![1u32, 2]));
+        let mut complete = full.to_view();
+        complete.merge_missing_from(&DenseView::all_bottom(3, &t));
     }
 
     #[test]

@@ -186,10 +186,22 @@ proptest! {
         let union_ref = ref_merge_union(&a, &b);
         let mut union_dense = dense_a.clone();
         union_dense.merge_missing_from(&dense_b);
+        prop_assert_eq!(union_dense.count_bottom(), ref_count_bottom(&union_ref));
         prop_assert_eq!(table.view(&union_dense), View::from_options(union_ref));
+        // …including into a receiver with no `⊥` left, which keeps
+        // every entry it has.
+        let fill_id = table.id_of(&fill).expect("in table");
+        let completed: Vec<Option<u32>> =
+            ref_complete_with(&a, fill).into_iter().map(Some).collect();
+        let mut union_complete = dense_a.complete_with(fill_id).to_view();
+        union_complete.merge_missing_from(&dense_b);
+        prop_assert_eq!(union_complete.count_bottom(), 0);
+        prop_assert_eq!(
+            table.view(&union_complete),
+            View::from_options(ref_merge_union(&completed, &b))
+        );
 
         // Completion and full-view conversion.
-        let fill_id = table.id_of(&fill).expect("in table");
         prop_assert_eq!(
             table.vector(&dense_a.complete_with(fill_id)).into_entries(),
             ref_complete_with(&a, fill)
@@ -389,49 +401,88 @@ proptest! {
         pattern in pattern_strategy(N, T),
         rounds in 1usize..=4,
     ) {
-        #[derive(Debug, Clone)]
-        struct GenericFlood {
-            rounds: usize,
-            view: View<u32>,
+        assert_dense_flood_matches_generic(&entries, &pattern, rounds);
+    }
+}
+
+/// The generic twin of `DenseFlood`: floods `View<u32>`s with the
+/// overwrite merge.
+#[derive(Debug, Clone)]
+struct GenericFlood {
+    rounds: usize,
+    view: View<u32>,
+}
+
+impl SyncProtocol for GenericFlood {
+    type Msg = View<u32>;
+    type Output = usize;
+    fn message(&mut self, _round: usize) -> Self::Msg {
+        self.view.clone()
+    }
+    fn receive(&mut self, _round: usize, _from: ProcessId, msg: &Self::Msg) {
+        self.view.merge_from(msg);
+    }
+    fn compute(&mut self, round: usize) -> setagree::sync::Step<usize> {
+        if round >= self.rounds {
+            setagree::sync::Step::Decide(self.view.distinct_count())
+        } else {
+            setagree::sync::Step::Continue
         }
-        impl SyncProtocol for GenericFlood {
-            type Msg = View<u32>;
-            type Output = usize;
-            fn message(&mut self, _round: usize) -> Self::Msg {
-                self.view.clone()
-            }
-            fn receive(&mut self, _round: usize, _from: ProcessId, msg: &Self::Msg) {
-                self.view.merge_from(msg);
-            }
-            fn compute(&mut self, round: usize) -> setagree::sync::Step<usize> {
-                if round >= self.rounds {
-                    setagree::sync::Step::Decide(self.view.distinct_count())
-                } else {
-                    setagree::sync::Step::Continue
-                }
-            }
+    }
+}
+
+/// Runs `DenseFlood` over the interned `entries` and its generic twin
+/// over the raw ones, and asserts the traces agree.
+fn assert_dense_flood_matches_generic(entries: &[u32], pattern: &FailurePattern, rounds: usize) {
+    let n = entries.len();
+    let vector = InputVector::new(entries.to_vec());
+    let table = ValueTable::from_vector(&vector);
+    let inputs = table.intern_vector(&vector);
+    let generic: Vec<GenericFlood> = (0..n)
+        .map(|i| {
+            let mut view = View::all_bottom(n);
+            view.set(ProcessId::new(i), entries[i]);
+            GenericFlood { rounds, view }
+        })
+        .collect();
+
+    let dense_trace =
+        run_protocol(DenseFlood::system(&inputs, rounds), pattern, rounds + 1).expect("dense");
+    let generic_trace = run_protocol(generic, pattern, rounds + 1).expect("generic");
+    assert_eq!(
+        dense_trace.outcomes(),
+        generic_trace.outcomes(),
+        "dense flood diverged under {pattern} at {rounds} rounds"
+    );
+    assert_eq!(
+        dense_trace.rounds_executed(),
+        generic_trace.rounds_executed()
+    );
+    assert_eq!(
+        dense_trace.messages_delivered(),
+        generic_trace.messages_delivered()
+    );
+}
+
+/// The proptest above runs at n = 8, one inline presence word. At
+/// n = 130 a view spans three words and heap slots. Under the chain the
+/// carriers of `p_1`'s unique value converge one per round while every
+/// other receiver keeps a `⊥`, so a converged receiver merges next to
+/// an unconverged one.
+#[test]
+fn dense_flood_matches_generic_flood_across_presence_words() {
+    let n = 130;
+    let entries: Vec<u32> = (0..n as u32)
+        .map(|i| if i == 0 { 0 } else { (i * 7) % 23 + 1 })
+        .collect();
+    let patterns = [
+        FailurePattern::none(n),
+        FailurePattern::staircase(n, 6, 2),
+        FailurePattern::chain(n, 4),
+    ];
+    for pattern in &patterns {
+        for rounds in 1..=4 {
+            assert_dense_flood_matches_generic(&entries, pattern, rounds);
         }
-
-        let vector = InputVector::new(entries.clone());
-        let table = ValueTable::from_vector(&vector);
-        let inputs = table.intern_vector(&vector);
-
-        let generic: Vec<GenericFlood> = (0..N)
-            .map(|i| {
-                let mut view = View::all_bottom(N);
-                view.set(ProcessId::new(i), entries[i]);
-                GenericFlood { rounds, view }
-            })
-            .collect();
-
-        let dense_trace = run_protocol(DenseFlood::system(&inputs, rounds), &pattern, rounds + 1)
-            .expect("dense");
-        let generic_trace = run_protocol(generic, &pattern, rounds + 1).expect("generic");
-        prop_assert_eq!(dense_trace.outcomes(), generic_trace.outcomes());
-        prop_assert_eq!(dense_trace.rounds_executed(), generic_trace.rounds_executed());
-        prop_assert_eq!(
-            dense_trace.messages_delivered(),
-            generic_trace.messages_delivered()
-        );
     }
 }
