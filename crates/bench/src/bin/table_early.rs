@@ -19,7 +19,7 @@ use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
 use setagree_core::{ProtocolKind, ProtocolSpec, ScenarioSuite, SuiteCache, SuiteRunStats};
-use setagree_sync::{CrashSpec, FailurePattern};
+use setagree_sync::{bounds, CrashSpec, FailurePattern};
 use setagree_types::{InputVector, ProcessId};
 
 use setagree_bench::{MetricsDump, SuiteStore, Table};
@@ -52,7 +52,7 @@ fn main() {
     let mut all_ok = true;
 
     for f in 0..=t {
-        let bound = (f / k + 2).min(t / k + 1);
+        let bound = bounds::early_deciding(f, t, k);
 
         // Early-deciding and flood-set, over shuffled inputs × exactly-f
         // adversaries — including the adaptive worst case: k silent
@@ -96,7 +96,7 @@ fn main() {
     println!("{table}");
     println!(
         "shape: early-deciding tracks ⌊f/k⌋+2 while the baseline stays at ⌊t/k⌋+1 = {} — {}",
-        t / k + 1,
+        bounds::classical(t, k),
         if all_ok { "VERIFIED" } else { "FAILED" }
     );
     if let Some(store) = store {

@@ -16,6 +16,7 @@
 //! ```
 
 use setagree_conditions::{counting, SdtParams};
+use setagree_sync::bounds;
 
 use setagree_bench::{MetricsDump, Table};
 
@@ -43,7 +44,7 @@ fn main() {
     for s in &chain {
         let params = s.legality();
         let nb = counting::nb(n_ref, m_ref, params);
-        let rounds = (s.degree() + ell - 1) / k + 1;
+        let rounds = bounds::in_condition(s.degree(), ell, k);
         monotone &= nb >= last_nb && rounds >= last_rounds;
         last_nb = nb;
         last_rounds = rounds;

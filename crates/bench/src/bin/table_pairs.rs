@@ -25,7 +25,7 @@ use rand::SeedableRng;
 
 use setagree_conditions::MaxCondition;
 use setagree_core::{ConditionBasedConfig, ProtocolSpec, ScenarioSuite, SuiteCache, SuiteRunStats};
-use setagree_sync::FailurePattern;
+use setagree_sync::{bounds, FailurePattern};
 
 use setagree_bench::{in_condition_input, MetricsDump, SuiteStore, Table};
 use setagree_types::ProcessId;
@@ -57,7 +57,7 @@ fn main() {
                 .build()
                 .expect("ℓ = 1 ≤ min(k, t − d) on this grid");
             let oracle = MaxCondition::new(config.legality());
-            let formula = d / k + 1;
+            let formula = config.rounds_in_condition();
 
             let outcome = with_cache(ScenarioSuite::new(), &cache)
                 .spec(ProtocolSpec::condition_based(config, oracle))
@@ -70,8 +70,13 @@ fn main() {
                 // (Lemma 2(i) tightness).
                 .pattern(tmf_forcing(n, t, d))
                 .patterns((0..8u64).map(|seed| {
-                    FailurePattern::random(n, t, t / k + 1, &mut SmallRng::seed_from_u64(seed))
-                        .into()
+                    FailurePattern::random(
+                        n,
+                        t,
+                        bounds::classical(t, k),
+                        &mut SmallRng::seed_from_u64(seed),
+                    )
+                    .into()
                 }))
                 .run();
             run_totals.cases += outcome.len();
@@ -85,7 +90,7 @@ fn main() {
 
             // The loop's first decision opportunity is round 2, and the
             // tmf-forcing adversary attains the bound exactly.
-            let bound = formula.max(2);
+            let bound = bounds::from_round_two(formula);
             let ok = worst == bound;
             all_ok &= ok;
             table.row(vec![

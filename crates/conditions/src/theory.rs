@@ -83,8 +83,8 @@
 //! [`SdtParams`](crate::SdtParams) is `S^d_t[ℓ]`, the set of
 //! `(t−d, ℓ)`-legal conditions; larger degree d means more conditions but
 //! slower decisions — the trade-off quantified by
-//! `⌊(d+ℓ−1)/k⌋ + 1` in `setagree-core`'s
-//! `ConditionBasedConfig::rounds_in_condition`.
+//! `⌊(d+ℓ−1)/k⌋ + 1`, defined once as `setagree-sync`'s
+//! `bounds::in_condition`.
 //!
 //! # Sections 6–8 — the algorithms
 //!

@@ -9,7 +9,7 @@
 
 use std::fmt;
 
-use setagree_sync::{Step, SyncProtocol};
+use setagree_sync::{bounds, Step, SyncProtocol};
 use setagree_types::{ProcessId, ProposalValue};
 
 /// One process of the flood-set k-set agreement baseline.
@@ -45,7 +45,7 @@ impl<V: ProposalValue> FloodSet<V> {
     pub fn new(t: usize, k: usize, value: V) -> Self {
         assert!(k > 0, "k must be at least 1");
         FloodSet {
-            target_round: t / k + 1,
+            target_round: bounds::classical(t, k),
             estimate: value,
         }
     }

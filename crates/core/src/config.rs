@@ -1,4 +1,5 @@
-//! Algorithm parameters `(n, t, k, d, ℓ)` and the paper's round formulas.
+//! Algorithm parameters `(n, t, k, d, ℓ)`, with typed entry points to the
+//! paper's round formulas (defined once, in [`setagree_sync::bounds`]).
 
 use std::error::Error;
 use std::fmt;
@@ -6,6 +7,7 @@ use std::fmt;
 use serde::{Deserialize, Serialize};
 
 use setagree_conditions::{LegalityParams, SdtParams};
+use setagree_sync::bounds;
 
 /// Error building a [`ConditionBasedConfig`].
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -160,38 +162,36 @@ impl ConditionBasedConfig {
         SdtParams::new(self.t, self.d, self.ell).expect("d ≤ t and ℓ ≥ 1 validated")
     }
 
-    /// The paper's in-condition round bound `⌊(d+ℓ−1)/k⌋ + 1`.
-    ///
-    /// This interpolates the known special cases: `ℓ = 1, k = 1` gives the
-    /// `d + 1` of synchronous condition-based consensus \[22\], and
-    /// `d = t − ℓ + 1` (the trivial regime boundary) gives `⌊t/k⌋ + 1`.
+    /// The paper's in-condition round bound `⌊(d+ℓ−1)/k⌋ + 1`
+    /// ([`bounds::in_condition`]).
     pub const fn rounds_in_condition(&self) -> usize {
-        (self.d + self.ell - 1) / self.k + 1
+        bounds::in_condition(self.d, self.ell, self.k)
     }
 
     /// The out-of-condition bound `⌊t/k⌋ + 1` (the classical synchronous
-    /// k-set agreement bound).
+    /// k-set agreement bound, [`bounds::classical`]).
     pub const fn rounds_outside_condition(&self) -> usize {
-        self.t / self.k + 1
+        bounds::classical(self.t, self.k)
     }
 
     /// The round at which the line-18 early predicate fires: the
     /// in-condition bound clamped to at least 2 (the algorithm's decision
     /// loop starts at round 2).
     pub fn condition_decision_round(&self) -> usize {
-        self.rounds_in_condition().max(2)
+        bounds::from_round_two(self.rounds_in_condition())
     }
 
     /// The final decision round, clamped to at least 2.
     pub fn final_decision_round(&self) -> usize {
-        self.rounds_outside_condition().max(2)
+        bounds::from_round_two(self.rounds_outside_condition())
     }
 
     /// A safe engine round limit for executions of this configuration.
     pub fn round_limit(&self) -> usize {
-        self.final_decision_round()
-            .max(self.condition_decision_round())
-            + 2
+        bounds::round_limit(
+            self.final_decision_round()
+                .max(self.condition_decision_round()),
+        )
     }
 }
 

@@ -28,10 +28,10 @@
 //! ([`SyncProtocol::adopt`]) without building one.
 //!
 //! The bounds consequently combine: decisions happen by round
-//! `min( bound_of_Figure_2 , max(2, ⌊f/k⌋ + 2) )`. The combination is
-//! validated by the property suites (random + staircase + silent-crash
-//! adversaries) rather than by a formal proof — the paper itself only
-//! sketches the extension.
+//! `min(bound_of_Figure_2, ⌊f/k⌋ + 2)` ([`setagree_sync::bounds`]'s
+//! `figure_2` and `section_8`). The combination is validated by the
+//! property suites (random + staircase + silent-crash adversaries) rather
+//! than by a formal proof — the paper itself only sketches the extension.
 
 use std::fmt;
 
@@ -311,7 +311,7 @@ mod tests {
     use rand::rngs::SmallRng;
     use rand::SeedableRng;
     use setagree_conditions::MaxCondition;
-    use setagree_sync::{run_protocol, CrashSpec, FailurePattern};
+    use setagree_sync::{bounds, run_protocol, CrashSpec, FailurePattern};
     use setagree_types::InputVector;
 
     fn config(n: usize, t: usize, k: usize, d: usize, ell: usize) -> ConditionBasedConfig {
@@ -375,7 +375,7 @@ mod tests {
             let trace = run_protocol(processes(cfg, &input), &pattern, 10).unwrap();
             assert!(trace.all_correct_decided(), "f = {f}");
             assert!(trace.decided_values().len() <= 2, "f = {f}");
-            let bound = (f / 2 + 2).max(2).min(cfg.final_decision_round());
+            let bound = bounds::section_8(f, cfg.k()).min(cfg.final_decision_round());
             assert!(
                 trace.last_decision_round().unwrap() <= bound,
                 "f = {f}: decided at {:?}, adaptive bound {bound}",

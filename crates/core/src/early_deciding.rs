@@ -17,7 +17,7 @@
 
 use std::fmt;
 
-use setagree_sync::{Step, SyncProtocol};
+use setagree_sync::{bounds, Step, SyncProtocol};
 use setagree_types::{ProcessId, ProposalValue};
 
 /// The flood payload: the sender's estimate plus a decide announcement.
@@ -73,7 +73,7 @@ impl<V: ProposalValue> EarlyDeciding<V> {
         assert!(t < n, "someone must survive (t < n)");
         EarlyDeciding {
             k,
-            final_round: t / k + 1,
+            final_round: bounds::classical(t, k),
             estimate: value,
             heard_prev: n,
             heard_now: 0,
@@ -242,7 +242,7 @@ mod tests {
             for v in trace.decided_values() {
                 assert!(inputs.contains(&v), "seed {seed}: {v} not proposed");
             }
-            let bound = (f / k + 2).min(t / k + 1);
+            let bound = bounds::early_deciding(f, t, k);
             assert!(
                 trace.last_decision_round().unwrap() <= bound,
                 "seed {seed}: decided at {:?}, bound {bound} (f = {f})",

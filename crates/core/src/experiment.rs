@@ -55,8 +55,9 @@ use setagree_conditions::{ConditionOracle, LegalityParams, MaxCondition};
 pub use setagree_node::TransportKind;
 use setagree_node::{run_loopback, run_loopback_faulty, NodeError};
 use setagree_sync::{
-    run_protocol, run_protocol_faulty, run_protocol_unordered, run_protocol_unordered_faulty,
-    EngineError, FailurePattern, FaultPlan, SyncProtocol, Trace, UnorderedFailurePattern,
+    bounds, run_protocol, run_protocol_faulty, run_protocol_unordered,
+    run_protocol_unordered_faulty, EngineError, FailurePattern, FaultPlan, SyncProtocol, Trace,
+    UnorderedFailurePattern,
 };
 use setagree_types::{InputVector, ProcessId, ProposalValue};
 
@@ -482,14 +483,6 @@ impl Adversary {
             _ => None,
         }
     }
-
-    /// The asynchronous schedule, when this adversary is one.
-    pub fn as_async(&self) -> Option<&AsyncCrashes> {
-        match self {
-            Adversary::Async(c) => Some(c),
-            _ => None,
-        }
-    }
 }
 
 impl From<FailurePattern> for Adversary {
@@ -732,13 +725,10 @@ impl<V, O> ProtocolSpec<V, O> {
         match &self.kind {
             SpecKind::ConditionBased { config, .. }
             | SpecKind::EarlyConditionBased { config, .. } => config.round_limit(),
-            SpecKind::EarlyDeciding { t, k, .. } => t / k + 3,
+            SpecKind::EarlyDeciding { t, k, .. } => bounds::round_limit(bounds::classical(*t, *k)),
             SpecKind::FloodSet {
                 t, k, target_round, ..
-            } => match target_round {
-                Some(target) => target + 2,
-                None => t / k + 3,
-            },
+            } => bounds::round_limit(target_round.unwrap_or(bounds::classical(*t, *k))),
             SpecKind::AsyncSetAgreement { .. } => {
                 unreachable!("async specs are rejected before round-based dispatch")
             }
@@ -1033,22 +1023,32 @@ impl<V: ProposalValue, O: ConditionOracle<V> + Clone> Scenario<V, O> {
             t, k, target_round, ..
         } = &self.spec.kind
         {
-            return target_round.unwrap_or(t / k + 1);
+            return target_round.unwrap_or(bounds::classical(*t, *k));
         }
-        let t = self.spec.t();
-        let k = self.spec.k();
         let Some(pattern) = adversary.as_ordered() else {
-            return (t / k + 1).max(2);
+            return bounds::from_round_two(bounds::classical(self.spec.t(), self.spec.k()));
         };
         match &self.spec.kind {
-            SpecKind::ConditionBased { config, oracle } => {
-                figure_2_bound(config, oracle, input, pattern)
+            SpecKind::ConditionBased { config, oracle }
+            | SpecKind::EarlyConditionBased { config, oracle } => {
+                let figure_2 = bounds::figure_2(
+                    oracle.matches(&input.to_view()),
+                    pattern.crashes_by_round(1),
+                    pattern.initial_crash_count(),
+                    config.t(),
+                    config.d(),
+                    config.ell(),
+                    config.k(),
+                );
+                if matches!(self.spec.kind, SpecKind::EarlyConditionBased { .. }) {
+                    figure_2.min(bounds::section_8(pattern.fault_count(), config.k()))
+                } else {
+                    figure_2
+                }
             }
-            SpecKind::EarlyConditionBased { config, oracle } => {
-                let adaptive = (pattern.fault_count() / config.k() + 2).max(2);
-                figure_2_bound(config, oracle, input, pattern).min(adaptive)
+            SpecKind::EarlyDeciding { t, k, .. } => {
+                bounds::early_deciding(pattern.fault_count(), *t, *k)
             }
-            SpecKind::EarlyDeciding { t, k, .. } => (pattern.fault_count() / k + 2).min(t / k + 1),
             SpecKind::FloodSet { .. } => unreachable!("handled before the adversary split"),
             SpecKind::AsyncSetAgreement { .. } => {
                 unreachable!("async specs are rejected before round-based dispatch")
@@ -1232,28 +1232,6 @@ where
             self.spec.protocol(),
             executor,
         ))
-    }
-}
-
-/// The Figure 2 case analysis shared by the condition-based variants.
-fn figure_2_bound<V: ProposalValue, O: ConditionOracle<V>>(
-    config: &ConditionBasedConfig,
-    oracle: &O,
-    input: &InputVector<V>,
-    pattern: &FailurePattern,
-) -> usize {
-    let in_condition = oracle.matches(&input.to_view());
-    let t_minus_d = config.t() - config.d();
-    if in_condition {
-        if pattern.crashes_by_round(1) <= t_minus_d {
-            2
-        } else {
-            config.condition_decision_round()
-        }
-    } else if pattern.initial_crash_count() > t_minus_d {
-        config.condition_decision_round()
-    } else {
-        config.final_decision_round()
     }
 }
 

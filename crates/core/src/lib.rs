@@ -8,7 +8,8 @@
 //!   [`ConditionOracle`](setagree_conditions::ConditionOracle). When the
 //!   input vector belongs to `C` it decides in
 //!   `max(2, ⌊(d+ℓ−1)/k⌋ + 1)` rounds (two rounds if at most `t−d`
-//!   processes crash in round 1); otherwise in `⌊t/k⌋ + 1` rounds.
+//!   processes crash in round 1); otherwise in `⌊t/k⌋ + 1` rounds. Every
+//!   round bound is defined once, in [`setagree_sync::bounds`].
 //! * [`FloodSet`] — the classical unconditioned synchronous k-set
 //!   agreement (`⌊t/k⌋ + 1` rounds; consensus for `k = 1`).
 //! * [`EarlyDeciding`] — the early-deciding k-set agreement of

@@ -83,12 +83,6 @@ impl NodeConfig {
         self.peers[self.me.index()]
     }
 
-    /// Overrides the connection-establishment timeout.
-    pub fn with_connect_timeout(mut self, timeout: Duration) -> NodeConfig {
-        self.connect_timeout = timeout;
-        self
-    }
-
     /// Overrides the per-round wait for missing peers.
     pub fn with_round_timeout(mut self, timeout: Duration) -> NodeConfig {
         self.round_timeout = timeout;

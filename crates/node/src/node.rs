@@ -275,7 +275,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use setagree_sync::run_protocol;
+    use setagree_sync::{bounds, run_protocol};
 
     /// A local max-flooding protocol (this crate cannot dev-depend on
     /// `setagree-core`'s `FloodSet` — core depends on this crate for the
@@ -305,7 +305,7 @@ mod tests {
     }
 
     fn floods(t: usize, k: usize, inputs: &[u32]) -> Vec<MaxFlood> {
-        let rounds = t / k + 1;
+        let rounds = bounds::classical(t, k);
         inputs
             .iter()
             .map(|&v| MaxFlood { rounds, best: v })

@@ -45,6 +45,7 @@
 #![warn(missing_docs, missing_debug_implementations)]
 
 pub mod adversary;
+pub mod bounds;
 pub mod engine;
 pub mod fault;
 pub mod protocol;

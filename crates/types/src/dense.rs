@@ -685,28 +685,6 @@ impl DenseView {
         self.slots.as_slice(self.n as usize)
     }
 
-    /// Rebuilds a view from raw slots (`u32::MAX` is `⊥`) over a domain
-    /// of `domain` interned values.
-    ///
-    /// Returns `None` if `slots` is empty or an entry is outside the
-    /// domain.
-    pub fn from_slots(domain: usize, slots: &[u32]) -> Option<Self> {
-        if slots.is_empty() {
-            return None;
-        }
-        let mut view = Self::bottom_with_domain(slots.len(), domain);
-        for (i, &slot) in slots.iter().enumerate() {
-            if slot == BOTTOM {
-                continue;
-            }
-            if slot as usize >= domain {
-                return None;
-            }
-            view.set(ProcessId::new(i), ValueId(slot));
-        }
-        Some(view)
-    }
-
     /// Runs `f` on the bitmap of observed value ids (bit = id present).
     fn seen_bitmap<R>(&self, f: impl FnOnce(&[u64]) -> R) -> R {
         /// Stack bitmap budget: domains up to 1024 ids (the bench's
@@ -1105,18 +1083,6 @@ mod tests {
 
         let completed = partial.complete_with(t.id_of(&3).unwrap());
         assert_eq!(t.vector(&completed), InputVector::new(vec![3u32, 2, 3]));
-    }
-
-    #[test]
-    fn slots_round_trip_through_the_wire_shape() {
-        let t = table(&[4, 8]);
-        let mut v = DenseView::all_bottom(70, &t);
-        v.set(ProcessId::new(0), ValueId::new(1));
-        v.set(ProcessId::new(69), ValueId::new(0));
-        let decoded = DenseView::from_slots(t.len(), v.as_slots()).unwrap();
-        assert_eq!(decoded, v);
-        assert_eq!(DenseView::from_slots(2, &[]), None);
-        assert_eq!(DenseView::from_slots(1, &[1]), None, "id beyond domain");
     }
 
     #[test]

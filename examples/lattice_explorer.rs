@@ -9,6 +9,7 @@
 use setagree::conditions::counting;
 use setagree::conditions::lattice::{self, FamilyRelation};
 use setagree::conditions::{LegalityParams, SdtParams};
+use setagree::sync::bounds;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let t = 5;
@@ -26,7 +27,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     for s in SdtParams::degree_chain(t, 2)? {
         let params = s.legality();
         let size = counting::nb(n, m, params);
-        let r_in = (s.degree() + s.ell() - 1) / k + 1;
+        let r_in = bounds::in_condition(s.degree(), s.ell(), k);
         println!(
             "{:<12} {:<12} {:>14} {:>10} {:>9}",
             s.to_string(),

@@ -30,7 +30,7 @@ use setagree_node::{
     USAGE,
 };
 use setagree_obs::Snapshot;
-use setagree_sync::{CrashSpec, FailurePattern, Outcome};
+use setagree_sync::{bounds, CrashSpec, FailurePattern, Outcome};
 use setagree_types::{InputVector, ProcessId};
 
 /// Resolves the metrics dump target — the `--metrics` flag wins, then
@@ -71,7 +71,7 @@ fn predicted_rounds(t: usize, k: usize) -> Result<usize, Box<dyn Error>> {
     if k == 0 {
         return Err("k must be at least 1".into());
     }
-    Ok(t / k + 1)
+    Ok(bounds::classical(t, k))
 }
 
 /// The `run` subcommand: one real TCP node.

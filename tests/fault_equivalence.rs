@@ -236,7 +236,7 @@ proptest! {
                 members.insert(ProcessId::new(i));
             }
         }
-        // FloodSet runs t/k + 1 = 3 rounds; the cut covers round 1 only.
+        // FloodSet runs ⌊t/k⌋ + 1 = 3 rounds; the cut covers round 1 only.
         let plan = FaultPlan::new(N, 0).partition(Partition::new(members, 1, 1));
         let adversary = Adversary::Omission {
             plan,

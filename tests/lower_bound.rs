@@ -11,7 +11,7 @@
 //! results above vacuous.
 
 use setagree::core::Scenario;
-use setagree::sync::{CrashSpec, FailurePattern};
+use setagree::sync::{bounds, CrashSpec, FailurePattern};
 use setagree::types::ProcessId;
 
 /// For consensus (k = 1): the chain adversary defeats every flood-set
@@ -96,7 +96,7 @@ fn two_set_agreement_needs_t_over_2_plus_1_rounds() {
 
     // ⌊t/k⌋ = 2 rounds: p5 decides 9, p6 decides max(8, …) and the rest
     // decide 1 → three values > k.
-    let short = Scenario::flood_set_truncated(n, t, k, t / k)
+    let short = Scenario::flood_set_truncated(n, t, k, bounds::classical(t, k) - 1)
         .input(inputs.clone())
         .pattern(pattern.clone())
         .run()
@@ -108,7 +108,7 @@ fn two_set_agreement_needs_t_over_2_plus_1_rounds() {
     );
 
     // ⌊t/k⌋ + 1 = 3 rounds: the correct bound holds under the same pattern.
-    let full = Scenario::flood_set_truncated(n, t, k, t / k + 1)
+    let full = Scenario::flood_set_truncated(n, t, k, bounds::classical(t, k))
         .input(inputs)
         .pattern(pattern)
         .run()

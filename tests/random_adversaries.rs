@@ -7,7 +7,7 @@ use proptest::prelude::*;
 
 use setagree::conditions::MaxCondition;
 use setagree::core::{ConditionBasedConfig, ProtocolSpec, Scenario, ScenarioSuite};
-use setagree::sync::{CrashSpec, FailurePattern};
+use setagree::sync::{bounds, CrashSpec, FailurePattern};
 use setagree::types::{InputVector, ProcessId};
 
 /// A system description drawn by proptest: sizes, parameters, inputs and
@@ -44,8 +44,10 @@ fn drawn() -> impl Strategy<Value = Drawn> {
                 .build()
                 .expect("filtered");
             let inputs = proptest::collection::vec(1u32..=6, n);
-            let crashes =
-                proptest::collection::vec((0usize..n, 1usize..=t / k + 2, 0usize..=n), 0..=t);
+            let crashes = proptest::collection::vec(
+                (0usize..n, 1usize..=bounds::classical(t, k) + 1, 0usize..=n),
+                0..=t,
+            );
             (Just(config), inputs, crashes)
         })
         .prop_map(|(config, entries, crashes)| {
@@ -118,7 +120,7 @@ proptest! {
     }
 
     /// The Section 8 combined protocol: all properties plus the combined
-    /// bound min(Figure 2 bound, max(2, ⌊f/k⌋ + 2)).
+    /// bound min(Figure 2 bound, ⌊f/k⌋ + 2).
     #[test]
     fn early_condition_based_properties(s in drawn()) {
         let oracle = MaxCondition::new(s.config.legality());
