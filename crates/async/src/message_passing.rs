@@ -179,7 +179,7 @@ impl<V: ProposalValue, O: ConditionOracle<V>> MessagePassingSystem<V, O> {
     }
 
     /// Number of messages still in flight.
-    pub fn in_flight_count(&self) -> usize {
+    fn in_flight_count(&self) -> usize {
         self.in_flight.len()
     }
 
@@ -236,30 +236,6 @@ impl<V: ProposalValue, O: ConditionOracle<V>> MessagePassingSystem<V, O> {
             }
         }
         true
-    }
-
-    /// Wraps up into a report.
-    pub fn into_report(self) -> AsyncReport<V> {
-        let outcomes = self
-            .processes
-            .iter()
-            .enumerate()
-            .map(|(i, p)| {
-                if self.crashed[i] {
-                    AsyncOutcome::Crashed
-                } else {
-                    match &p.decided {
-                        Some(v) => AsyncOutcome::Decided {
-                            value: v.clone(),
-                            steps: p.steps,
-                        },
-                        None if p.blocked => AsyncOutcome::Blocked,
-                        None => AsyncOutcome::Unfinished,
-                    }
-                }
-            })
-            .collect();
-        AsyncReport::new(outcomes, self.delivered)
     }
 }
 
@@ -340,7 +316,26 @@ where
         system.deliver_nth(choice);
         steps += 1;
     }
-    system.into_report()
+    let outcomes = system
+        .processes
+        .iter()
+        .zip(&system.crashed)
+        .map(|(p, &crashed)| {
+            if crashed {
+                AsyncOutcome::Crashed
+            } else {
+                match &p.decided {
+                    Some(v) => AsyncOutcome::Decided {
+                        value: v.clone(),
+                        steps: p.steps,
+                    },
+                    None if p.blocked => AsyncOutcome::Blocked,
+                    None => AsyncOutcome::Unfinished,
+                }
+            }
+        })
+        .collect();
+    AsyncReport::new(outcomes, system.delivered)
 }
 
 #[cfg(test)]

@@ -17,8 +17,7 @@
 //!
 //! Consequently family inclusion is exactly the product order
 //! `F(a) ⊆ F(b) ⟺ a.x ≥ b.x ∧ a.ℓ ≤ b.ℓ`, and the parameter pairs form a
-//! lattice under it — this module exposes that order, its meet/join, and
-//! the named lines of Figure 1 (wait-free, x-resilient, reliable).
+//! lattice under it — this module exposes that order and its meet/join.
 
 use crate::legality::LegalityParams;
 
@@ -76,27 +75,6 @@ pub fn meet(a: LegalityParams, b: LegalityParams) -> LegalityParams {
 pub fn join(a: LegalityParams, b: LegalityParams) -> LegalityParams {
     LegalityParams::new(a.x().min(b.x()), a.ell().max(b.ell()))
         .expect("join of valid params is valid")
-}
-
-/// The *wait-free line* of Figure 1 for a system of `n` processes: the
-/// parameters `(x = n−1, ℓ)` for `1 ≤ ℓ ≤ n`. Its bottom-left corner
-/// `(n−1, 1)` is wait-free consensus.
-pub fn wait_free_line(n: usize) -> impl Iterator<Item = LegalityParams> {
-    assert!(n >= 1, "need at least one process");
-    (1..=n).map(move |ell| LegalityParams::new(n - 1, ell).expect("ℓ ≥ 1 by construction"))
-}
-
-/// The *x-resilience line*: parameters `(x, ℓ)` for fixed `x` and
-/// `1 ≤ ℓ ≤ n`.
-pub fn resilience_line(x: usize, n: usize) -> impl Iterator<Item = LegalityParams> {
-    assert!(n >= 1, "need at least one process");
-    (1..=n).map(move |ell| LegalityParams::new(x, ell).expect("ℓ ≥ 1 by construction"))
-}
-
-/// The *reliable line*: `x = 0` (no crash to tolerate); every condition —
-/// including `C_all` — is (0, ℓ)-legal for every ℓ ≥ 1 that admits it.
-pub fn reliable_line(n: usize) -> impl Iterator<Item = LegalityParams> {
-    resilience_line(0, n)
 }
 
 #[cfg(test)]
@@ -179,30 +157,29 @@ mod tests {
 
     #[test]
     fn wait_free_line_starts_at_consensus() {
-        let line: Vec<_> = wait_free_line(4).collect();
-        assert_eq!(line.len(), 4);
-        assert_eq!(line[0], p(3, 1), "wait-free consensus corner");
-        assert_eq!(line[3], p(3, 4));
+        // Figure 1's wait-free line for n = 4: (x = n − 1, ℓ) for
+        // 1 ≤ ℓ ≤ n, from wait-free consensus at (3, 1).
+        let line = [p(3, 1), p(3, 2), p(3, 3), p(3, 4)];
         // Along the line, families grow with ℓ.
         assert!(line.windows(2).all(|w| implies(w[0], w[1])));
+        assert!(!implies(p(3, 2), p(3, 1)));
     }
 
     #[test]
     fn trivial_condition_frontier_on_lines() {
-        // On the wait-free line for n processes, C_all becomes legal exactly
-        // when ℓ > n − 1, i.e. only at ℓ = n.
-        let line: Vec<_> = wait_free_line(3).collect();
-        assert!(!line[0].admits_all_vectors());
-        assert!(!line[1].admits_all_vectors());
-        assert!(line[2].admits_all_vectors());
+        // On the wait-free line for n = 3 processes, C_all becomes legal
+        // exactly when ℓ > n − 1, i.e. only at ℓ = n.
+        assert!(!p(2, 1).admits_all_vectors());
+        assert!(!p(2, 2).admits_all_vectors());
+        assert!(p(2, 3).admits_all_vectors());
         // On the reliable line (x = 0) every ℓ admits it.
-        assert!(reliable_line(3).all(|q| q.admits_all_vectors()));
+        assert!((1..=3).all(|ell| p(0, ell).admits_all_vectors()));
     }
 
     #[test]
     fn resilience_line_is_monotone() {
-        let line: Vec<_> = resilience_line(2, 5).collect();
-        assert_eq!(line.len(), 5);
+        // The x-resilience line for x = 2, n = 5: (2, ℓ) for 1 ≤ ℓ ≤ 5.
+        let line: Vec<_> = (1..=5).map(|ell| p(2, ell)).collect();
         assert!(line.windows(2).all(|w| implies(w[0], w[1])));
     }
 }

@@ -62,7 +62,7 @@ use std::time::Instant;
 use setagree_types::ProcessId;
 
 use crate::adversary::{FailurePattern, UnorderedFailurePattern};
-use crate::fault::{FaultInbox, FaultPlan};
+use crate::fault::{FaultInbox, FaultPlan, LinkFates};
 use crate::protocol::{Step, SyncProtocol};
 use crate::trace::{Outcome, Trace};
 
@@ -279,6 +279,14 @@ pub fn run_protocol_unordered<P: SyncProtocol>(
 /// reference count, no per-recipient buffer (`P::Msg` needs no `Clone`).
 /// Under the benign plan the loop allocates exactly what the plain one
 /// does (`tests/alloc_discipline.rs`).
+///
+/// Link decisions are memoised per thread and per plan: the run reads
+/// each link's fate from a table decided the first time a run of `plan`
+/// on this thread reached the round, and leaves the table for the
+/// thread's next run of the same plan — a sweep of cells under one plan
+/// decides each link once per worker, not once per cell. The thread
+/// keeps one plan's table, of at most 4 MiB; rounds past that bound
+/// are decided as they are reached and not kept.
 ///
 /// # Errors
 ///
@@ -569,8 +577,8 @@ fn accepted_by<M, D: DeliveryPolicy>(
 }
 
 /// One live recipient's receive phase of the fault-composed loop:
-/// streams the round's accepted `sends` (those of `ring[slot]`, each
-/// with its sender's `salts` entry) through the recipient's inbox into
+/// streams the round's accepted `sends` (those of `ring[slot]`) through
+/// the recipient's inbox, as its row of fates decides them, into
 /// `process`, and returns the delivered count they add up to — accepted
 /// deliveries plus the plan's adjustment. The other slots of `ring` are
 /// the `sends` of the earlier rounds a due letter can still point into.
@@ -584,7 +592,7 @@ fn receive_round_faulty<P: SyncProtocol, D: DeliveryPolicy>(
     round: usize,
     ring: &[Vec<(usize, P::Msg, bool)>],
     slot: usize,
-    salts: &[u64],
+    fates: Option<&[u8]>,
     policy: &D,
     scratch: &mut Vec<(ProcessId, Letter)>,
 ) -> i64 {
@@ -592,17 +600,18 @@ fn receive_round_faulty<P: SyncProtocol, D: DeliveryPolicy>(
     let sends = &ring[slot];
     // Counted where a send is turned away, the one branch that is cold.
     let mut rejected = 0;
-    let arrivals = sends.iter().zip(salts).enumerate().filter_map(
-        |(index, (&(sender, _, crashing_now), &salt))| {
+    let arrivals = sends
+        .iter()
+        .enumerate()
+        .filter_map(|(index, &(sender, _, crashing_now))| {
             let sender = ProcessId::new(sender);
             if crashing_now && !policy.delivers_while_crashing(sender, round, recipient) {
                 rejected += 1;
                 return None;
             }
-            Some((sender, salt, Letter { slot, index }))
-        },
-    );
-    let adjust = inbox.deliver(round, arrivals, scratch, |from, letter| {
+            Some((sender, Letter { slot, index }))
+        });
+    let adjust = inbox.deliver(round, fates, arrivals, scratch, |from, letter| {
         process.receive(round, from, &ring[letter.slot][letter.index].1)
     });
     sends.len() as i64 - rejected + adjust
@@ -620,6 +629,11 @@ fn receive_round_faulty<P: SyncProtocol, D: DeliveryPolicy>(
 /// one slot when the plan delays nothing, otherwise
 /// `min(max_delay, max_rounds − 1) + 1`, each created the first time a
 /// round maps to it.
+///
+/// No link is decided here: each recipient reads its row of the plan's
+/// [`LinkFates`], taken before round 1 from the thread's kept table when
+/// the plan is the one the thread ran last, and handed back after the
+/// last round — so a sweep decides its plan's links once per worker.
 ///
 /// Delivery counting matches the node mesh's discipline exactly, so
 /// faulty simulator traces are byte-identical to faulty loopback traces:
@@ -668,7 +682,7 @@ pub(crate) fn run_with_policy_faulty<P: SyncProtocol, D: DeliveryPolicy>(
     // that maps to it.
     let crash_rounds = crash_rounds(policy);
     let mut active: Vec<usize> = Vec::with_capacity(n);
-    let mut salts: Vec<u64> = Vec::with_capacity(n);
+    let mut fates = LinkFates::for_run(plan, max_rounds);
     // An inbox that reorders holds the round's arrivals — twice over if
     // all are duplicated — and what was stashed for it.
     let mut scratch: Vec<(ProcessId, Letter)> = Vec::with_capacity(2 * n);
@@ -690,13 +704,11 @@ pub(crate) fn run_with_policy_faulty<P: SyncProtocol, D: DeliveryPolicy>(
         if slot == ring.len() {
             ring.push(Vec::with_capacity(n));
         }
-        let round_salt = plan.round(round);
         ring[slot].clear();
-        salts.clear();
         for &i in &active {
             ring[slot].push((i, procs[i].message(round), crash_rounds[i] == round));
-            salts.push(round_salt.sender(ProcessId::new(i)));
         }
+        fates.enter(round);
 
         // Receive phase. Every active process sent, so `sends` lines up
         // with `active`. A victim of this round departs without
@@ -713,7 +725,7 @@ pub(crate) fn run_with_policy_faulty<P: SyncProtocol, D: DeliveryPolicy>(
                     round,
                     &ring,
                     slot,
-                    &salts,
+                    fates.row(round, ProcessId::new(i)),
                     policy,
                     &mut scratch,
                 );
@@ -731,6 +743,7 @@ pub(crate) fn run_with_policy_faulty<P: SyncProtocol, D: DeliveryPolicy>(
         }
         record_round(round_started);
     }
+    fates.keep();
 
     if obs_on {
         engine_metrics()
@@ -1430,5 +1443,46 @@ mod tests {
         let a = run_protocol_faulty(flood_system(4, 3), &pattern, &plan, 10).unwrap();
         let b = run_protocol_faulty(flood_system(4, 3), &pattern, &plan, 10).unwrap();
         assert_eq!(a, b);
+    }
+
+    /// The thread keeps the fates of the plan it ran last, keyed by the
+    /// whole plan: a plan with the same size and seed that differs in one
+    /// rate, in its longest delay or in one partition is decided afresh,
+    /// and so is the first plan when it comes back. Every run equals the
+    /// same run on a new thread, whose slot is empty; each variant runs
+    /// differently from the first plan, so a slot keyed by less than the
+    /// whole plan would show.
+    #[test]
+    fn kept_fates_are_keyed_by_the_whole_plan() {
+        use crate::fault::{FaultPlan, Partition};
+        use setagree_types::ProcessSet;
+        let a = FaultPlan::new(6, 0xA11)
+            .drop_rate(1500)
+            .delay_rate(3000, 1)
+            .duplicate_rate(1500);
+        let mut side = ProcessSet::empty(6);
+        side.insert(ProcessId::new(0));
+        side.insert(ProcessId::new(1));
+        let variants = [
+            a.clone().drop_rate(6000),
+            a.clone().delay_rate(3000, 3),
+            a.clone().partition(Partition::new(side, 1, 2)),
+        ];
+        // Each process's log of what it received, round by round.
+        let run = |plan: &FaultPlan| {
+            run_protocol_faulty(call_logs::<false>(6), &three_crashes(), plan, 10).unwrap()
+        };
+        let fresh = |plan: &FaultPlan| {
+            let plan = plan.clone();
+            std::thread::spawn(move || run(&plan)).join().unwrap()
+        };
+        let first = fresh(&a);
+        for b in &variants {
+            let other = fresh(b);
+            assert_ne!(other, first, "{b} runs as {a} does: the test shows nothing");
+            assert_eq!(run(&a), first, "{a}");
+            assert_eq!(run(b), other, "{b} after {a}");
+            assert_eq!(run(&a), first, "{a} after {b}");
+        }
     }
 }

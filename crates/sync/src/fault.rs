@@ -15,6 +15,19 @@
 //! Faults never apply to self-delivery (`sender == receiver`): a
 //! process's loopback of its own broadcast is reliable in every model.
 //!
+//! # Decided once per plan
+//!
+//! A link's fate depends on nothing but the plan and the link, and one
+//! plan usually serves a whole sweep of cells. The simulator therefore
+//! decides each link once per plan and thread, not once per run: its
+//! round loop reads a recipient's fates from a table of one byte per
+//! link and round, filled the first time a run of that plan reaches the
+//! round and kept for the thread's next run of the same plan (only the
+//! last plan that faults links is kept). The kept table is bounded
+//! (4 MiB per thread); the rounds past it are decided row by row into
+//! one reused row, and not kept. The transport wrapper decides each
+//! collected round's row the same way, through the same builder.
+//!
 //! # Seeded reproducibility
 //!
 //! ```
@@ -37,6 +50,7 @@
 //! assert_eq!(other.decide(1, ProcessId::new(0), ProcessId::new(0)), LinkFault::Deliver);
 //! ```
 
+use std::cell::Cell;
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -251,11 +265,16 @@ impl FaultPlan {
     /// `true` when the plan can never fault a link — such a plan is
     /// guaranteed to run trace-identical to the fault-free path.
     pub fn is_benign(&self) -> bool {
-        self.drop_rate == 0
-            && self.delay_rate == 0
-            && self.duplicate_rate == 0
-            && self.reorder_rate == 0
-            && self.partitions.is_empty()
+        self.reorder_rate == 0 && !self.faults_links()
+    }
+
+    /// Whether some link can be dropped, delayed or duplicated — what a
+    /// reorder draw alone cannot do.
+    fn faults_links(&self) -> bool {
+        self.drop_rate > 0
+            || self.delay_rate > 0
+            || self.duplicate_rate > 0
+            || !self.partitions.is_empty()
     }
 
     /// The fate of the `from → to` link in `round` — a pure function of
@@ -267,11 +286,27 @@ impl FaultPlan {
     }
 
     /// The `[seed, 1, round]` part of every link decision of `round`,
-    /// folded once: a round loop asks for it once per round, and for
+    /// folded once: a row builder asks for it once per round, and for
     /// [`RoundSalt::sender`] once per sender, in place of five hashes
     /// per link.
-    pub(crate) fn round(&self, round: usize) -> RoundSalt {
+    fn round(&self, round: usize) -> RoundSalt {
         RoundSalt(self.stream(&[1, round as u64]).state)
+    }
+
+    /// Decides the links into `to` in `round` into `row`, one fate byte
+    /// per sender index, given each sender's [`RoundSalt::sender`]
+    /// state: the one builder of every row a delivery reads.
+    fn decide_row(
+        &self,
+        round: usize,
+        to: ProcessId,
+        sender_state: impl Fn(usize) -> u64,
+        row: &mut [u8],
+    ) {
+        let links = self.links(round, to);
+        for (from, fate) in row.iter_mut().enumerate() {
+            *fate = fate_code(links.decide(ProcessId::new(from), || sender_state(from)));
+        }
     }
 
     /// The links into `to` in `round`.
@@ -450,13 +485,172 @@ impl Links<'_> {
 /// A link-decision stream with `[seed, 1, round]` folded in; see
 /// [`FaultPlan::round`].
 #[derive(Debug, Clone, Copy)]
-pub(crate) struct RoundSalt(u64);
+struct RoundSalt(u64);
 
 impl RoundSalt {
-    /// The stream state shared by every link out of `from` this round —
-    /// what [`FaultInbox::deliver`] takes with each arrival.
-    pub(crate) fn sender(self, from: ProcessId) -> u64 {
+    /// The stream state shared by every link out of `from` this round.
+    fn sender(self, from: ProcessId) -> u64 {
         salted(self.0, from.index() as u64)
+    }
+}
+
+/// A link's fate in one byte: [`LinkFault::Deliver`] is 0,
+/// [`LinkFault::Drop`] 1,
+/// [`LinkFault::Duplicate`] 2, and a delay of `by` rounds is
+/// `DELAY_FAR + by` — or `DELAY_FAR` itself when that does not fit, in
+/// which case the amount is decided again from the link's stream when
+/// the letter is stashed.
+const DELIVER: u8 = 0;
+const DROP: u8 = 1;
+const DUPLICATE: u8 = 2;
+const DELAY_FAR: u8 = 3;
+
+fn fate_code(fault: LinkFault) -> u8 {
+    match fault {
+        LinkFault::Deliver => DELIVER,
+        LinkFault::Drop => DROP,
+        LinkFault::Duplicate => DUPLICATE,
+        LinkFault::Delay(by) => u8::try_from(by)
+            .ok()
+            .and_then(|by| by.checked_add(DELAY_FAR))
+            .unwrap_or(DELAY_FAR),
+    }
+}
+
+/// The fault a fate byte stands for; `far` decides a delay too long for
+/// the byte.
+#[inline]
+fn fate_of(code: u8, far: impl FnOnce() -> LinkFault) -> LinkFault {
+    match code {
+        DELIVER => LinkFault::Deliver,
+        DROP => LinkFault::Drop,
+        DUPLICATE => LinkFault::Duplicate,
+        DELAY_FAR => far(),
+        near => LinkFault::Delay(usize::from(near - DELAY_FAR)),
+    }
+}
+
+/// The bytes of link fates a thread keeps between runs, its spare row and
+/// sender states included.
+const KEPT_FATES_BUDGET: usize = 4 << 20;
+
+thread_local! {
+    /// The fates of the last plan run on this thread that faults links.
+    static KEPT_FATES: Cell<Option<LinkFates>> = const { Cell::new(None) };
+}
+
+/// One plan's link fates, one byte per link and round, indexed
+/// `[round][to][from]`: what the simulator's round loop reads in place of
+/// deciding each arrival. A round's rows are decided the first time a run
+/// reaches it, by [`FaultPlan::decide_row`], and kept for the thread's
+/// next run of the same plan; rounds past the budget are decided into
+/// one spare row per recipient and not kept.
+#[derive(Debug)]
+pub(crate) struct LinkFates {
+    plan: FaultPlan,
+    /// Whether any link can be faulted: if not, nothing is decided,
+    /// nothing is allocated, and there are no rows.
+    faults: bool,
+    /// The kept rounds' rows, `n²` bytes a round; rounds `1..=decided`
+    /// are filled.
+    kept: Vec<u8>,
+    decided: usize,
+    /// The row of a round past the kept ones.
+    spare: Vec<u8>,
+    /// The [`RoundSalt::sender`] states of the round last entered.
+    salts: Vec<u64>,
+}
+
+impl LinkFates {
+    /// The fates of `plan` for a run of at most `max_rounds` rounds:
+    /// this thread's kept table if it is `plan`'s, a new one otherwise,
+    /// with room for the run's rounds up to the budget — all allocated
+    /// here, before round 1. A plan that faults no link builds nothing
+    /// and leaves the kept table alone.
+    pub(crate) fn for_run(plan: &FaultPlan, max_rounds: usize) -> LinkFates {
+        if !plan.faults_links() {
+            return LinkFates::new(plan.clone(), 0);
+        }
+        let n = plan.n();
+        let within_budget =
+            KEPT_FATES_BUDGET.saturating_sub(n * (1 + std::mem::size_of::<u64>())) / (n * n).max(1);
+        let rounds = max_rounds.min(within_budget);
+        let kept = KEPT_FATES
+            .try_with(Cell::take)
+            .ok()
+            .flatten()
+            .filter(|fates| fates.plan == *plan);
+        match kept {
+            Some(mut fates) => {
+                if fates.kept.len() < rounds * n * n {
+                    fates.kept.reserve_exact(rounds * n * n - fates.kept.len());
+                    fates.kept.resize(rounds * n * n, DELIVER);
+                }
+                fates
+            }
+            None => LinkFates::new(plan.clone(), rounds),
+        }
+    }
+
+    /// A table with room for `rounds` kept rounds, none decided.
+    fn new(plan: FaultPlan, rounds: usize) -> LinkFates {
+        let faults = plan.faults_links();
+        let n = if faults { plan.n() } else { 0 };
+        LinkFates {
+            faults,
+            kept: vec![DELIVER; rounds * n * n],
+            decided: 0,
+            spare: vec![DELIVER; n],
+            salts: Vec::with_capacity(n),
+            plan,
+        }
+    }
+
+    /// Hands the table back to this thread's slot for its next run.
+    pub(crate) fn keep(self) {
+        if self.faults {
+            let _ = KEPT_FATES.try_with(|slot| slot.set(Some(self)));
+        }
+    }
+
+    /// Readies `round`'s rows, which runs reach in order: decides them
+    /// into the table the first time a run reaches a kept round, or
+    /// salts the senders for the spare row past the kept rounds.
+    pub(crate) fn enter(&mut self, round: usize) {
+        if !self.faults || round <= self.decided {
+            return;
+        }
+        let salt = self.plan.round(round);
+        self.salts.clear();
+        self.salts
+            .extend(ProcessId::all(self.plan.n()).map(|from| salt.sender(from)));
+        let n = self.plan.n();
+        if round == self.decided + 1 && round * n * n <= self.kept.len() {
+            let rows = &mut self.kept[(round - 1) * n * n..round * n * n];
+            for (to, row) in ProcessId::all(n).zip(rows.chunks_exact_mut(n)) {
+                self.plan
+                    .decide_row(round, to, |from| self.salts[from], row);
+            }
+            self.decided = round;
+        }
+    }
+
+    /// The fates of the links into `to` in the entered `round`, by
+    /// sender index; `None` when the plan faults no link.
+    #[inline]
+    pub(crate) fn row(&mut self, round: usize, to: ProcessId) -> Option<&[u8]> {
+        if !self.faults {
+            return None;
+        }
+        let n = self.plan.n();
+        if round <= self.decided {
+            let at = ((round - 1) * n + to.index()) * n;
+            return Some(&self.kept[at..at + n]);
+        }
+        let salts = &self.salts;
+        self.plan
+            .decide_row(round, to, |from| salts[from], &mut self.spare);
+        Some(&self.spare)
     }
 }
 
@@ -549,6 +743,14 @@ impl Tally {
 /// (original round ascending, sender ascending within it).
 type Stash<L> = BTreeMap<usize, Vec<(usize, ProcessId, L)>>;
 
+/// The fate of a link whose delay is too long for its fate byte,
+/// decided again. Cold: such plans are authored, not swept.
+#[cold]
+#[inline(never)]
+fn far_delay(plan: &FaultPlan, round: usize, from: ProcessId, to: ProcessId) -> LinkFault {
+    plan.decide(round, from, to)
+}
+
 /// Stashes a letter of `round` from `from` until `arrival`. Out of line
 /// and cold: the delivery loop around it then keeps its own state in
 /// registers and spills it around this call only.
@@ -569,6 +771,12 @@ fn stash_until<L>(stash: &mut Stash<L>, arrival: usize, round: usize, from: Proc
 /// [`FaultInbox::assemble`], which is `deliver` into a `Vec` — so the two
 /// tiers cannot drift.
 ///
+/// Neither decides a link as its letter arrives: `deliver` reads the
+/// recipient's row of link fates for the round. The simulator takes the
+/// row from a table memoised per thread and per plan (decided once for a
+/// whole sweep of cells, within a fixed memory bound); `assemble` decides
+/// its row each round with the same builder.
+///
 /// Inbox order is part of the contract: delayed letters first (sorted by
 /// original round, then sender — the order they were stashed), then the
 /// current round's arrivals in sender order with duplicates adjacent,
@@ -578,6 +786,8 @@ pub struct FaultInbox<L> {
     plan: FaultPlan,
     me: ProcessId,
     stash: Stash<L>,
+    /// [`FaultInbox::assemble`]'s row of fates, decided per round.
+    row: Vec<u8>,
 }
 
 impl<L: Clone> FaultInbox<L> {
@@ -587,6 +797,7 @@ impl<L: Clone> FaultInbox<L> {
             plan,
             me,
             stash: BTreeMap::new(),
+            row: Vec::new(),
         }
     }
 
@@ -599,49 +810,67 @@ impl<L: Clone> FaultInbox<L> {
     /// plan and returns the final inbox plus the delivered-count
     /// adjustment: −1 per drop, +1 per duplicate (a delayed letter was
     /// already counted when its broadcast was accepted, so delays
-    /// adjust nothing).
+    /// adjust nothing). The round's row of fates is decided here, by the
+    /// builder the simulator's table is filled with — unless the plan
+    /// faults no link.
     pub fn assemble(
         &mut self,
         round: usize,
         arrivals: Vec<(ProcessId, L)>,
     ) -> (Vec<(ProcessId, L)>, i64) {
-        let salt = self.plan.round(round);
+        let mut row = std::mem::take(&mut self.row);
+        let fates = if self.plan.faults_links() {
+            let senders = arrivals.last().map_or(0, |&(from, _)| from.index() + 1);
+            row.resize(senders.max(self.plan.n()), DELIVER);
+            let salt = self.plan.round(round);
+            self.plan.decide_row(
+                round,
+                self.me,
+                |from| salt.sender(ProcessId::new(from)),
+                &mut row,
+            );
+            Some(&row[..])
+        } else {
+            None
+        };
         let mut inbox = Vec::with_capacity(arrivals.len());
         let mut scratch = Vec::new();
         let adjust = self.deliver(
             round,
-            arrivals
-                .into_iter()
-                .map(|(from, letter)| (from, salt.sender(from), letter)),
+            fates,
+            arrivals.into_iter(),
             &mut scratch,
             |from, letter| inbox.push((from, letter)),
         );
+        self.row = row;
         (inbox, adjust)
     }
 
     /// The streaming core. Hands `sink` the round's final inbox in
-    /// order — due stashed letters, then `arrivals` (ascending sender,
-    /// each with its [`RoundSalt::sender`] state) as the plan decides
-    /// them — and returns the delivered-count adjustment. Nothing is
-    /// buffered unless the plan's (round, receiver) reorder draw fires;
-    /// only then is the inbox assembled in the (empty) `scratch`,
-    /// shuffled whole and drained, so a round loop reusing `scratch`
-    /// allocates here for a delayed letter's stash entry and nothing
-    /// else.
+    /// order — due stashed letters, then `arrivals` (ascending sender)
+    /// as `fates` (the recipient's row for the round, by sender index;
+    /// `None` when the plan faults no link) decides them — and returns
+    /// the delivered-count adjustment. Nothing is buffered unless the
+    /// plan's (round, receiver) reorder draw fires; only then is the
+    /// inbox assembled in the (empty) `scratch`, shuffled whole and
+    /// drained, so a round loop reusing `scratch` allocates here for a
+    /// delayed letter's stash entry and nothing else.
     #[inline]
     pub(crate) fn deliver(
         &mut self,
         round: usize,
-        arrivals: impl Iterator<Item = (ProcessId, u64, L)>,
+        fates: Option<&[u8]>,
+        arrivals: impl Iterator<Item = (ProcessId, L)>,
         scratch: &mut Vec<(ProcessId, L)>,
         mut sink: impl FnMut(ProcessId, L),
     ) -> i64 {
         let tally = match self.plan.reorder_draw(round, self.me) {
-            None => self.route(round, arrivals, sink),
+            None => self.route(round, fates, arrivals, sink),
             Some(stream) => {
                 debug_assert!(scratch.is_empty(), "the assembly is the whole inbox");
-                let tally =
-                    self.route(round, arrivals, |from, letter| scratch.push((from, letter)));
+                let tally = self.route(round, fates, arrivals, |from, letter| {
+                    scratch.push((from, letter))
+                });
                 stream.shuffle(scratch);
                 for (from, letter) in scratch.drain(..) {
                     sink(from, letter);
@@ -660,7 +889,8 @@ impl<L: Clone> FaultInbox<L> {
     fn route(
         &mut self,
         round: usize,
-        arrivals: impl Iterator<Item = (ProcessId, u64, L)>,
+        fates: Option<&[u8]>,
+        arrivals: impl Iterator<Item = (ProcessId, L)>,
         mut out: impl FnMut(ProcessId, L),
     ) -> Tally {
         let mut tally = Tally::default();
@@ -673,11 +903,15 @@ impl<L: Clone> FaultInbox<L> {
                 out(from, letter);
             }
         }
-        let links = self.plan.links(round, self.me);
-        let stash = &mut self.stash;
         // Internal iteration: an adaptor chain folds into one loop.
-        arrivals.for_each(|(from, sender_state, letter)| {
-            match links.decide(from, || sender_state) {
+        let Some(fates) = fates else {
+            // No link is faulted: a loop with no per-letter decision.
+            arrivals.for_each(|(from, letter)| out(from, letter));
+            return tally;
+        };
+        let (plan, me, stash) = (&self.plan, self.me, &mut self.stash);
+        arrivals.for_each(|(from, letter)| {
+            match fate_of(fates[from.index()], || far_delay(plan, round, from, me)) {
                 LinkFault::Deliver => out(from, letter),
                 LinkFault::Drop => tally.dropped += 1,
                 LinkFault::Duplicate => {
@@ -923,32 +1157,55 @@ mod tests {
         })
     }
 
+    /// Added to a drawn maximum delay to make most delays too long for a
+    /// fate byte.
+    const FAR: usize = 300;
+
     proptest::proptest! {
+        /// Every decision form against the reference: `decide`, the
+        /// hoisted `Links` a row builder uses, and every row of a fates
+        /// table — three rounds kept and three past them in the spare
+        /// row, read twice so the second pass reads what the first kept.
         #[test]
         fn lazy_decisions_equal_the_full_stream_reference(
             n in 2usize..=8,
             seed in proptest::any::<u64>(),
-            drawn in (1..RATE_SCALE, 1..RATE_SCALE, 1..RATE_SCALE),
+            drawn in (1..RATE_SCALE, 1..RATE_SCALE, 1..RATE_SCALE, 1..RATE_SCALE),
             max_delay in 1usize..=3,
+            far in proptest::any::<bool>(),
             partitions in proptest::collection::vec((proptest::any::<u8>(), 1usize..=6, 0usize..=3), 0..=2),
         ) {
-            let drawn = [drawn.0, drawn.1, drawn.2, 0];
-            // The reorder rate takes no part in a link decision.
-            for plan in plans_at_every_rate_corner(n, seed, drawn, max_delay, &partitions).take(27) {
-                for round in 1..=6 {
-                    let salt = plan.round(round);
-                    for from in ProcessId::all(n) {
+            let drawn = [drawn.0, drawn.1, drawn.2, drawn.3];
+            let max_delay = if far { FAR + max_delay } else { max_delay };
+            for plan in plans_at_every_rate_corner(n, seed, drawn, max_delay, &partitions) {
+                let mut fates = LinkFates::new(plan.clone(), 3);
+                for pass in 0..2 {
+                    for round in 1..=6 {
+                        let salt = plan.round(round);
+                        fates.enter(round);
                         for to in ProcessId::all(n) {
-                            let reference = plan.decide_by_full_stream(round, from, to);
-                            proptest::prop_assert_eq!(
-                                plan.decide(round, from, to), reference,
-                                "{} round {} {}→{}", plan, round, from, to
-                            );
-                            // The hoisted form a round loop uses.
-                            proptest::prop_assert_eq!(
-                                plan.links(round, to).decide(from, || salt.sender(from)),
-                                reference
-                            );
+                            // No row: every link delivers.
+                            let row = fates.row(round, to).map_or(vec![DELIVER; n], <[u8]>::to_vec);
+                            proptest::prop_assert_eq!(row.len(), n);
+                            for from in ProcessId::all(n) {
+                                let reference = plan.decide_by_full_stream(round, from, to);
+                                let code = row[from.index()];
+                                proptest::prop_assert_eq!(
+                                    code, fate_code(reference),
+                                    "{} round {} {}→{} pass {}", plan, round, from, to, pass
+                                );
+                                proptest::prop_assert_eq!(
+                                    fate_of(code, || plan.decide(round, from, to)), reference
+                                );
+                                if pass == 0 {
+                                    proptest::prop_assert_eq!(plan.decide(round, from, to), reference);
+                                    // The hoisted form a row builder uses.
+                                    proptest::prop_assert_eq!(
+                                        plan.links(round, to).decide(from, || salt.sender(from)),
+                                        reference
+                                    );
+                                }
+                            }
                         }
                     }
                 }
@@ -975,8 +1232,10 @@ mod tests {
                 let mut reference: FaultInbox<u32> = FaultInbox::new(plan.clone(), me);
                 let mut assembled: FaultInbox<u32> = FaultInbox::new(plan.clone(), me);
                 let mut streamed: FaultInbox<u32> = FaultInbox::new(plan.clone(), me);
-                // Reused across rounds, as the engine reuses its own.
+                // Reused across rounds, as the engine reuses its own; and
+                // fates kept for three of the six rounds.
                 let mut scratch = Vec::new();
+                let mut fates = LinkFates::new(plan.clone(), 3);
                 for (round, mask) in (1..).zip(&senders) {
                     let arrivals: Vec<(ProcessId, u32)> = (0..n)
                         .filter(|i| mask >> i & 1 == 1)
@@ -987,11 +1246,12 @@ mod tests {
                         &assembled.assemble(round, arrivals.clone()), &expected,
                         "{} round {} at {}", plan, round, me
                     );
-                    let salt = plan.round(round);
                     let mut inbox = Vec::new();
+                    fates.enter(round);
                     let adjust = streamed.deliver(
                         round,
-                        arrivals.into_iter().map(|(from, letter)| (from, salt.sender(from), letter)),
+                        fates.row(round, me),
+                        arrivals.into_iter(),
                         &mut scratch,
                         |from, letter| inbox.push((from, letter)),
                     );
@@ -1001,6 +1261,38 @@ mod tests {
                     proptest::prop_assert_eq!(&streamed.stash, &reference.stash);
                 }
             }
+        }
+    }
+
+    #[test]
+    fn kept_fates_are_reused_only_for_an_equal_plan() {
+        let a = FaultPlan::new(4, 3).drop_rate(5_000);
+        let decided = |plan: &FaultPlan, rounds: usize| {
+            let mut fates = LinkFates::for_run(plan, rounds);
+            let kept = fates.decided;
+            for round in 1..=rounds {
+                fates.enter(round);
+            }
+            fates.keep();
+            kept
+        };
+        assert_eq!(decided(&a, 3), 0, "nothing kept for this plan yet");
+        assert_eq!(decided(&a, 5), 3, "the rounds the last run reached");
+        assert_eq!(decided(&a.clone().drop_rate(5_001), 2), 0);
+        assert_eq!(decided(&a, 2), 0, "replaced by the other plan");
+        // A plan that faults no link leaves the kept table alone.
+        assert_eq!(decided(&FaultPlan::new(4, 3).reorder_rate(5_000), 2), 0);
+        assert_eq!(decided(&a, 2), 2);
+    }
+
+    #[test]
+    fn the_kept_fates_stay_within_the_budget() {
+        for (n, kept_rounds) in [(4, 100), (64, 100), (1024, 3), (4096, 0)] {
+            let plan = FaultPlan::new(n, 1).drop_rate(1);
+            let fates = LinkFates::for_run(&plan, 100);
+            assert_eq!(fates.kept.len(), kept_rounds * n * n, "n = {n}");
+            let bytes = fates.kept.capacity() + fates.spare.capacity() + 8 * fates.salts.capacity();
+            assert!(bytes <= KEPT_FATES_BUDGET, "n = {n}: {bytes} bytes");
         }
     }
 

@@ -30,6 +30,12 @@
 //!   the same cell with every process on its own, and no `realloc` after
 //!   round 1.
 //!
+//! * **A plan's link fates are decided once per thread.** A second cell
+//!   under the plan this thread ran last allocates no table of fates,
+//!   so it calls `alloc` less often than the first; and the table the
+//!   thread keeps between runs stays within its byte budget, whatever
+//!   the system size and round limit.
+//!
 //! * **A `C_max` question never regrows a buffer either.** Every
 //!   process asks one per cell in its compute phase, on whichever thread
 //!   runs the cell; `MaxCondition::{decode_view, matches, contains}`
@@ -72,6 +78,8 @@ thread_local! {
     static TAG: Cell<u32> = const { Cell::new(0) };
     static ALLOCS: Cell<u64> = const { Cell::new(0) };
     static REALLOCS: Cell<u64> = const { Cell::new(0) };
+    /// Bytes allocated minus bytes freed, by calls made on this thread.
+    static LIVE_BYTES: Cell<i64> = const { Cell::new(0) };
     /// The round whose start is marked, and the counts at that mark.
     static MARKED_ROUND: Cell<usize> = const { Cell::new(2) };
     static COUNTS_AT_MARK: Cell<Option<Counts>> = const { Cell::new(None) };
@@ -114,6 +122,7 @@ fn padded(layout: Layout, size: usize) -> Layout {
 unsafe impl GlobalAlloc for Tagging {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         let _ = ALLOCS.try_with(|count| count.set(count.get() + 1));
+        let _ = LIVE_BYTES.try_with(|live| live.set(live.get() + layout.size() as i64));
         let base = System.alloc(padded(layout, layout.size()));
         if base.is_null() {
             return base;
@@ -131,11 +140,14 @@ unsafe impl GlobalAlloc for Tagging {
                 slot.store(layout.size(), Ordering::Relaxed);
             }
         }
+        let _ = LIVE_BYTES.try_with(|live| live.set(live.get() - layout.size() as i64));
         System.dealloc(base, padded(layout, layout.size()));
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         let _ = REALLOCS.try_with(|count| count.set(count.get() + 1));
+        let grown = new_size as i64 - layout.size() as i64;
+        let _ = LIVE_BYTES.try_with(|live| live.set(live.get() + grown));
         // The block keeps the tag of the thread that first allocated it.
         let base = System.realloc(
             ptr.sub(header(layout)),
@@ -407,6 +419,91 @@ fn the_faulty_round_loop_regrows_only_the_stash_once_the_ring_is_full() {
             "a per-round buffer was regrown under {plan}"
         );
     }
+}
+
+/// All allocator calls this thread makes while `run` runs.
+fn counted<T>(run: impl FnOnce() -> T) -> (T, Counts) {
+    let before = counts_on_this_thread();
+    let result = run();
+    let after = counts_on_this_thread();
+    let counts = Counts {
+        allocs: after.allocs - before.allocs,
+        reallocs: after.reallocs - before.reallocs,
+    };
+    (result, counts)
+}
+
+#[test]
+fn a_second_cell_under_a_kept_plan_allocates_no_table() {
+    // A new thread: no plan's fates are kept on it yet.
+    std::thread::spawn(|| {
+        let pattern = crashing_pattern();
+        let plan = lossy_plan(7);
+        let cell = || {
+            run_protocol_faulty(flood_system(), &pattern, &plan, ROUNDS + 1)
+                .expect("the flood terminates")
+        };
+        let (first_trace, first) = counted(cell);
+        let (second_trace, second) = counted(cell);
+        assert_eq!(second_trace, first_trace);
+        assert!(
+            second.allocs < first.allocs,
+            "the second cell decided its links again: first {first:?}, second {second:?}"
+        );
+    })
+    .join()
+    .expect("the cells run");
+}
+
+/// The byte budget of the link fates a thread keeps between runs.
+const KEPT_FATES_BUDGET: i64 = 4 << 20;
+
+/// Sends nothing but a unit and decides in round `ROUNDS`: the cheapest
+/// protocol to run at a large system size.
+struct Quiet;
+
+impl SyncProtocol for Quiet {
+    type Msg = ();
+    type Output = ();
+
+    fn message(&mut self, _round: usize) {}
+
+    fn receive(&mut self, _round: usize, _from: ProcessId, _msg: &()) {}
+
+    fn compute(&mut self, round: usize) -> Step<()> {
+        if round >= ROUNDS {
+            Step::Decide(())
+        } else {
+            Step::Continue
+        }
+    }
+}
+
+#[test]
+fn the_kept_fates_stay_within_their_byte_budget() {
+    std::thread::spawn(|| {
+        // At n = 1024 a round's fates are 1 MiB: a round limit of 1 000
+        // would be a gigabyte of them.
+        let n = 1024;
+        let plan = FaultPlan::new(n, 3).drop_rate(300).duplicate_rate(300);
+        let before = LIVE_BYTES.with(Cell::get);
+        let trace = run_protocol_faulty(
+            (0..n).map(|_| Quiet).collect(),
+            &FailurePattern::none(n),
+            &plan,
+            1_000,
+        )
+        .expect("the protocol terminates");
+        assert_eq!(trace.rounds_executed(), ROUNDS);
+        drop(trace);
+        let kept = LIVE_BYTES.with(Cell::get) - before;
+        assert!(
+            (1 << 20..=KEPT_FATES_BUDGET).contains(&kept),
+            "the thread kept {kept} bytes after the run"
+        );
+    })
+    .join()
+    .expect("the run completes");
 }
 
 #[test]

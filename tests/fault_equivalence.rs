@@ -22,7 +22,7 @@ use proptest::prelude::*;
 use setagree::conditions::MaxCondition;
 use setagree::core::{
     Adversary, ConditionBasedConfig, Executor, ExperimentError, FaultPlan, Partition, ProtocolSpec,
-    Report, Scenario, TransportKind, RATE_SCALE,
+    Report, Scenario, ScenarioSuite, TransportKind, RATE_SCALE,
 };
 use setagree::sync::{CrashSpec, FailurePattern};
 use setagree::types::{InputVector, ProcessId, ProcessSet};
@@ -278,4 +278,55 @@ fn network_adversary_is_deterministic() {
     let second = scenario.run().expect("network adversary");
     assert_eq!(first.trace(), second.trace());
     assert!(first.satisfies_validity());
+}
+
+/// A suite worker keeps the link fates of the last plan it ran: a grid
+/// whose adversaries alternate between three plans — two lossy ones that
+/// share a seed, and the benign one — reports the same cases on one
+/// worker as on two, whichever worker ran which cell after which plan.
+#[test]
+fn a_faulty_suite_reports_alike_on_one_worker_and_on_two() {
+    let lossy = FaultPlan::new(N, 0x5EED)
+        .drop_rate(1500)
+        .delay_rate(1500, 2)
+        .duplicate_rate(1000)
+        .reorder_rate(3000);
+    let plans = [lossy.clone(), lossy.drop_rate(4000), FaultPlan::none(N)];
+    let mut chain = FailurePattern::none(N);
+    chain
+        .crash(ProcessId::new(2), CrashSpec::new(1, 5))
+        .expect("valid");
+    let adversaries = [FailurePattern::none(N), chain]
+        .into_iter()
+        .flat_map(|crashes| {
+            plans
+                .clone()
+                .into_iter()
+                .map(move |plan| Adversary::Omission {
+                    plan,
+                    crashes: crashes.clone(),
+                })
+        })
+        .collect::<Vec<_>>();
+    let config = ConditionBasedConfig::builder(N, T, 2)
+        .condition_degree(2)
+        .ell(2)
+        .build()
+        .expect("valid");
+    let oracle = MaxCondition::new(config.legality());
+    let suite = |threads| {
+        ScenarioSuite::new()
+            .spec(ProtocolSpec::condition_based(config, oracle))
+            .spec(ProtocolSpec::flood_set(N, T, 2))
+            .inputs([
+                InputVector::new(vec![3u32, 9, 9, 4, 9, 2, 8, 9]),
+                InputVector::new(vec![1u32, 2, 3, 4, 5, 6, 7, 8]),
+            ])
+            .patterns(adversaries.clone())
+            .threads(threads)
+    };
+    let serial = suite(1).run();
+    let parallel = suite(2).run();
+    assert_eq!(serial.len(), 2 * 2 * 6);
+    assert_eq!(parallel.cases(), serial.cases());
 }
