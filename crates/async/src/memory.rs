@@ -27,7 +27,6 @@ use setagree_types::{ProcessId, ProposalValue, View};
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SharedMemory<V> {
     registers: Vec<Option<V>>,
-    writes: u64,
     snapshots: u64,
 }
 
@@ -41,7 +40,6 @@ impl<V: ProposalValue> SharedMemory<V> {
         assert!(n > 0, "a system needs at least one process");
         SharedMemory {
             registers: vec![None; n],
-            writes: 0,
             snapshots: 0,
         }
     }
@@ -64,7 +62,6 @@ impl<V: ProposalValue> SharedMemory<V> {
     /// Panics if `owner` is out of range.
     pub fn write(&mut self, owner: ProcessId, value: V) {
         self.registers[owner.index()] = Some(value);
-        self.writes += 1;
     }
 
     /// An atomic snapshot of all registers.
@@ -76,11 +73,6 @@ impl<V: ProposalValue> SharedMemory<V> {
     /// Reads a single register without snapshotting.
     pub fn read(&self, owner: ProcessId) -> Option<&V> {
         self.registers[owner.index()].as_ref()
-    }
-
-    /// Total writes performed (operation accounting for benches).
-    pub fn write_count(&self) -> u64 {
-        self.writes
     }
 
     /// Total snapshots performed.
@@ -128,7 +120,6 @@ mod tests {
         mem.write(ProcessId::new(0), 1);
         mem.write(ProcessId::new(1), 2);
         let _ = mem.snapshot();
-        assert_eq!(mem.write_count(), 2);
         assert_eq!(mem.snapshot_count(), 1);
         assert_eq!(mem.len(), 2);
     }

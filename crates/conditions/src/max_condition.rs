@@ -115,7 +115,7 @@ impl MaxCondition {
 
     /// The view predicate `P(J)` on the dense engine — the id-bitmap
     /// counterpart of [`ConditionOracle::matches`].
-    pub fn matches_dense(&self, view: &DenseView) -> bool {
+    fn matches_dense(&self, view: &DenseView) -> bool {
         let b = view.count_bottom();
         if b == view.len() {
             return view.len() > self.params.x();

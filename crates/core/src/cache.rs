@@ -93,10 +93,6 @@ use crate::report::Report;
 /// FNV-1a; version 1 a text line codec carrying summary integers only).
 const FORMAT_VERSION: u64 = 3;
 
-/// The magic line opening the pre-v2 text format; recognized so old
-/// files reload as cold caches rather than hard errors.
-const TEXT_FILE_MAGIC: &[u8] = b"setagree-suite-cache ";
-
 /// A [`Hasher`] over the journal chain's [`Mixer`]: deterministic across
 /// runs, unlike `std`'s randomized `DefaultHasher` — the property a
 /// persisted cache key needs — and 128 bits wide, both lanes fed by one
@@ -464,11 +460,11 @@ impl<V: CacheableValue> SuiteCache<V> {
     /// # Errors
     ///
     /// I/O failures other than `NotFound`, and malformed files —
-    /// except a *version* mismatch in the header (including the pre-v2
-    /// text format), which loads as an empty cache: an old file is a
-    /// cold cache, not an error. Unlike [`SuiteCache::resume_journal`],
-    /// a torn or corrupted tail here is an error too — `save` writes
-    /// whole files atomically, so damage means the file is not ours.
+    /// except a *version* mismatch in the journal header, which loads
+    /// as an empty cache: an old file is a cold cache, not an error.
+    /// Unlike [`SuiteCache::resume_journal`], a torn or corrupted tail
+    /// here is an error too — `save` writes whole files atomically, so
+    /// damage means the file is not ours.
     pub fn load_or_empty(path: impl AsRef<Path>) -> io::Result<Self> {
         match fs::read(path) {
             Ok(bytes) => Self::parse(&bytes),
@@ -508,10 +504,6 @@ impl<V: CacheableValue> SuiteCache<V> {
     }
 
     fn parse(bytes: &[u8]) -> io::Result<Self> {
-        // The pre-v2 text codec: a recognized stale format reloads cold.
-        if bytes.starts_with(TEXT_FILE_MAGIC) {
-            return Ok(SuiteCache::new());
-        }
         let cursor = Cursor::new(bytes);
         match cursor.version() {
             // A newer/older journal version is a cold cache …
@@ -533,8 +525,7 @@ impl<V: CacheableValue> SuiteCache<V> {
     /// valid prefix already exists into the cache first.
     ///
     /// * Missing (or empty) file → a fresh journal is created.
-    /// * Stale version (including the pre-v2 text cache format written
-    ///   under this path) → the file is a cold journal and is rewritten
+    /// * Stale version → the file is a cold journal and is rewritten
     ///   fresh.
     /// * Valid prefix + torn/corrupted tail (a crashed writer) → the
     ///   prefix is replayed into the cache, the file is truncated back
@@ -549,8 +540,8 @@ impl<V: CacheableValue> SuiteCache<V> {
     /// # Errors
     ///
     /// I/O failures reading, truncating or reopening the file, and a
-    /// file whose header is neither a journal nor the old text format
-    /// (a foreign file is refused, not clobbered).
+    /// file whose header is not a journal's (a foreign file is refused,
+    /// not clobbered).
     pub fn resume_journal(&self, path: impl AsRef<Path>) -> io::Result<JournalReplayStats> {
         let path = path.as_ref();
         let bytes = match fs::read(path) {
@@ -564,9 +555,9 @@ impl<V: CacheableValue> SuiteCache<V> {
             // An intact header of another version: ours, just stale.
             Some(v) if v != header_version() => true,
             Some(_) => false,
-            // A short header is our own torn write (or the old text
-            // format's first line); anything else is a foreign file.
-            None if bytes.len() < HEADER_LEN || bytes.starts_with(TEXT_FILE_MAGIC) => true,
+            // A short header is our own torn write; anything else is a
+            // foreign file.
+            None if bytes.len() < HEADER_LEN => true,
             None => {
                 return Err(io::Error::new(
                     io::ErrorKind::InvalidData,
@@ -752,10 +743,6 @@ mod tests {
         assert!(missing.is_empty());
 
         let path = temp_path("setagree-cache-test-stale");
-        // The pre-v2 text format.
-        fs::write(&path, "setagree-suite-cache v1\ngarbage garbage\n").unwrap();
-        let stale: SuiteCache<u32> = SuiteCache::load_or_empty(&path).unwrap();
-        assert!(stale.is_empty(), "the old text format reloads cold");
         // A journal of a different version.
         let other = JournalWriter::create(Vec::new(), header_version() + 1)
             .unwrap()
@@ -947,14 +934,19 @@ mod tests {
     #[test]
     fn foreign_files_are_refused_not_clobbered() {
         let path = temp_path("setagree-cache-test-foreign");
-        fs::write(&path, "someone else's twenty-plus bytes of data\n").unwrap();
-        let cache: SuiteCache<u32> = SuiteCache::new();
-        assert!(cache.resume_journal(&path).is_err());
-        assert_eq!(
-            fs::read(&path).unwrap(),
+        // Arbitrary bytes, and a file in the retired v1 text format: a
+        // v1 cache is not a journal, so it is foreign too.
+        let foreign: [&[u8]; 2] = [
             b"someone else's twenty-plus bytes of data\n",
-            "the file is untouched"
-        );
+            b"setagree-suite-cache v1\ngarbage garbage\n",
+        ];
+        for bytes in foreign {
+            fs::write(&path, bytes).unwrap();
+            assert!(SuiteCache::<u32>::load_or_empty(&path).is_err());
+            let cache: SuiteCache<u32> = SuiteCache::new();
+            assert!(cache.resume_journal(&path).is_err());
+            assert_eq!(fs::read(&path).unwrap(), bytes, "the file is untouched");
+        }
         fs::remove_file(&path).unwrap();
     }
 

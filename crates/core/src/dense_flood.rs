@@ -10,10 +10,10 @@
 //! the decision is a single counting pass — no value clones anywhere in
 //! the round loop. It prices one merge per delivery: O(n/64) until the
 //! receiver converges, O(1) after. The `broadcast` benches, the
-//! `flood-smoke` CI binary, and the dense-equivalence property suite all
-//! run this protocol; its generic twin (a `View<V>`-flooding protocol
-//! with the same shape) is what the before/after numbers in the README
-//! compare against.
+//! benchmark's `large_n` workload, and the dense-equivalence property
+//! suite all run this protocol; its generic twin (a `View<V>`-flooding
+//! protocol with the same shape) is what the before/after numbers in the
+//! README compare against.
 
 use std::fmt;
 

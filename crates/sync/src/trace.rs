@@ -133,14 +133,6 @@ impl<Out: Clone + Ord> Trace<Out> {
             .max()
     }
 
-    /// The earliest decision round, or `None`.
-    pub fn first_decision_round(&self) -> Option<usize> {
-        self.outcomes
-            .iter()
-            .filter_map(|o| o.decision_round())
-            .min()
-    }
-
     /// Returns `true` if every non-crashed process decided (the paper's
     /// termination property).
     pub fn all_correct_decided(&self) -> bool {
@@ -216,7 +208,6 @@ mod tests {
         assert_eq!(t.messages_delivered(), 24);
         assert_eq!(t.decided_count(), 3);
         assert_eq!(t.crashed_count(), 1);
-        assert_eq!(t.first_decision_round(), Some(2));
         assert_eq!(t.last_decision_round(), Some(3));
         assert!(t.all_correct_decided());
     }

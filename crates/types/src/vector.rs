@@ -145,14 +145,6 @@ impl<V: ProposalValue> InputVector<V> {
             .expect("input vectors are non-empty")
     }
 
-    /// The smallest value of the vector (`min(I)`).
-    pub fn min_value(&self) -> &V {
-        self.entries
-            .iter()
-            .min()
-            .expect("input vectors are non-empty")
-    }
-
     /// The `ℓ` greatest **distinct** values of the vector — the paper's
     /// `max_ℓ(I)` (Section 2.3). Returns `min(ℓ, |val(I)|)` values.
     ///
@@ -272,7 +264,6 @@ mod tests {
     fn min_max_values() {
         let i = v(&[4, 2, 9, 2]);
         assert_eq!(*i.max_value(), 9);
-        assert_eq!(*i.min_value(), 2);
     }
 
     #[test]

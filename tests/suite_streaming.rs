@@ -31,6 +31,7 @@ use std::sync::Arc;
 
 use proptest::prelude::*;
 
+use setagree::codec::JournalWriter;
 use setagree::conditions::{LegalityParams, MaxCondition};
 use setagree::core::{
     CaseSpec, ConditionBasedConfig, Executor, ProtocolSpec, ScenarioSuite, SuiteCache,
@@ -351,11 +352,11 @@ fn persisted_cache_roundtrip_serves_a_mixed_grid_warm() {
     std::fs::remove_file(&path).expect("cleanup");
 }
 
-/// A cache file left behind by an older format version — the pre-binary
-/// text codec, or a binary journal of another version — reloads as a
-/// *cold* cache, never an error and never misread cells; one cold rerun
-/// then re-fills it, and the re-saved file serves the full mixed grid
-/// warm with zero misses.
+/// A cache file left behind by an older format version — a journal
+/// whose header names another version — reloads as a *cold* cache, never
+/// an error and never misread cells; one cold rerun then re-fills it,
+/// and the re-saved file serves the full mixed grid warm with zero
+/// misses.
 #[test]
 fn stale_version_cache_files_reload_cold_then_refill_and_serve_warm() {
     let entries = vec![vec![5u32, 5, 1, 2, 5, 5]];
@@ -367,8 +368,12 @@ fn stale_version_cache_files_reload_cold_then_refill_and_serve_warm() {
     ];
     let path = std::env::temp_dir().join("setagree-suite-streaming-stale");
 
-    // The retired v1 text format under the same path.
-    std::fs::write(&path, "setagree-suite-cache v1\nsome v1 line\n").expect("write stale");
+    // A version-2 journal (the retired byte-wise chain) under the same
+    // path.
+    let v2 = JournalWriter::create(Vec::new(), 2)
+        .expect("in-memory header")
+        .into_inner();
+    std::fs::write(&path, v2).expect("write stale");
     let stale: SuiteCache<u32> = SuiteCache::load_or_empty(&path).expect("stale is not an error");
     assert!(stale.is_empty(), "a stale format is a cold cache");
 
