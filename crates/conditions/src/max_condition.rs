@@ -154,8 +154,7 @@ impl MaxCondition {
             if a_i >= ell {
                 break;
             }
-            let evictable = b >= ell - a_i && above + b > x;
-            if !evictable {
+            if !evictable(b, a_i, above, ell, x) {
                 decoded.insert(ValueId::new(raw as u32));
             }
             above += count;
@@ -249,14 +248,23 @@ impl<V: ProposalValue> ConditionOracle<V> for MaxCondition {
         // `above` = Σ_{j > i} c_j, accumulated from the top down.
         let mut above = 0usize;
         for (a_i, (v, count)) in top.into_iter().enumerate() {
-            let evictable = b >= ell - a_i && above + b > x;
-            if !evictable {
+            if !evictable(b, a_i, above, ell, x) {
                 decoded.insert(v.clone());
             }
             above += count;
         }
         Some(decoded)
     }
+}
+
+/// Definition 4's eviction rule, for both decoders: a completion of a
+/// view with `b` missing entries evicts the observed value that has
+/// `a_i ≤ ℓ − 1` distinct observed values and `above` observed entries
+/// above it iff its `⊥`s can mint the `ℓ − a_i` distinct values still
+/// missing above it and the completion stays dense (top-ℓ count > `x`).
+#[inline]
+fn evictable(b: usize, a_i: usize, above: usize, ell: usize, x: usize) -> bool {
+    b >= ell - a_i && above + b > x
 }
 
 impl fmt::Display for MaxCondition {

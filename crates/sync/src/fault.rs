@@ -51,7 +51,8 @@
 //! ```
 
 use std::cell::Cell;
-use std::collections::BTreeMap;
+use std::cmp::Ordering;
+use std::collections::BinaryHeap;
 use std::fmt;
 
 use serde::{Deserialize, Serialize};
@@ -739,10 +740,6 @@ impl Tally {
     }
 }
 
-/// `arrival round → (original round, sender, letter)`, in stash order
-/// (original round ascending, sender ascending within it).
-type Stash<L> = BTreeMap<usize, Vec<(usize, ProcessId, L)>>;
-
 /// The fate of a link whose delay is too long for its fate byte,
 /// decided again. Cold: such plans are authored, not swept.
 #[cold]
@@ -751,16 +748,118 @@ fn far_delay(plan: &FaultPlan, round: usize, from: ProcessId, to: ProcessId) -> 
     plan.decide(round, from, to)
 }
 
-/// Stashes a letter of `round` from `from` until `arrival`. Out of line
-/// and cold: the delivery loop around it then keeps its own state in
-/// registers and spills it around this call only.
-#[cold]
-#[inline(never)]
-fn stash_until<L>(stash: &mut Stash<L>, arrival: usize, round: usize, from: ProcessId, letter: L) {
-    stash
-        .entry(arrival)
-        .or_default()
-        .push((round, from, letter));
+/// A delayed letter waiting in a receiver's [`Stash`]: sent by `from`,
+/// due in round `arrival`, the `seq`-th letter its inbox stashed. The
+/// round it was sent in is not kept: delivery never reads it, and the
+/// stash order it set is `seq`.
+#[derive(Debug, Clone)]
+struct Pending<L> {
+    arrival: usize,
+    seq: u64,
+    from: ProcessId,
+    letter: L,
+}
+
+impl<L> Pending<L> {
+    /// What the queue orders by: arrival round, then stash order.
+    fn key(&self) -> (usize, u64) {
+        (self.arrival, self.seq)
+    }
+}
+
+impl<L> PartialEq for Pending<L> {
+    fn eq(&self, other: &Self) -> bool {
+        self.key() == other.key()
+    }
+}
+
+impl<L> Eq for Pending<L> {}
+
+impl<L> PartialOrd for Pending<L> {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+/// Reversed, so that `BinaryHeap`, a max-heap, keeps the least key on
+/// top: the earliest arrival, and within it the earliest stashed.
+impl<L> Ord for Pending<L> {
+    fn cmp(&self, other: &Self) -> Ordering {
+        other.key().cmp(&self.key())
+    }
+}
+
+/// One receiver's delayed letters: a queue min-ordered by (arrival
+/// round, stash sequence number), the number bumped on every stash.
+/// Letters are stashed round by round and, within a round, in ascending
+/// sender order, so the sequence number is the order (original round,
+/// sender) and letters due in the same round leave in it.
+///
+/// The queue's backing `Vec` lives as long as the inbox and is never
+/// shrunk: a receiver allocates only when its count of letters in
+/// flight passes its high-water mark, and a delayed letter costs a push
+/// and a pop, O(log m) each for m letters in flight, in O(m) memory.
+/// Not a ring of one `Vec` per round of delay: a delay too long for a
+/// fate byte is legal (decided again by [`far_delay`]), so a ring would
+/// need memory in proportion to the plan's `max_delay` per receiver, or
+/// a second path for the long delays. Not a `Vec` kept sorted on
+/// insertion either: its shifting is quadratic under a plan that delays
+/// every link.
+#[derive(Debug)]
+struct Stash<L> {
+    queue: BinaryHeap<Pending<L>>,
+    /// Letters stashed so far: the next one's sequence number.
+    stashed: u64,
+}
+
+impl<L> Stash<L> {
+    fn new() -> Stash<L> {
+        Stash {
+            queue: BinaryHeap::new(),
+            stashed: 0,
+        }
+    }
+
+    /// Stashes a letter from `from` until round `arrival`, behind every
+    /// letter stashed before it for the same round. Out of line and
+    /// cold: the delivery loop around it then keeps its own state in
+    /// registers and spills it around this call only.
+    #[cold]
+    #[inline(never)]
+    fn stash_until(&mut self, arrival: usize, from: ProcessId, letter: L) {
+        self.queue.push(Pending {
+            arrival,
+            seq: self.stashed,
+            from,
+            letter,
+        });
+        self.stashed += 1;
+    }
+
+    /// The next letter due by `round` (overdue ones included), if any.
+    #[inline]
+    fn pop_due(&mut self, round: usize) -> Option<Pending<L>> {
+        match self.queue.peek() {
+            Some(next) if next.arrival <= round => self.queue.pop(),
+            _ => None,
+        }
+    }
+
+    /// The letters in flight in the order they fall due, as
+    /// `(arrival, sender, letter)`, sorted here by the key and not read
+    /// off the heap, so a test can hold the heap's order to it.
+    #[cfg(test)]
+    fn pending(&self) -> Vec<(usize, ProcessId, L)>
+    where
+        L: Clone,
+    {
+        let mut pending: Vec<&Pending<L>> = self.queue.iter().collect();
+        pending.sort_by_key(|letter| letter.key());
+        pending
+            .into_iter()
+            .map(|p| (p.arrival, p.from, p.letter.clone()))
+            .collect()
+    }
 }
 
 /// One receiver's fault-plan bookkeeping: stashes delayed letters and
@@ -778,9 +877,17 @@ fn stash_until<L>(stash: &mut Stash<L>, arrival: usize, round: usize, from: Proc
 /// its row each round with the same builder.
 ///
 /// Inbox order is part of the contract: delayed letters first (sorted by
-/// original round, then sender — the order they were stashed), then the
-/// current round's arrivals in sender order with duplicates adjacent,
-/// then the plan's reorder permutation over the whole assembly.
+/// arrival round, then original round, then sender — the order they
+/// fell due and were stashed in), then the current round's arrivals in
+/// sender order with duplicates adjacent, then the plan's reorder
+/// permutation over the whole assembly.
+///
+/// A delayed letter waits in the receiver's one queue, a binary heap
+/// min-ordered by (arrival round, stash sequence number) whose backing
+/// `Vec` the inbox keeps for its whole life: the inbox allocates for a
+/// delay only when its count of letters in flight passes its high-water
+/// mark, and any delay is legal, however long (see `Stash` for why the
+/// queue is not a ring of one `Vec` per round of delay).
 #[derive(Debug)]
 pub struct FaultInbox<L> {
     plan: FaultPlan,
@@ -796,7 +903,7 @@ impl<L: Clone> FaultInbox<L> {
         FaultInbox {
             plan,
             me,
-            stash: BTreeMap::new(),
+            stash: Stash::new(),
             row: Vec::new(),
         }
     }
@@ -853,8 +960,8 @@ impl<L: Clone> FaultInbox<L> {
     /// the delivered-count adjustment. Nothing is buffered unless the
     /// plan's (round, receiver) reorder draw fires; only then is the
     /// inbox assembled in the (empty) `scratch`, shuffled whole and
-    /// drained, so a round loop reusing `scratch` allocates here for a
-    /// delayed letter's stash entry and nothing else.
+    /// drained, so a round loop reusing `scratch` allocates here only
+    /// when a delayed letter finds the receiver's queue full.
     #[inline]
     pub(crate) fn deliver(
         &mut self,
@@ -884,7 +991,11 @@ impl<L: Clone> FaultInbox<L> {
         tally.duplicated as i64 - tally.dropped as i64
     }
 
-    /// The unpermuted inbox of `round`, letter by letter into `out`.
+    /// The unpermuted inbox of `round`, letter by letter into `out`:
+    /// first the queue's letters due by `round`, popped while the least
+    /// arrival round is at most `round` (in arrival round, then stash
+    /// order), then `arrivals`, each as its fate says, a delayed one
+    /// pushed onto the queue with its arrival round.
     #[inline]
     fn route(
         &mut self,
@@ -895,13 +1006,8 @@ impl<L: Clone> FaultInbox<L> {
     ) -> Tally {
         let mut tally = Tally::default();
         // Due (and, defensively, overdue) stashed letters lead the inbox.
-        while let Some(due) = self.stash.first_entry() {
-            if *due.key() > round {
-                break;
-            }
-            for (_, from, letter) in due.remove() {
-                out(from, letter);
-            }
+        while let Some(due) = self.stash.pop_due(round) {
+            out(due.from, due.letter);
         }
         // Internal iteration: an adaptor chain folds into one loop.
         let Some(fates) = fates else {
@@ -920,63 +1026,94 @@ impl<L: Clone> FaultInbox<L> {
                     tally.duplicated += 1;
                 }
                 LinkFault::Delay(by) => {
-                    stash_until(stash, round + by, round, from, letter);
+                    stash.stash_until(round + by, from, letter);
                     tally.delayed += 1;
                 }
             }
         });
         tally
     }
-
-    /// The parent's assembly — buffer the whole inbox, one
-    /// [`FaultPlan::decide_by_full_stream`] per arrival, permute — kept
-    /// as the reference [`FaultInbox::deliver`] is tested against.
-    #[cfg(test)]
-    fn assemble_by_buffering(
-        &mut self,
-        round: usize,
-        arrivals: Vec<(ProcessId, L)>,
-    ) -> (Vec<(ProcessId, L)>, i64) {
-        let mut inbox = Vec::with_capacity(arrivals.len());
-        let mut adjust = 0i64;
-        while let Some(due) = self.stash.first_entry() {
-            if *due.key() > round {
-                break;
-            }
-            inbox.extend(due.remove().into_iter().map(|(_, from, l)| (from, l)));
-        }
-        for (from, letter) in arrivals {
-            if from == self.me {
-                inbox.push((from, letter));
-                continue;
-            }
-            match self.plan.decide_by_full_stream(round, from, self.me) {
-                LinkFault::Deliver => inbox.push((from, letter)),
-                LinkFault::Drop => adjust -= 1,
-                LinkFault::Duplicate => {
-                    inbox.push((from, letter.clone()));
-                    inbox.push((from, letter));
-                    adjust += 1;
-                }
-                LinkFault::Delay(by) => {
-                    self.stash
-                        .entry(round + by)
-                        .or_default()
-                        .push((round, from, letter));
-                }
-            }
-        }
-        self.plan.permute(round, self.me, &mut inbox);
-        (inbox, adjust)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::BTreeMap;
 
     fn p(i: usize) -> ProcessId {
         ProcessId::new(i)
+    }
+
+    /// The parent's inbox, kept as the reference [`FaultInbox::deliver`]
+    /// is tested against: it buffers the whole inbox, decides each
+    /// arrival by [`FaultPlan::decide_by_full_stream`] and permutes, and
+    /// stashes delayed letters in a map of `arrival round → (original
+    /// round, sender, letter)`, each entry in stash order.
+    struct BufferingInbox<L> {
+        plan: FaultPlan,
+        me: ProcessId,
+        stash: BTreeMap<usize, Vec<(usize, ProcessId, L)>>,
+    }
+
+    impl<L: Clone> BufferingInbox<L> {
+        fn new(plan: FaultPlan, me: ProcessId) -> BufferingInbox<L> {
+            BufferingInbox {
+                plan,
+                me,
+                stash: BTreeMap::new(),
+            }
+        }
+
+        fn assemble_by_buffering(
+            &mut self,
+            round: usize,
+            arrivals: Vec<(ProcessId, L)>,
+        ) -> (Vec<(ProcessId, L)>, i64) {
+            let mut inbox = Vec::with_capacity(arrivals.len());
+            let mut adjust = 0i64;
+            while let Some(due) = self.stash.first_entry() {
+                if *due.key() > round {
+                    break;
+                }
+                inbox.extend(due.remove().into_iter().map(|(_, from, l)| (from, l)));
+            }
+            for (from, letter) in arrivals {
+                if from == self.me {
+                    inbox.push((from, letter));
+                    continue;
+                }
+                match self.plan.decide_by_full_stream(round, from, self.me) {
+                    LinkFault::Deliver => inbox.push((from, letter)),
+                    LinkFault::Drop => adjust -= 1,
+                    LinkFault::Duplicate => {
+                        inbox.push((from, letter.clone()));
+                        inbox.push((from, letter));
+                        adjust += 1;
+                    }
+                    LinkFault::Delay(by) => {
+                        self.stash
+                            .entry(round + by)
+                            .or_default()
+                            .push((round, from, letter));
+                    }
+                }
+            }
+            self.plan.permute(round, self.me, &mut inbox);
+            (inbox, adjust)
+        }
+
+        /// The stashed letters in the order they fall due, as
+        /// `(arrival, sender, letter)`.
+        fn pending(&self) -> Vec<(usize, ProcessId, L)> {
+            self.stash
+                .iter()
+                .flat_map(|(&arrival, letters)| {
+                    letters
+                        .iter()
+                        .map(move |(_, from, letter)| (arrival, *from, letter.clone()))
+                })
+                .collect()
+        }
     }
 
     #[test]
@@ -1103,6 +1240,51 @@ mod tests {
     }
 
     #[test]
+    fn overdue_letters_lead_in_arrival_then_stash_order() {
+        // Every peer letter of round 1 is delayed by one or two rounds,
+        // and the receiver next collects in round 4: the letters due in
+        // rounds 2 and 3 are all overdue by then, and lead its inbox in
+        // (arrival, round, sender) order — here (arrival, sender).
+        let plan = FaultPlan::new(6, 5).delay_rate(RATE_SCALE, 2);
+        let me = p(0);
+        let mut inbox: FaultInbox<u32> = FaultInbox::new(plan.clone(), me);
+        let round_one: Vec<(ProcessId, u32)> = (0..6).map(|i| (p(i), 10 + i as u32)).collect();
+        let (got, _) = inbox.assemble(1, round_one.clone());
+        assert_eq!(got, vec![(me, 10)]);
+        let mut overdue: Vec<(usize, ProcessId, u32)> = round_one[1..]
+            .iter()
+            .map(|&(from, letter)| match plan.decide(1, from, me) {
+                LinkFault::Delay(by) => (1 + by, from, letter),
+                other => panic!("a rate-10000 delay plan decided {other:?}"),
+            })
+            .collect();
+        overdue.sort_unstable();
+        assert_eq!(inbox.stash.pending(), overdue);
+        let arrivals: Vec<usize> = overdue.iter().map(|letter| letter.0).collect();
+        assert!(
+            arrivals.contains(&2) && arrivals.contains(&3),
+            "the plan delays into both rounds 2 and 3: {arrivals:?}"
+        );
+        assert!(
+            overdue.windows(2).any(|pair| pair[0].1 > pair[1].1),
+            "due order differs from sender order: {overdue:?}"
+        );
+        let (got, adjust) = inbox.assemble(4, vec![(me, 40), (p(1), 41)]);
+        let mut expected: Vec<(ProcessId, u32)> = overdue
+            .iter()
+            .map(|&(_, from, letter)| (from, letter))
+            .collect();
+        expected.push((me, 40));
+        assert_eq!(got, expected);
+        assert_eq!(adjust, 0);
+        assert_eq!(
+            inbox.stash.pending().len(),
+            1,
+            "round 4's peer letter waits"
+        );
+    }
+
+    #[test]
     fn inbox_assembly_counts_drops_and_duplicates() {
         let drops = FaultPlan::new(3, 0).drop_rate(RATE_SCALE);
         let mut inbox: FaultInbox<u32> = FaultInbox::new(drops, p(1));
@@ -1215,7 +1397,8 @@ mod tests {
         /// Six rounds of arrivals from random sender subsets, so delayed
         /// letters are carried in the stash across rounds and fall due
         /// next to later arrivals: the inbox sequence, the adjustment and
-        /// what stays stashed, round by round.
+        /// what stays stashed (each queue's letters in due order against
+        /// the reference's map), round by round.
         #[test]
         fn streamed_delivery_equals_the_buffering_reference(
             n in 2usize..=8,
@@ -1229,7 +1412,7 @@ mod tests {
             let me = p(me % n);
             let drawn = [drawn.0, drawn.1, drawn.2, drawn.3];
             for plan in plans_at_every_rate_corner(n, seed, drawn, max_delay, &partitions) {
-                let mut reference: FaultInbox<u32> = FaultInbox::new(plan.clone(), me);
+                let mut reference: BufferingInbox<u32> = BufferingInbox::new(plan.clone(), me);
                 let mut assembled: FaultInbox<u32> = FaultInbox::new(plan.clone(), me);
                 let mut streamed: FaultInbox<u32> = FaultInbox::new(plan.clone(), me);
                 // Reused across rounds, as the engine reuses its own; and
@@ -1257,8 +1440,9 @@ mod tests {
                     );
                     proptest::prop_assert_eq!(&(inbox, adjust), &expected);
                     proptest::prop_assert!(scratch.is_empty());
-                    proptest::prop_assert_eq!(&assembled.stash, &reference.stash);
-                    proptest::prop_assert_eq!(&streamed.stash, &reference.stash);
+                    let pending = reference.pending();
+                    proptest::prop_assert_eq!(&assembled.stash.pending(), &pending);
+                    proptest::prop_assert_eq!(&streamed.stash.pending(), &pending);
                 }
             }
         }

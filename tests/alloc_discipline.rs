@@ -7,8 +7,10 @@
 //!   malloc arena takes that arena's lock; one per round per cell is
 //!   what made two suite workers slower than one. Under a plan that
 //!   delays letters the rule holds once the ring of kept rounds is full
-//!   (from round `2 + max_delay`), and for everything but the stash of
-//!   delayed letters, whose growth is the plan's to decide. The same on
+//!   (from round `2 + max_delay`), except that a receiver's queue of
+//!   delayed letters doubles when its count of letters in flight first
+//!   passes 4, 8, 16, …: the plan decides how many are in flight, and
+//!   the queue never allocates below its high-water mark. The same on
 //!   the plain loop's fold path (`SyncProtocol::fold`): a round's folded
 //!   message is one allocation of the protocol's, once for all
 //!   recipients, and nothing is regrown around it.
@@ -368,19 +370,35 @@ fn lossy_plan(seed: u64) -> FaultPlan {
         .reorder_rate(2_000)
 }
 
-/// How often the stashes of delayed letters regrow from round
-/// `from_round` on: each (receiver, arrival round) entry is a `Vec`
-/// pushed to once per letter the plan delays onto it, and a `Vec`
-/// doubles — one `realloc` — on the push that finds it full at 4, 8,
-/// 16, … letters. A link carries a letter when its sender is still up
-/// (in its crash round: to its prefix only) and its receiver collects
-/// this round (is up and not crashing).
-fn stash_regrowths(plan: &FaultPlan, pattern: &FailurePattern, from_round: usize) -> u64 {
+/// What the receivers' queues of delayed letters allocate from round
+/// `from_round` on.
+#[derive(Default)]
+struct QueueGrowth {
+    /// Letters queued.
+    letters: u64,
+    /// Queues that get their first letter, each one `alloc`.
+    first_letters: u64,
+    /// Queues that double, each one `realloc`.
+    regrowths: u64,
+}
+
+/// [`QueueGrowth`] under `plan`. A receiver's queue is a `Vec` behind a
+/// heap, kept for the whole run: its first letter allocates room for 4,
+/// a push that finds it full — at 4, 8, 16, … letters in flight —
+/// doubles it, and a letter falling due frees nothing. Each round the
+/// receiver collects (it is up and not crashing), it first takes the
+/// letters due and then queues the round's delayed ones; a link carries
+/// a letter when its sender is still up (in its crash round: to its
+/// prefix only).
+fn queue_growth(plan: &FaultPlan, pattern: &FailurePattern, from_round: usize) -> QueueGrowth {
     let crash_round = |id| pattern.spec(id).map_or(usize::MAX, |spec| spec.round);
-    let mut regrowths = 0;
+    let mut growth = QueueGrowth::default();
     for to in ProcessId::all(N) {
-        let mut stashed = [0usize; ROUNDS + MAX_DELAY + 1];
+        // The arrival rounds of the letters in flight.
+        let mut in_flight: Vec<usize> = Vec::new();
+        let mut capacity = 0;
         for round in 1..=ROUNDS.min(crash_round(to).saturating_sub(1)) {
+            in_flight.retain(|&arrival| arrival > round);
             for from in ProcessId::all(N) {
                 let carried = match pattern.spec(from) {
                     Some(spec) if spec.round == round => to.index() < spec.after_sends,
@@ -388,15 +406,23 @@ fn stash_regrowths(plan: &FaultPlan, pattern: &FailurePattern, from_round: usize
                     None => true,
                 };
                 if let (true, LinkFault::Delay(by)) = (carried, plan.decide(round, from, to)) {
-                    let entry = &mut stashed[round + by];
-                    regrowths +=
-                        u64::from(round >= from_round && *entry >= 4 && entry.is_power_of_two());
-                    *entry += 1;
+                    let counted = u64::from(round >= from_round);
+                    growth.letters += counted;
+                    if in_flight.len() == capacity {
+                        if capacity == 0 {
+                            growth.first_letters += counted;
+                            capacity = 4;
+                        } else {
+                            growth.regrowths += counted;
+                            capacity *= 2;
+                        }
+                    }
+                    in_flight.push(round + by);
                 }
             }
         }
     }
-    regrowths
+    growth
 }
 
 #[test]
@@ -415,8 +441,37 @@ fn the_faulty_round_loop_regrows_only_the_stash_once_the_ring_is_full() {
         .reallocs;
         assert_eq!(
             grown,
-            stash_regrowths(&plan, &pattern, from_round),
+            queue_growth(&plan, &pattern, from_round).regrowths,
             "a per-round buffer was regrown under {plan}"
+        );
+    }
+}
+
+#[test]
+fn a_delayed_letter_allocates_nothing_once_its_queue_has_room() {
+    let pattern = crashing_pattern();
+    let from_round = 2 + MAX_DELAY;
+    // The flood allocates the same under every plan (a view per send),
+    // and so does the loop once the ring is full: what the lossy plan
+    // adds is each queue's first letter, and nothing per delayed letter.
+    let benign = counted_from_round(from_round, || {
+        run_protocol_faulty(flood_system(), &pattern, &FaultPlan::none(N), ROUNDS + 1)
+            .expect("the flood terminates")
+            .rounds_executed()
+    });
+    for seed in [1, 7, 0xFEED] {
+        let plan = lossy_plan(seed);
+        let lossy = counted_from_round(from_round, || {
+            run_protocol_faulty(flood_system(), &pattern, &plan, ROUNDS + 1)
+                .expect("the flood terminates")
+                .rounds_executed()
+        });
+        let growth = queue_growth(&plan, &pattern, from_round);
+        assert!(growth.letters > 0, "some letter is delayed under {plan}");
+        assert_eq!(
+            lossy.allocs,
+            benign.allocs + growth.first_letters,
+            "a delayed letter allocated under {plan}"
         );
     }
 }
