@@ -10,7 +10,7 @@
 //!
 //! [`FaultPlan`]: setagree_sync::FaultPlan
 
-use setagree_sync::RATE_SCALE;
+use setagree_sync::fault::parse_seed_rate;
 
 /// Extracts `--faults seed:rate` (or `--faults=seed:rate`) from `args`,
 /// leaving every other argument in place for the caller's own parser.
@@ -34,13 +34,7 @@ pub fn take_faults_flag(args: &mut Vec<String>) -> Result<Option<(u64, u32)>, St
             rest.push(arg);
             continue;
         };
-        // A rate past the scale is malformed, not clamped: the plan
-        // builder would clamp it, and two labels would name one plan.
-        let parsed = value
-            .split_once(':')
-            .and_then(|(s, r)| Some((s.trim().parse().ok()?, r.trim().parse().ok()?)))
-            .filter(|&(_, rate)| rate <= RATE_SCALE);
-        match parsed {
+        match parse_seed_rate(&value) {
             Some(pair) => faults = Some(pair),
             None => {
                 return Err(format!(

@@ -149,6 +149,17 @@ impl<V: ProposalValue, O: ConditionOracle<V>> ConditionBased<V, O> {
             .or_else(|| self.v_out.clone())
             .expect("after round 1 at least one slot is non-⊥ (Theorem 11)")
     }
+
+    /// A state round's decision without waiting for line 18, for
+    /// extensions that decide earlier (Section 8): line 14 if this round
+    /// forwarded a non-⊥ `v_cond`, else lines 15–17 and then lines 19–21.
+    pub(crate) fn decide_now(&mut self) -> V {
+        if self.committed {
+            return self.v_cond.clone().expect("committed implies v_cond set");
+        }
+        self.absorb_received();
+        self.decide_by_priority()
+    }
 }
 
 impl<V: ProposalValue, O: ConditionOracle<V>> SyncProtocol for ConditionBased<V, O> {
@@ -388,6 +399,32 @@ mod tests {
             "Lemma 2(i): ⌊(d+ℓ−1)/k⌋+1 rounds despite the input being outside C"
         );
         assert!(trace.decided_values().len() <= cfg.k());
+    }
+
+    #[test]
+    fn line_18_waits_while_someone_ruled_the_condition_out() {
+        // Processes 0 and 1 reach only processes 0–2 before crashing.
+        // Process 2 saw the whole input and proved it outside the
+        // condition (v_out = 2); process 3 saw two ⊥ > t − d = 1 (v_tmf
+        // = 1). After round 2 both hold both slots, so line 18 does not
+        // fire at round ⌊(d+ℓ−1)/k⌋ + 1 = 2: they decide v_tmf at the
+        // final round ⌊t/k⌋ + 1 = 3.
+        let cfg = config(4, 2, 1, 1, 1);
+        let oracle = MaxCondition::new(cfg.legality());
+        let input = InputVector::new(vec![2, 1, 1, 1]);
+        let mut pattern = FailurePattern::none(4);
+        for crasher in 0..2 {
+            pattern
+                .crash(ProcessId::new(crasher), setagree_sync::CrashSpec::new(1, 3))
+                .unwrap();
+        }
+        let trace = run_protocol(processes(cfg, oracle, &input), &pattern, 10).unwrap();
+        let crashed = setagree_sync::Outcome::Crashed { round: 1 };
+        let decided = setagree_sync::Outcome::Decided { value: 1, round: 3 };
+        assert_eq!(
+            trace.outcomes(),
+            [crashed.clone(), crashed, decided.clone(), decided]
+        );
     }
 
     #[test]

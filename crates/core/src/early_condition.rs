@@ -6,26 +6,25 @@
 //! condition-based bounds — it never needs more than `⌊f/k⌋ + 2` rounds,
 //! where `f ≤ t` is the number of *actual* crashes.
 //!
-//! This implementation grafts the failure-perception rule of the
-//! early-deciding protocol onto the Figure 2 state machine:
+//! The extension is Figure 2 plus one rule, and the code says so: an
+//! [`EarlyConditionBased`] process wraps a [`ConditionBased`] one and
+//! hands it all of Figure 2 — round 1 and its lazy view, the state
+//! triple, line 14, lines 15–21 and the state-round fold. On top of it,
+//! it keeps what Section 8 adds:
 //!
-//! * the three-slot state `(v_cond, v_tmf, v_out)` evolves exactly as in
-//!   [`ConditionBased`](crate::ConditionBased) — round-1 classification,
-//!   max-folded flooding, line-14 commitment on `v_cond`, the line-18
-//!   predicate and the final round;
-//! * in addition, every process counts the broadcasts it receives per
-//!   round (`nb_r`, `nb_0 = n`); when `nb_{r−1} − nb_r < k` — fewer than
-//!   `k` processes went newly silent — it sets a decide flag, forwards its
-//!   state (with the flag) once more, and returns its priority decision;
+//! * every process counts the broadcasts it receives per round (`nb_r`,
+//!   `nb_0 = n`); when Figure 2 would continue and `nb_{r−1} − nb_r < k` —
+//!   fewer than `k` processes went newly silent — it sets a decide flag,
+//!   forwards its state (with the flag) once more, and decides;
 //! * a process receiving a flagged state absorbs it and decides at the end
 //!   of the same round (the flagged sender's state is, by the max-fold,
 //!   dominated by the receiver's updated state).
 //!
-//! Round 1 is [`ConditionBased`](crate::ConditionBased)'s, lazy view
-//! included: the view exists only in a process that receives round 1,
-//! and a process whose round-1 deliveries equal another's adopts that
-//! one's primed slot, decide flag and broadcast count
-//! ([`SyncProtocol::adopt`]) without building one.
+//! Either way the decision is Figure 2's without line 18: a process that
+//! forwarded a non-⊥ `v_cond` decides it (line 14), any other absorbs
+//! the round and decides by priority. A process adopting round 1
+//! ([`SyncProtocol::adopt`]) takes its twin's decide flag and broadcast
+//! count along with the primed slot.
 //!
 //! The bounds consequently combine: decisions happen by round
 //! `min(bound_of_Figure_2, ⌊f/k⌋ + 2)` ([`setagree_sync::bounds`]'s
@@ -39,46 +38,29 @@ use setagree_conditions::ConditionOracle;
 use setagree_sync::{Step, SyncProtocol};
 use setagree_types::{ProcessId, ProposalValue};
 
+use crate::condition_based::{CbMessage, ConditionBased};
 use crate::config::ConditionBasedConfig;
-use crate::round_one::RoundOne;
 
-/// The wire format: round-1 proposals, then flagged state triples.
+/// The wire format: Figure 2's message plus the decide announcement.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum EcbMessage<V> {
-    /// Round 1: the sender's proposal.
-    Proposal(V),
-    /// Rounds ≥ 2: the sender's state, plus its decide announcement.
-    State {
-        /// The sender's `v_cond`.
-        cond: Option<V>,
-        /// The sender's `v_tmf`.
-        tmf: Option<V>,
-        /// The sender's `v_out`.
-        out: Option<V>,
-        /// `true` when the sender decides this round.
-        deciding: bool,
-    },
+pub struct EcbMessage<V> {
+    /// What Figure 2 sends: the proposal in round 1, the state triple
+    /// afterwards.
+    pub figure_2: CbMessage<V>,
+    /// `true` when the sender decides this round (never in round 1).
+    pub deciding: bool,
 }
 
 /// One process of the early-deciding condition-based algorithm.
 pub struct EarlyConditionBased<V, O> {
-    config: ConditionBasedConfig,
-    me: ProcessId,
-    oracle: O,
-    /// The proposal and the lazily materialised round-1 view.
-    round_one: RoundOne<V>,
-    v_cond: Option<V>,
-    v_tmf: Option<V>,
-    v_out: Option<V>,
-    recv_cond: Option<V>,
-    recv_tmf: Option<V>,
-    recv_out: Option<V>,
-    /// Line-14 commitment (own `v_cond` forwarded this round).
-    committed: bool,
+    /// The Figure 2 process this one extends.
+    figure_2: ConditionBased<V, O>,
     /// The early rule fired (or a flagged state arrived): decide after the
     /// next send.
     deciding: bool,
+    /// `nb_{r−1}`: the broadcasts received last round (`nb_0 = n`).
     heard_prev: usize,
+    /// `nb_r`, counted as this round's broadcasts arrive.
     heard_now: usize,
 }
 
@@ -89,23 +71,8 @@ impl<V: ProposalValue, O: ConditionOracle<V>> EarlyConditionBased<V, O> {
     ///
     /// Panics if `me` is outside the system.
     pub fn new(config: ConditionBasedConfig, me: ProcessId, proposal: V, oracle: O) -> Self {
-        assert!(
-            me.index() < config.n(),
-            "{me} outside a system of {}",
-            config.n()
-        );
         EarlyConditionBased {
-            config,
-            me,
-            oracle,
-            round_one: RoundOne::new(proposal),
-            v_cond: None,
-            v_tmf: None,
-            v_out: None,
-            recv_cond: None,
-            recv_tmf: None,
-            recv_out: None,
-            committed: false,
+            figure_2: ConditionBased::new(config, me, proposal, oracle),
             deciding: false,
             heard_prev: config.n(),
             heard_now: 0,
@@ -114,26 +81,7 @@ impl<V: ProposalValue, O: ConditionOracle<V>> EarlyConditionBased<V, O> {
 
     /// The configuration this process runs under.
     pub fn config(&self) -> &ConditionBasedConfig {
-        &self.config
-    }
-
-    fn decide_by_priority(&self) -> V {
-        self.v_cond
-            .clone()
-            .or_else(|| self.v_tmf.clone())
-            .or_else(|| self.v_out.clone())
-            .expect("after round 1 at least one slot is non-⊥")
-    }
-
-    fn absorb_received(&mut self) {
-        fn fold<V: Ord>(slot: &mut Option<V>, received: Option<V>) {
-            if received > *slot {
-                *slot = received;
-            }
-        }
-        fold(&mut self.v_cond, self.recv_cond.take());
-        fold(&mut self.v_tmf, self.recv_tmf.take());
-        fold(&mut self.v_out, self.recv_out.take());
+        self.figure_2.config()
     }
 }
 
@@ -142,105 +90,50 @@ impl<V: ProposalValue, O: ConditionOracle<V>> SyncProtocol for EarlyConditionBas
     type Output = V;
 
     fn message(&mut self, round: usize) -> EcbMessage<V> {
-        if round == 1 {
-            return EcbMessage::Proposal(self.round_one.proposal().clone());
-        }
-        self.committed = self.v_cond.is_some();
-        EcbMessage::State {
-            cond: self.v_cond.clone(),
-            tmf: self.v_tmf.clone(),
-            out: self.v_out.clone(),
+        EcbMessage {
+            figure_2: self.figure_2.message(round),
             deciding: self.deciding,
         }
     }
 
     fn receive(&mut self, round: usize, from: ProcessId, msg: &EcbMessage<V>) {
         self.heard_now += 1;
-        match msg {
-            EcbMessage::Proposal(v) => {
-                // Proposals belong to round 1; a fault-delayed stale
-                // copy in a later round is dropped (the view already
-                // fed the estimates), never asserted away.
-                if round == 1 {
-                    self.round_one.receive(self.config.n(), self.me, from, v);
-                }
-            }
-            EcbMessage::State {
-                cond,
-                tmf,
-                out,
-                deciding,
-            } => {
-                // The message is shared with every recipient; clone a slot
-                // only when it improves the fold.
-                fn fold<V: Clone + Ord>(acc: &mut Option<V>, v: &Option<V>) {
-                    if v.as_ref() > acc.as_ref() {
-                        *acc = v.clone();
-                    }
-                }
-                fold(&mut self.recv_cond, cond);
-                fold(&mut self.recv_tmf, tmf);
-                fold(&mut self.recv_out, out);
-                if *deciding {
-                    self.deciding = true;
-                }
-            }
-        }
+        self.figure_2.receive(round, from, &msg.figure_2);
+        self.deciding |= msg.deciding;
     }
 
-    /// As [`ConditionBased`](crate::ConditionBased)'s, with the decide
-    /// flags ORed: state rounds fold, round-1 `Proposal`s decline.
+    /// [`ConditionBased`]'s fold, with the decide flags ORed: state
+    /// rounds fold, round-1 proposals decline.
     fn fold(
-        _round: usize,
+        round: usize,
         batch: &mut dyn Iterator<Item = (ProcessId, &EcbMessage<V>)>,
     ) -> Option<EcbMessage<V>> {
-        // `None` until the first state: an empty batch declines.
-        let mut folded = None;
-        for (_, msg) in batch {
-            let EcbMessage::State {
-                cond,
-                tmf,
-                out,
-                deciding,
-            } = msg
-            else {
-                return None;
-            };
-            let (c, t, o, flagged) = folded.unwrap_or((None, None, None, false));
-            folded = Some((
-                c.max(cond.as_ref()),
-                t.max(tmf.as_ref()),
-                o.max(out.as_ref()),
-                flagged | deciding,
-            ));
-        }
-        let (cond, tmf, out, deciding) = folded?;
-        Some(EcbMessage::State {
-            cond: cond.cloned(),
-            tmf: tmf.cloned(),
-            out: out.cloned(),
-            deciding,
-        })
+        let mut deciding = false;
+        let figure_2 = ConditionBased::<V, O>::fold(
+            round,
+            &mut batch.map(|(from, msg)| {
+                deciding |= msg.deciding;
+                (from, &msg.figure_2)
+            }),
+        )?;
+        Some(EcbMessage { figure_2, deciding })
     }
 
     fn receive_folded(&mut self, round: usize, count: usize, folded: &EcbMessage<V>) {
-        // Received as the one state it is (a state's sender is never
-        // looked at), but heard from all `count` senders it stands for.
-        self.receive(round, self.me, folded);
-        self.heard_now += count - 1;
+        // Heard from all `count` senders the fold stands for.
+        self.heard_now += count;
+        self.figure_2.receive_folded(round, count, &folded.figure_2);
+        self.deciding |= folded.deciding;
     }
 
-    /// Round 1 adopts, as [`ConditionBased`](crate::ConditionBased)'s
-    /// does, and takes the twin's decide flag and round-1 count along: a
-    /// twin heard the same broadcasts, so its `nb_1` and the early rule's
-    /// verdict on it are this process's.
+    /// Round 1 adopts, as [`ConditionBased`]'s does, and takes the twin's
+    /// decide flag and round-1 count along: a twin heard the same
+    /// broadcasts, so its `nb_1` and the early rule's verdict on it are
+    /// this process's.
     fn adopt(&mut self, round: usize, twin: &Self) -> bool {
-        if round != 1 {
+        if !self.figure_2.adopt(round, &twin.figure_2) {
             return false;
         }
-        self.v_cond.clone_from(&twin.v_cond);
-        self.v_tmf.clone_from(&twin.v_tmf);
-        self.v_out.clone_from(&twin.v_out);
         self.deciding = twin.deciding;
         self.heard_prev = twin.heard_prev;
         self.heard_now = 0;
@@ -248,58 +141,29 @@ impl<V: ProposalValue, O: ConditionOracle<V>> SyncProtocol for EarlyConditionBas
     }
 
     fn compute(&mut self, round: usize) -> Step<V> {
-        let heard = self.heard_now;
-        self.heard_now = 0;
+        let heard = std::mem::take(&mut self.heard_now);
         let newly_silent = self.heard_prev.saturating_sub(heard);
         self.heard_prev = heard;
 
-        if round == 1 {
-            (self.v_cond, self.v_tmf, self.v_out) =
-                self.round_one.classify(&self.config, self.me, &self.oracle);
-            // The early rule may already fire in round 1 (f = 0 fast path).
-            if newly_silent < self.config.k() {
-                self.deciding = true;
-            }
-            return Step::Continue;
-        }
-
-        if self.committed {
-            // Line 14 of Figure 2: forwarded a non-⊥ v_cond; decide it.
-            return Step::Decide(self.v_cond.clone().expect("committed implies v_cond"));
-        }
-        let flagged_decider = self.deciding;
-        self.absorb_received();
-
-        if flagged_decider {
+        if self.deciding {
             // Own rule fired last round (flag broadcast this round), or a
-            // flagged state arrived and was absorbed: decide by priority.
-            return Step::Decide(self.decide_by_priority());
+            // flagged state arrived: decide without waiting for line 18.
+            return Step::Decide(self.figure_2.decide_now());
         }
-
-        // Original Figure 2 decision logic.
-        let early = round == self.config.condition_decision_round()
-            && self.v_tmf.is_some()
-            && self.v_out.is_none();
-        let last = round >= self.config.final_decision_round();
-        if early || last {
-            return Step::Decide(self.decide_by_priority());
-        }
-
-        // The adaptive rule: fewer than k newly silent processes.
-        if newly_silent < self.config.k() {
+        let step = self.figure_2.compute(round);
+        // The adaptive rule: fewer than k newly silent processes. It may
+        // already fire in round 1 (the f = 0 fast path).
+        if matches!(step, Step::Continue) && newly_silent < self.config().k() {
             self.deciding = true;
         }
-        Step::Continue
+        step
     }
 }
 
 impl<V: fmt::Debug + Ord, O> fmt::Debug for EarlyConditionBased<V, O> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("EarlyConditionBased")
-            .field("me", &self.me)
-            .field("v_cond", &self.v_cond)
-            .field("v_tmf", &self.v_tmf)
-            .field("v_out", &self.v_out)
+            .field("figure_2", &self.figure_2)
             .field("deciding", &self.deciding)
             .finish_non_exhaustive()
     }
@@ -311,7 +175,7 @@ mod tests {
     use rand::rngs::SmallRng;
     use rand::SeedableRng;
     use setagree_conditions::MaxCondition;
-    use setagree_sync::{bounds, run_protocol, CrashSpec, FailurePattern};
+    use setagree_sync::{bounds, run_protocol, CrashSpec, FailurePattern, Outcome};
     use setagree_types::InputVector;
 
     fn config(n: usize, t: usize, k: usize, d: usize, ell: usize) -> ConditionBasedConfig {
@@ -445,6 +309,33 @@ mod tests {
                 assert!(input.distinct_values().contains(&v), "seed {seed}");
             }
         }
+    }
+
+    #[test]
+    fn line_14_takes_precedence_over_a_flagged_decision() {
+        // Process 0 reaches only itself and process 1 before crashing.
+        // Process 1 saw the whole input (v_cond = 2), processes 2 and 3
+        // saw [⊥, 1, 1, 1] (v_cond = 1), and each heard fewer than k = 2
+        // processes go silent, so every survivor enters round 2 both
+        // committed and flagged. Line 14 wins: each decides its own
+        // v_cond rather than absorbing process 1's larger one.
+        let cfg = config(4, 2, 2, 0, 2);
+        let input = InputVector::new(vec![2, 1, 1, 1]);
+        let mut pattern = FailurePattern::none(4);
+        pattern
+            .crash(ProcessId::new(0), CrashSpec::new(1, 2))
+            .unwrap();
+        let trace = run_protocol(processes(cfg, &input), &pattern, 10).unwrap();
+        let decided = |value, round| Outcome::Decided { value, round };
+        assert_eq!(
+            trace.outcomes(),
+            [
+                Outcome::Crashed { round: 1 },
+                decided(2, 2),
+                decided(1, 2),
+                decided(1, 2),
+            ]
+        );
     }
 
     #[test]

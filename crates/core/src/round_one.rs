@@ -1,8 +1,8 @@
-//! Round 1 of Figure 2 (lines 3–10), the half that
-//! [`ConditionBased`](crate::ConditionBased) and
-//! [`EarlyConditionBased`](crate::EarlyConditionBased) share: broadcast
-//! the proposal, assemble the view `V_i`, and prime one of the three
-//! state slots from it.
+//! Round 1 of Figure 2 (lines 3–10), as
+//! [`ConditionBased`](crate::ConditionBased) runs it (and, through it,
+//! [`EarlyConditionBased`](crate::EarlyConditionBased)): broadcast the
+//! proposal, assemble the view `V_i`, and prime one of the three state
+//! slots from it.
 //!
 //! The view is **lazy**. A process holds its own proposal in a field and
 //! materialises `V_i` — an `n`-entry vector seeded with that proposal —

@@ -9,7 +9,8 @@ use std::error::Error;
 use std::fmt;
 use std::net::SocketAddr;
 
-use setagree_sync::{FaultPlan, Partition, RATE_SCALE};
+use setagree_sync::fault::parse_seed_rate;
+use setagree_sync::{FaultPlan, Partition};
 use setagree_types::{ProcessId, ProcessSet};
 
 use crate::config::{parse_peers, DEFAULT_ROUND_TIMEOUT};
@@ -212,14 +213,7 @@ fn parse_faults(value: &str) -> Result<(u64, u32), CliError> {
         flag: "--faults".to_string(),
         value: value.to_string(),
     };
-    let (seed, rate) = value.split_once(':').ok_or_else(invalid)?;
-    let rate: u32 = rate.trim().parse().map_err(|_| invalid())?;
-    // The plan builder clamps: past the scale, two labels would name one
-    // plan.
-    if rate > RATE_SCALE {
-        return Err(invalid());
-    }
-    Ok((seed.trim().parse().map_err(|_| invalid())?, rate))
+    parse_seed_rate(value).ok_or_else(invalid)
 }
 
 fn parse_partition(value: &str) -> Result<(Vec<usize>, usize, usize), CliError> {

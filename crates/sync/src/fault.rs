@@ -63,6 +63,16 @@ use setagree_types::{ProcessId, ProcessSet};
 /// of links.
 pub const RATE_SCALE: u32 = 10_000;
 
+/// Parses a `<seed>:<rate>` value, as the `--faults` flags take it: both
+/// parts trimmed, the rate in parts per [`RATE_SCALE`]. A rate past the
+/// scale is refused, not clamped: the plan builder would clamp it, and
+/// two labels would name one plan.
+pub fn parse_seed_rate(value: &str) -> Option<(u64, u32)> {
+    let (seed, rate) = value.split_once(':')?;
+    let (seed, rate) = (seed.trim().parse().ok()?, rate.trim().parse().ok()?);
+    (rate <= RATE_SCALE).then_some((seed, rate))
+}
+
 /// The fate of one (round, sender, receiver) link under a plan.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum LinkFault {
@@ -1042,6 +1052,15 @@ mod tests {
 
     fn p(i: usize) -> ProcessId {
         ProcessId::new(i)
+    }
+
+    #[test]
+    fn seed_rate_values_are_trimmed_and_the_rate_is_not_clamped() {
+        assert_eq!(parse_seed_rate(" 7 : 2500 "), Some((7, 2500)));
+        assert_eq!(parse_seed_rate("7:10000"), Some((7, RATE_SCALE)));
+        for value in ["7:10001", "7", "a:1", "7:b", "-1:5", ""] {
+            assert_eq!(parse_seed_rate(value), None, "{value:?}");
+        }
     }
 
     /// The parent's inbox, kept as the reference [`FaultInbox::deliver`]

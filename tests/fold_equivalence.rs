@@ -174,12 +174,18 @@ fn cb_state() -> impl Strategy<Value = CbMessage<u32>> {
 }
 
 fn ecb_state() -> impl Strategy<Value = EcbMessage<u32>> {
-    (slot(), slot(), slot(), flag()).prop_map(|(cond, tmf, out, deciding)| EcbMessage::State {
-        cond,
-        tmf,
-        out,
+    (slot(), slot(), slot(), flag()).prop_map(|(cond, tmf, out, deciding)| EcbMessage {
+        figure_2: CbMessage::State { cond, tmf, out },
         deciding,
     })
+}
+
+/// A round-1 proposal: Figure 2's, never flagged.
+fn ecb_proposal(v: u32) -> EcbMessage<u32> {
+    EcbMessage {
+        figure_2: CbMessage::Proposal(v),
+        deciding: false,
+    }
 }
 
 proptest! {
@@ -245,7 +251,7 @@ proptest! {
         let oracle = MaxCondition::new(cfg.legality());
         let round_1: Vec<_> = batch_of(proposals)
             .into_iter()
-            .map(|(from, v)| (from, EcbMessage::Proposal(v)))
+            .map(|(from, v)| (from, ecb_proposal(v)))
             .collect();
         prop_assert!(
             round_1.is_empty()
@@ -360,7 +366,7 @@ proptest! {
         let oracle = MaxCondition::new(cfg.legality());
         adopt_law_holds(
             |me, v| EarlyConditionBased::new(cfg, me, v, oracle),
-            EcbMessage::Proposal,
+            ecb_proposal,
             three_processes(first, gaps),
             &values,
             &silent,
