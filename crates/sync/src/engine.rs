@@ -31,8 +31,11 @@
 //! A protocol (or round) that declines gets the per-message loop,
 //! untouched. Either way the [`Trace`] is the same, `messages_delivered`
 //! included: folding changes how often the simulator repeats a
-//! computation, not what is simulated. The fault-composed loop never
-//! folds: per-link decisions leave nothing common to all recipients.
+//! computation, not what is simulated. The fault-composed loop delivers
+//! no fold, since per-link decisions leave nothing common to all
+//! recipients. Under a plan that reorders it still asks the fold once a
+//! round, and in a round that folds it skips the inbox shuffle: the
+//! protocol has declared that order does not matter there.
 //!
 //! **A declined round is received once per reach class.** In a round
 //! that does not fold, two recipients that the round's crashing senders
@@ -279,6 +282,17 @@ pub fn run_protocol_unordered<P: SyncProtocol>(
 /// reference count, no per-recipient buffer (`P::Msg` needs no `Clone`).
 /// Under the benign plan the loop allocates exactly what the plain one
 /// does (`tests/alloc_discipline.rs`).
+///
+/// Every letter reaches its recipient through [`SyncProtocol::receive`];
+/// nothing is folded for delivery. Under a plan that reorders, though,
+/// each round's broadcasts from the senders not crashing in it are
+/// offered once to [`SyncProtocol::fold`], as [`run_protocol`] offers
+/// them. Where it returns `Some`, the protocol has declared that its
+/// `receive` ignores order in that round (*Folded rounds*), so the
+/// round's inboxes are handed over unshuffled. That changes no trace,
+/// which `tests/fault_equivalence.rs` pins against the node tier (which
+/// always shuffles) and `tests/fold_equivalence.rs` against the same
+/// protocol with its fold declined.
 ///
 /// Link decisions are memoised per thread and per plan: the run reads
 /// each link's fate from a table decided the first time a run of `plan`
@@ -582,6 +596,7 @@ fn accepted_by<M, D: DeliveryPolicy>(
 /// `process`, and returns the delivered count they add up to — accepted
 /// deliveries plus the plan's adjustment. The other slots of `ring` are
 /// the `sends` of the earlier rounds a due letter can still point into.
+/// `order_blind`: the round folds, so the inbox is not shuffled.
 ///
 /// Out of line for the reason [`receive_round`] is.
 #[inline(never)]
@@ -593,6 +608,7 @@ fn receive_round_faulty<P: SyncProtocol, D: DeliveryPolicy>(
     ring: &[Vec<(usize, P::Msg, bool)>],
     slot: usize,
     fates: Option<&[u8]>,
+    order_blind: bool,
     policy: &D,
     scratch: &mut Vec<(ProcessId, Letter)>,
 ) -> i64 {
@@ -611,9 +627,14 @@ fn receive_round_faulty<P: SyncProtocol, D: DeliveryPolicy>(
             }
             Some((sender, Letter { slot, index }))
         });
-    let adjust = inbox.deliver(round, fates, arrivals, scratch, |from, letter| {
-        process.receive(round, from, &ring[letter.slot][letter.index].1)
-    });
+    let adjust = inbox.deliver(
+        round,
+        fates,
+        order_blind,
+        arrivals,
+        scratch,
+        |from, letter| process.receive(round, from, &ring[letter.slot][letter.index].1),
+    );
     sends.len() as i64 - rejected + adjust
 }
 
@@ -713,7 +734,17 @@ pub(crate) fn run_with_policy_faulty<P: SyncProtocol, D: DeliveryPolicy>(
         // Receive phase. Every active process sent, so `sends` lines up
         // with `active`. A victim of this round departs without
         // collecting its crash-round inbox, and before the compute phase.
+        // A round that folds is order-blind (*Folded rounds*): its
+        // inboxes skip the reorder draw and the shuffle. Asked only when
+        // the plan reorders, so no other plan pays for the fold.
         let sends = &ring[slot];
+        let order_blind = plan.reorders() && {
+            let mut steady = sends
+                .iter()
+                .filter(|&&(_, _, crashing_now)| !crashing_now)
+                .map(|&(sender, ref msg, _)| (ProcessId::new(sender), msg));
+            P::fold(round, &mut steady).is_some()
+        };
         for (&i, &(_, _, crashing_now)) in active.iter().zip(sends) {
             if crashing_now {
                 delivered += accepted_by(ProcessId::new(i), round, sends, policy);
@@ -726,6 +757,7 @@ pub(crate) fn run_with_policy_faulty<P: SyncProtocol, D: DeliveryPolicy>(
                     &ring,
                     slot,
                     fates.row(round, ProcessId::new(i)),
+                    order_blind,
                     policy,
                     &mut scratch,
                 );
@@ -1443,6 +1475,100 @@ mod tests {
         let a = run_protocol_faulty(flood_system(4, 3), &pattern, &plan, 10).unwrap();
         let b = run_protocol_faulty(flood_system(4, 3), &pattern, &plan, 10).unwrap();
         assert_eq!(a, b);
+    }
+
+    thread_local! {
+        /// How many times [`OrderLog::fold`] was asked on this thread:
+        /// test instrumentation, read by no process.
+        static FOLDS_ASKED: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+    }
+
+    /// Decides, in round 4, the `(round, from)` of every message it
+    /// received, in the order received. Folds every batch that is not
+    /// empty in the even rounds, where its `receive` (an append) is
+    /// declared blind to order though it is not; declines in the odd
+    /// ones. The log therefore shows which rounds the loop shuffled.
+    #[derive(Debug, Default)]
+    struct OrderLog {
+        received: Vec<(usize, usize)>,
+    }
+
+    impl SyncProtocol for OrderLog {
+        type Msg = ();
+        type Output = Vec<(usize, usize)>;
+
+        fn message(&mut self, _round: usize) {}
+
+        fn receive(&mut self, round: usize, from: ProcessId, _msg: &()) {
+            self.received.push((round, from.index()));
+        }
+
+        fn fold(round: usize, batch: &mut dyn Iterator<Item = (ProcessId, &())>) -> Option<()> {
+            FOLDS_ASKED.with(|asked| asked.set(asked.get() + 1));
+            (round.is_multiple_of(2) && batch.next().is_some()).then_some(())
+        }
+
+        fn receive_folded(&mut self, _round: usize, _count: usize, _folded: &()) {
+            unreachable!("the fault-composed loop delivers every letter through receive")
+        }
+
+        fn compute(&mut self, round: usize) -> Step<Self::Output> {
+            if round >= 4 {
+                Step::Decide(self.received.clone())
+            } else {
+                Step::Continue
+            }
+        }
+    }
+
+    /// Runs eight [`OrderLog`]s crash-free under `plan`, and returns the
+    /// trace with the number of fold questions asked.
+    fn order_logs(plan: &crate::fault::FaultPlan) -> (Trace<Vec<(usize, usize)>>, usize) {
+        FOLDS_ASKED.with(|asked| asked.set(0));
+        let procs = (0..8).map(|_| OrderLog::default()).collect();
+        let trace = run_protocol_faulty(procs, &FailurePattern::none(8), plan, 5).unwrap();
+        (trace, FOLDS_ASKED.with(std::cell::Cell::get))
+    }
+
+    #[test]
+    fn a_round_that_folds_is_delivered_unshuffled_and_only_that_round() {
+        use crate::fault::{FaultPlan, RATE_SCALE};
+        // Every inbox of every round is drawn for a shuffle.
+        let plan = FaultPlan::new(8, 0x0DE4).reorder_rate(RATE_SCALE);
+        let (trace, asked) = order_logs(&plan);
+        assert_eq!(asked, 4, "the fold is asked once a round");
+        let mut shuffled = 0;
+        for (i, outcome) in trace.outcomes().iter().enumerate() {
+            let log = outcome.decided_value().unwrap();
+            for round in 1..=4 {
+                let got: Vec<usize> = log
+                    .iter()
+                    .filter(|&&(r, _)| r == round)
+                    .map(|&(_, from)| from)
+                    .collect();
+                let mut expected: Vec<usize> = (0..8).collect();
+                if !round.is_multiple_of(2) {
+                    // Declined: the plan's permutation, as the node tier
+                    // applies it.
+                    plan.permute(round, ProcessId::new(i), &mut expected);
+                    shuffled += usize::from(expected != (0..8).collect::<Vec<_>>());
+                }
+                assert_eq!(got, expected, "p{} round {round}", i + 1);
+            }
+        }
+        assert!(
+            shuffled > 0,
+            "no declined inbox was shuffled: the test shows nothing"
+        );
+        // A plan that does not reorder asks nothing, and delivers in order.
+        let (in_order, asked) = order_logs(&FaultPlan::none(8));
+        assert_eq!(asked, 0, "a plan that does not reorder asks the fold");
+        let ascending: Vec<(usize, usize)> = (1..=4)
+            .flat_map(|round| (0..8).map(move |from| (round, from)))
+            .collect();
+        for outcome in in_order.outcomes() {
+            assert_eq!(outcome.decided_value().unwrap(), &ascending);
+        }
     }
 
     /// The thread keeps the fates of the plan it ran last, keyed by the

@@ -279,6 +279,12 @@ impl FaultPlan {
         self.reorder_rate == 0 && !self.faults_links()
     }
 
+    /// Whether the (round, receiver) reorder draw can fire: only then
+    /// can an inbox's order differ from the one `deliver` routes.
+    pub(crate) fn reorders(&self) -> bool {
+        self.reorder_rate > 0
+    }
+
     /// Whether some link can be dropped, delayed or duplicated — what a
     /// reorder draw alone cannot do.
     fn faults_links(&self) -> bool {
@@ -890,7 +896,12 @@ impl<L> Stash<L> {
 /// arrival round, then original round, then sender — the order they
 /// fell due and were stashed in), then the current round's arrivals in
 /// sender order with duplicates adjacent, then the plan's reorder
-/// permutation over the whole assembly.
+/// permutation over the whole assembly. `assemble` always applies the
+/// permutation. The simulator skips it in a round whose protocol folds,
+/// because that declaration says `receive` ignores order in the round
+/// (*Folded rounds* on [`SyncProtocol`](crate::SyncProtocol)); there
+/// both orders end in the same state, so the two tiers' traces stay
+/// identical.
 ///
 /// A delayed letter waits in the receiver's one queue, a binary heap
 /// min-ordered by (arrival round, stash sequence number) whose backing
@@ -955,6 +966,7 @@ impl<L: Clone> FaultInbox<L> {
         let adjust = self.deliver(
             round,
             fates,
+            false,
             arrivals.into_iter(),
             &mut scratch,
             |from, letter| inbox.push((from, letter)),
@@ -972,16 +984,29 @@ impl<L: Clone> FaultInbox<L> {
     /// inbox assembled in the (empty) `scratch`, shuffled whole and
     /// drained, so a round loop reusing `scratch` allocates here only
     /// when a delayed letter finds the receiver's queue full.
+    ///
+    /// `order_blind` is the caller's word that the sink cannot tell one
+    /// order of this inbox from another (the round folds: see
+    /// *Folded rounds* on [`SyncProtocol`](crate::SyncProtocol)). Then
+    /// the draw is not made and the inbox goes out in the order routed,
+    /// unshuffled; drops, delays, duplicates and the adjustment are the
+    /// same either way.
     #[inline]
     pub(crate) fn deliver(
         &mut self,
         round: usize,
         fates: Option<&[u8]>,
+        order_blind: bool,
         arrivals: impl Iterator<Item = (ProcessId, L)>,
         scratch: &mut Vec<(ProcessId, L)>,
         mut sink: impl FnMut(ProcessId, L),
     ) -> i64 {
-        let tally = match self.plan.reorder_draw(round, self.me) {
+        let draw = if order_blind {
+            None
+        } else {
+            self.plan.reorder_draw(round, self.me)
+        };
+        let tally = match draw {
             None => self.route(round, fates, arrivals, sink),
             Some(stream) => {
                 debug_assert!(scratch.is_empty(), "the assembly is the whole inbox");
@@ -1065,9 +1090,10 @@ mod tests {
 
     /// The parent's inbox, kept as the reference [`FaultInbox::deliver`]
     /// is tested against: it buffers the whole inbox, decides each
-    /// arrival by [`FaultPlan::decide_by_full_stream`] and permutes, and
-    /// stashes delayed letters in a map of `arrival round → (original
-    /// round, sender, letter)`, each entry in stash order.
+    /// arrival by [`FaultPlan::decide_by_full_stream`] and leaves the
+    /// caller to permute, and stashes delayed letters in a map of
+    /// `arrival round → (original round, sender, letter)`, each entry in
+    /// stash order.
     struct BufferingInbox<L> {
         plan: FaultPlan,
         me: ProcessId,
@@ -1117,7 +1143,6 @@ mod tests {
                     }
                 }
             }
-            self.plan.permute(round, self.me, &mut inbox);
             (inbox, adjust)
         }
 
@@ -1417,7 +1442,9 @@ mod tests {
         /// letters are carried in the stash across rounds and fall due
         /// next to later arrivals: the inbox sequence, the adjustment and
         /// what stays stashed (each queue's letters in due order against
-        /// the reference's map), round by round.
+        /// the reference's map), round by round. The streamed inbox is
+        /// told its even rounds are order-blind: those go out as routed,
+        /// unpermuted, and nothing else about them changes.
         #[test]
         fn streamed_delivery_equals_the_buffering_reference(
             n in 2usize..=8,
@@ -1443,21 +1470,26 @@ mod tests {
                         .filter(|i| mask >> i & 1 == 1)
                         .map(|i| (p(i), (round * 10 + i) as u32))
                         .collect();
-                    let expected = reference.assemble_by_buffering(round, arrivals.clone());
+                    let routed = reference.assemble_by_buffering(round, arrivals.clone());
+                    let mut expected = routed.clone();
+                    plan.permute(round, me, &mut expected.0);
                     proptest::prop_assert_eq!(
                         &assembled.assemble(round, arrivals.clone()), &expected,
                         "{} round {} at {}", plan, round, me
                     );
                     let mut inbox = Vec::new();
                     fates.enter(round);
+                    let order_blind = round.is_multiple_of(2);
                     let adjust = streamed.deliver(
                         round,
                         fates.row(round, me),
+                        order_blind,
                         arrivals.into_iter(),
                         &mut scratch,
                         |from, letter| inbox.push((from, letter)),
                     );
-                    proptest::prop_assert_eq!(&(inbox, adjust), &expected);
+                    let expected = if order_blind { &routed } else { &expected };
+                    proptest::prop_assert_eq!(&(inbox, adjust), expected);
                     proptest::prop_assert!(scratch.is_empty());
                     let pending = reference.pending();
                     proptest::prop_assert_eq!(&assembled.stash.pending(), &pending);

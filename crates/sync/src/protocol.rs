@@ -85,8 +85,13 @@ impl<Out: fmt::Display> fmt::Display for Step<Out> {
 ///   ones. [`run_protocol`](crate::run_protocol) and
 ///   [`run_protocol_unordered`](crate::run_protocol_unordered) do — each
 ///   round's broadcasts from the senders not crashing in it are folded
-///   once, for all recipients; the fault-composed loops, the threaded
-///   runtime and the node tier do not yet, and call `receive` only.
+///   once, for all recipients. The fault-composed loops
+///   ([`run_protocol_faulty`](crate::run_protocol_faulty) and its
+///   unordered twin) read the declaration instead: in a round that
+///   folds they skip the plan's inbox permutation, and still call
+///   `receive` once per letter, since every recipient's links differ.
+///   The threaded runtime and the node tier call `receive` only, and the
+///   node tier's faulty transport permutes every round it draws.
 /// * For every protocol, and every round, that declines — the provided
 ///   methods always do — ascending sender order stays the contract.
 ///

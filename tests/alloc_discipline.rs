@@ -13,7 +13,9 @@
 //!   the queue never allocates below its high-water mark. The same on
 //!   the plain loop's fold path (`SyncProtocol::fold`): a round's folded
 //!   message is one allocation of the protocol's, once for all
-//!   recipients, and nothing is regrown around it.
+//!   recipients, and nothing is regrown around it. The faulty loop asks
+//!   the same fold once a round under a plan that reorders (a round
+//!   that folds is not shuffled), and never under one that does not.
 //! * **A benign plan costs no allocation.** After round 1 the faulty
 //!   loop under `FaultPlan::none` calls `alloc` exactly as often as the
 //!   plain loop: a message is shared by position, not boxed per send.
@@ -356,6 +358,35 @@ fn the_faulty_round_loop_never_reallocs_after_round_one() {
         });
         assert_eq!(grown, 0, "a per-round buffer was regrown under {plan}");
     }
+}
+
+#[test]
+fn the_faulty_loop_asks_the_fold_once_a_round_and_only_when_the_plan_reorders() {
+    let pattern = crashing_pattern();
+    let run = |plan: &FaultPlan, folding: bool| {
+        counted_from_round(2, || {
+            let trace = if folding {
+                let system = flood_system().into_iter().map(FoldingFlood).collect();
+                run_protocol_faulty(system, &pattern, plan, ROUNDS + 1)
+            } else {
+                run_protocol_faulty(flood_system(), &pattern, plan, ROUNDS + 1)
+            };
+            trace.expect("the flood terminates").rounds_executed()
+        })
+    };
+    // A plan that does not reorder asks no fold: the folding flood
+    // allocates what the declining one does.
+    let benign = FaultPlan::none(N);
+    assert_eq!(run(&benign, true), run(&benign, false));
+    // One that reorders asks once a round, not once a recipient: the
+    // folded message, dropped unused, is all the question costs. The
+    // first run decides the plan's links, so each side is counted warm.
+    let reorders = FaultPlan::new(N, 7).drop_rate(1_000).reorder_rate(5_000);
+    run(&reorders, false);
+    let declining = run(&reorders, false);
+    let folding = run(&reorders, true);
+    assert_eq!(folding.reallocs, 0, "a per-round buffer was regrown");
+    assert_eq!(folding.allocs, declining.allocs + (ROUNDS as u64 - 1));
 }
 
 /// The benchmark's lossy plan (`faulty_net`): per 10 000, 300 drops,

@@ -12,9 +12,10 @@
 //!
 //! * **the fold law**, family by family — whatever state a process is
 //!   in, `receive_folded(fold(batch))` leaves it as the batch's
-//!   `receive`s, in ascending sender order, would: from then on the two
-//!   emit equal messages and compute equal steps. A batch holding a
-//!   round-1 `Proposal` declines, and so does an empty one;
+//!   `receive`s, in ascending sender order, would, and so do those
+//!   `receive`s in any other order: from then on the three emit equal
+//!   messages and compute equal steps. A batch holding a round-1
+//!   `Proposal` declines, and so does an empty one;
 //! * **the adopt law**, for the two families that adopt — a process that
 //!   adopts round 1 from one that received it, or from one that adopted
 //!   it in turn, is from then on indistinguishable from it;
@@ -23,7 +24,10 @@
 //!   that forwards `message` / `receive` / `compute` and so inherits the
 //!   declining `fold` and `adopt`: the wrapper *is* the per-message
 //!   reference for both paths, and the two [`Trace`]s — outcomes,
-//!   rounds, `messages_delivered` — are equal.
+//!   rounds, `messages_delivered` — are equal. The same holds through
+//!   the fault-composed loops under seeded plans that drop, delay,
+//!   duplicate and reorder: there a round that folds is delivered
+//!   unshuffled, and the wrapper's every round shuffled.
 
 use proptest::prelude::*;
 
@@ -34,8 +38,9 @@ use setagree::core::{
     EcbMessage, FloodSet,
 };
 use setagree::sync::{
-    run_protocol, run_protocol_unordered, CrashSpec, FailurePattern, Step, SubsetCrash,
-    SyncProtocol, Trace, UnorderedFailurePattern,
+    run_protocol, run_protocol_faulty, run_protocol_unordered, run_protocol_unordered_faulty,
+    CrashSpec, EngineError, FailurePattern, FaultPlan, Step, SubsetCrash, SyncProtocol, Trace,
+    UnorderedFailurePattern, RATE_SCALE,
 };
 use setagree::types::{ProcessId, ProcessSet};
 
@@ -91,10 +96,19 @@ fn fold_of<P: SyncProtocol>(round: usize, batch: &[(ProcessId, P::Msg)]) -> Opti
     P::fold(round, &mut batch.iter().map(|(from, msg)| (*from, msg)))
 }
 
-/// Checks the law on one state and one batch. Two processes from `fresh`
-/// are driven through the same `warm_up`, one batch a round starting at
-/// the first, and send in the round after it; one then receives `batch`
-/// message by message, the other its fold. They must be
+/// The positions `0..len` sorted by their `keys` (ties keep position
+/// order): a permutation that proptest draws as `N` keys.
+fn permutation(len: usize, keys: &[u64]) -> Vec<usize> {
+    let mut order: Vec<usize> = (0..len).collect();
+    order.sort_by_key(|&at| keys[at]);
+    order
+}
+
+/// Checks the law on one state and one batch. Three processes from
+/// `fresh` are driven through the same `warm_up`, one batch a round
+/// starting at the first, and send in the round after it. Then one
+/// receives `batch` message by message in sender order, one receives it
+/// in the order `keys` draws, and one receives its fold. They must be
 /// indistinguishable from there on: equal steps, equal next messages.
 /// Returns whether the batch folded (`None`: the warm-up already
 /// decided, nothing to compare).
@@ -102,13 +116,14 @@ fn law_holds<P>(
     fresh: impl Fn() -> P,
     warm_up: &[Vec<(ProcessId, P::Msg)>],
     batch: &[(ProcessId, P::Msg)],
+    keys: &[u64],
 ) -> Option<bool>
 where
     P: SyncProtocol,
     P::Msg: PartialEq,
 {
     let round = warm_up.len() + 1;
-    let mut twins = [fresh(), fresh()];
+    let mut twins = [fresh(), fresh(), fresh()];
     for twin in &mut twins {
         for (earlier, deliveries) in warm_up.iter().enumerate() {
             twin.message(earlier + 1);
@@ -121,23 +136,36 @@ where
         }
         twin.message(round);
     }
-    let [per_message, folding] = &mut twins;
+    let [per_message, folding, shuffled] = &mut twins;
     let Some(folded) = fold_of::<P>(round, batch) else {
         return Some(false);
     };
     for (from, msg) in batch {
         per_message.receive(round, *from, msg);
     }
+    // A fold is the declaration that the round's `receive` ignores order.
+    let order = permutation(batch.len(), keys);
+    for &at in &order {
+        let (from, msg) = &batch[at];
+        shuffled.receive(round, *from, msg);
+    }
     folding.receive_folded(round, batch.len(), &folded);
     for later in round..round + 3 {
         if later > round {
-            assert_eq!(per_message.message(later), folding.message(later));
+            let message = per_message.message(later);
+            assert_eq!(message, folding.message(later));
+            assert_eq!(message, shuffled.message(later), "in the order {order:?}");
         }
         let step = per_message.compute(later);
         assert_eq!(
             step,
             folding.compute(later),
             "round {later} after {batch:?}"
+        );
+        assert_eq!(
+            step,
+            shuffled.compute(later),
+            "round {later} after {batch:?} in the order {order:?}"
         );
         if step != Step::Continue {
             break;
@@ -157,6 +185,11 @@ fn slot() -> impl Strategy<Value = Option<u32>> {
 /// `N` sender slots, each empty or holding a message.
 fn slots<S: Strategy>(msg: S) -> impl Strategy<Value = Vec<Option<S::Value>>> {
     proptest::collection::vec(proptest::option::of(msg), N)
+}
+
+/// Sort keys for one permutation of up to `N` positions.
+fn sort_keys() -> impl Strategy<Value = Vec<u64>> {
+    proptest::collection::vec(any::<u64>(), N)
 }
 
 /// A decide flag, raised by one sender in eight: often enough to be
@@ -196,10 +229,11 @@ proptest! {
         own in value(),
         earlier in proptest::collection::vec(slots(value()), 0..=2),
         batch in slots(value()),
+        keys in sort_keys(),
     ) {
         let warm_up: Vec<_> = earlier.into_iter().map(batch_of).collect();
         let batch = batch_of(batch);
-        let folded = law_holds(|| FloodSet::new(T, 1, own), &warm_up, &batch);
+        let folded = law_holds(|| FloodSet::new(T, 1, own), &warm_up, &batch, &keys);
         prop_assert_eq!(folded, Some(!batch.is_empty()));
     }
 
@@ -208,10 +242,11 @@ proptest! {
         own in value(),
         earlier in proptest::collection::vec(slots(ed_message()), 0..=2),
         batch in slots(ed_message()),
+        keys in sort_keys(),
     ) {
         let warm_up: Vec<_> = earlier.into_iter().map(batch_of).collect();
         let batch = batch_of(batch);
-        let folded = law_holds(|| EarlyDeciding::new(N, T, 1, own), &warm_up, &batch);
+        let folded = law_holds(|| EarlyDeciding::new(N, T, 1, own), &warm_up, &batch, &keys);
         prop_assert!(folded.is_none() || folded == Some(!batch.is_empty()));
     }
 
@@ -221,6 +256,7 @@ proptest! {
         proposals in slots(value()),
         earlier in proptest::collection::vec(slots(cb_state()), 0..=2),
         batch in slots(cb_state()),
+        keys in sort_keys(),
     ) {
         let cfg = config(1);
         let oracle = MaxCondition::new(cfg.legality());
@@ -236,7 +272,7 @@ proptest! {
         warm_up.extend(earlier.into_iter().map(batch_of));
         let batch = batch_of(batch);
         let fresh = || ConditionBased::new(cfg, ProcessId::new(me), 3u32, oracle);
-        let folded = law_holds(fresh, &warm_up, &batch);
+        let folded = law_holds(fresh, &warm_up, &batch, &keys);
         prop_assert!(folded.is_none() || folded == Some(!batch.is_empty()));
     }
 
@@ -246,6 +282,7 @@ proptest! {
         proposals in slots(value()),
         earlier in proptest::collection::vec(slots(ecb_state()), 0..=2),
         batch in slots(ecb_state()),
+        keys in sort_keys(),
     ) {
         let cfg = config(1);
         let oracle = MaxCondition::new(cfg.legality());
@@ -262,7 +299,7 @@ proptest! {
         warm_up.extend(earlier.into_iter().map(batch_of));
         let batch = batch_of(batch);
         let fresh = || EarlyConditionBased::new(cfg, ProcessId::new(me), 3u32, oracle);
-        let folded = law_holds(fresh, &warm_up, &batch);
+        let folded = law_holds(fresh, &warm_up, &batch, &keys);
         prop_assert!(folded.is_none() || folded == Some(!batch.is_empty()));
     }
 }
@@ -402,38 +439,82 @@ fn an_empty_batch_declines() {
     assert_eq!(fold_of::<EarlyConditionBased<u32, Oracle>>(3, &[]), None);
 }
 
+/// What one run returns.
+type Run<O> = Result<Trace<O>, EngineError>;
+
+/// The (ordered, unordered) traces two runs agree on, `None` where both
+/// failed alike.
+type Agreed<O> = (Option<Trace<O>>, Option<Trace<O>>);
+
+/// Runs `processes` under the ordered pattern, or, given a `plan`, under
+/// the pattern composed with it.
+fn run_ordered<P: SyncProtocol>(
+    processes: Vec<P>,
+    ordered: &FailurePattern,
+    plan: Option<&FaultPlan>,
+    limit: usize,
+) -> Run<P::Output> {
+    match plan {
+        None => run_protocol(processes, ordered, limit),
+        Some(plan) => run_protocol_faulty(processes, ordered, plan, limit),
+    }
+}
+
+/// [`run_ordered`] under the unordered pattern.
+fn run_unordered<P: SyncProtocol>(
+    processes: Vec<P>,
+    unordered: &UnorderedFailurePattern,
+    plan: Option<&FaultPlan>,
+    limit: usize,
+) -> Run<P::Output> {
+    match plan {
+        None => run_protocol_unordered(processes, unordered, limit),
+        Some(plan) => run_protocol_unordered_faulty(processes, unordered, plan, limit),
+    }
+}
+
 /// Runs `make()` as it is and as [`Unfolded`] under the ordered pattern
-/// and under `unordered`, and returns the (ordered, unordered) traces
-/// the two pairs agree on.
+/// and under `unordered` — through the plain loops, or, given a `plan`,
+/// the fault-composed ones — and returns the (ordered, unordered)
+/// traces the two pairs agree on. The plain loops must terminate; under
+/// a plan both sides may fail alike at the round limit (`None`).
 fn assert_folding_changes_nothing<P, F>(
     make: F,
     ordered: &FailurePattern,
     unordered: &UnorderedFailurePattern,
+    plan: Option<&FaultPlan>,
     limit: usize,
-) -> (Trace<P::Output>, Trace<P::Output>)
+) -> Agreed<P::Output>
 where
     P: SyncProtocol,
     F: Fn() -> Vec<P>,
 {
     let unfolded = || make().into_iter().map(Unfolded).collect::<Vec<_>>();
-    let folding = run_protocol(make(), ordered, limit).expect("terminates");
-    let reference = run_protocol(unfolded(), ordered, limit).expect("terminates");
-    assert_eq!(folding, reference, "folding diverged under {ordered}");
-    let folding_unordered = run_protocol_unordered(make(), unordered, limit).expect("terminates");
-    let reference = run_protocol_unordered(unfolded(), unordered, limit).expect("terminates");
+    let folding = run_ordered(make(), ordered, plan, limit);
+    let reference = run_ordered(unfolded(), ordered, plan, limit);
+    assert_eq!(
+        folding, reference,
+        "folding diverged under {ordered} {plan:?}"
+    );
+    let folding_unordered = run_unordered(make(), unordered, plan, limit);
+    let reference = run_unordered(unfolded(), unordered, plan, limit);
     assert_eq!(
         folding_unordered, reference,
-        "folding diverged under {unordered:?}"
+        "folding diverged under {unordered:?} {plan:?}"
     );
-    (folding, folding_unordered)
+    if plan.is_none() {
+        assert!(folding.is_ok() && folding_unordered.is_ok(), "terminates");
+    }
+    (folding.ok(), folding_unordered.ok())
 }
 
 /// All four families over `inputs`, at `k = 1` (their longest runs) and
-/// `k = 2`, each compared with its unfolded self.
+/// `k = 2`, each compared with its unfolded self — under `plan` if given.
 fn assert_every_family(
     inputs: &[u32],
     ordered: &FailurePattern,
     unordered: &UnorderedFailurePattern,
+    plan: Option<&FaultPlan>,
 ) {
     for k in [1, 2] {
         let cfg = config(k);
@@ -447,6 +528,7 @@ fn assert_every_family(
             },
             ordered,
             unordered,
+            plan,
             limit,
         );
         assert_folding_changes_nothing(
@@ -457,6 +539,7 @@ fn assert_every_family(
             },
             ordered,
             unordered,
+            plan,
             limit,
         );
         assert_folding_changes_nothing(
@@ -468,12 +551,14 @@ fn assert_every_family(
             },
             ordered,
             unordered,
+            plan,
             limit,
         );
         assert_folding_changes_nothing(
             || inputs.iter().map(|&v| FloodSet::new(T, k, v)).collect(),
             ordered,
             unordered,
+            plan,
             limit,
         );
     }
@@ -514,7 +599,7 @@ fn every_shape_of_round_folds_to_the_per_message_trace() {
                 crash(victim, 4, victim - 2, subset([victim, 4, 9]));
             }
         }
-        assert_every_family(&inputs, &ordered, &unordered);
+        assert_every_family(&inputs, &ordered, &unordered, None);
 
         // FloodSet at k = 1 runs all of T + 1 = 6 rounds, whoever
         // crashes: every shape above is a round it executes.
@@ -522,8 +607,10 @@ fn every_shape_of_round_folds_to_the_per_message_trace() {
             || inputs.iter().map(|&v| FloodSet::new(T, 1, v)).collect(),
             &ordered,
             &unordered,
+            None,
             T + 2,
         );
+        let trace = trace.expect("terminates");
         if to_the_last {
             assert_eq!(trace.rounds_executed(), 4);
             assert_eq!(trace.crashed_count(), N);
@@ -571,7 +658,7 @@ fn every_shape_of_round_one_adopts_to_the_per_message_trace() {
                 crash(victim, victim - 2, subset([victim, 4, 9]));
             }
         }
-        assert_every_family(&inputs, &ordered, &unordered);
+        assert_every_family(&inputs, &ordered, &unordered, None);
 
         let cfg = config(1);
         let oracle = MaxCondition::new(cfg.legality());
@@ -583,8 +670,10 @@ fn every_shape_of_round_one_adopts_to_the_per_message_trace() {
             },
             &ordered,
             &unordered,
+            None,
             cfg.round_limit(),
         );
+        let trace = trace.expect("terminates");
         if everyone {
             assert_eq!(trace.rounds_executed(), 1);
             assert_eq!(trace.crashed_count(), N);
@@ -636,6 +725,43 @@ proptest! {
         inputs in proptest::collection::vec(value(), N),
         (ordered, unordered) in patterns(),
     ) {
-        assert_every_family(&inputs, &ordered, &unordered);
+        assert_every_family(&inputs, &ordered, &unordered, None);
+    }
+}
+
+/// A seeded plan that reorders at any rate up to `RATE_SCALE` (a third
+/// of them at `RATE_SCALE`, where every inbox is drawn for a shuffle),
+/// and drops, delays by up to two rounds and duplicates at up to a
+/// tenth of it each.
+fn plans() -> impl Strategy<Value = FaultPlan> {
+    let rate = 0..=RATE_SCALE / 10;
+    (
+        any::<u64>(),
+        (0..=RATE_SCALE, 0u8..3),
+        rate.clone(),
+        (rate.clone(), 1usize..=2),
+        rate,
+    )
+        .prop_map(|(seed, (reorder, full), drop, (delay, max_delay), dup)| {
+            FaultPlan::new(N, seed)
+                .reorder_rate(if full == 0 { RATE_SCALE } else { reorder })
+                .drop_rate(drop)
+                .delay_rate(delay, max_delay)
+                .duplicate_rate(dup)
+        })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// The fault-composed loops skip the shuffle in a round that folds;
+    /// the unfolded wrapper declines every round and is shuffled in each.
+    #[test]
+    fn skipping_the_shuffle_of_a_folded_round_changes_no_trace(
+        inputs in proptest::collection::vec(value(), N),
+        (ordered, unordered) in patterns(),
+        plan in plans(),
+    ) {
+        assert_every_family(&inputs, &ordered, &unordered, Some(&plan));
     }
 }
