@@ -104,6 +104,24 @@ impl<V: ProposalValue> SyncProtocol for FloodSet<V> {
         }
     }
 
+    /// Every round adopts: a process's own estimate is among what it
+    /// receives, so it ends the round on the greatest estimate received,
+    /// whatever it entered the round with — the twin's, when both
+    /// decide at the same round.
+    fn adopt(&mut self, _round: usize, twin: &Self) -> bool {
+        if self.target_round != twin.target_round {
+            return false;
+        }
+        self.estimate.clone_from(&twin.estimate);
+        true
+    }
+
+    /// The estimate and the decision round are the whole state.
+    fn catch_up(&mut self, leader: &Self) -> bool {
+        self.clone_from(leader);
+        true
+    }
+
     fn compute(&mut self, round: usize) -> Step<V> {
         if round >= self.target_round {
             Step::Decide(self.estimate.clone())

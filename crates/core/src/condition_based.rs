@@ -28,7 +28,9 @@
 //! through [`SyncProtocol::adopt`] instead: under the plain simulator a
 //! round 1 with `c` crashers assembles and decodes at most `c + 1` views
 //! (one per reach class under ordered sends), not `n`, and the processes
-//! that adopt never allocate one.
+//! that adopt never allocate one. From then on the state is the triple,
+//! which [`SyncProtocol::catch_up`] copies: the processes that adopted
+//! run as one class, and only its leader sends, receives and computes.
 
 use std::fmt;
 
@@ -249,7 +251,9 @@ impl<V: ProposalValue, O: ConditionOracle<V>> SyncProtocol for ConditionBased<V,
     /// is this process's — the same deliveries, its own proposal among
     /// them, over the same all-`⊥` vector — so the twin's primed slot is
     /// the one this process would prime. Nothing else of the state moves
-    /// in round 1. The state rounds decline (and fold instead).
+    /// in round 1. The state rounds decline: what a process makes of one
+    /// depends on the triple it entered it with (line 14), not only on
+    /// what it received.
     fn adopt(&mut self, round: usize, twin: &Self) -> bool {
         if round != 1 {
             return false;
@@ -257,6 +261,22 @@ impl<V: ProposalValue, O: ConditionOracle<V>> SyncProtocol for ConditionBased<V,
         self.v_cond.clone_from(&twin.v_cond);
         self.v_tmf.clone_from(&twin.v_tmf);
         self.v_out.clone_from(&twin.v_out);
+        true
+    }
+
+    /// Catches up by copying the state triple, the round's received
+    /// maxima and the line-14 commitment: after round 1 they are all a
+    /// later line reads. The identity and the proposal are read by round
+    /// 1 alone, and the processes of one execution share configuration
+    /// and oracle (as [`adopt`](SyncProtocol::adopt) takes for granted).
+    fn catch_up(&mut self, leader: &Self) -> bool {
+        self.v_cond.clone_from(&leader.v_cond);
+        self.v_tmf.clone_from(&leader.v_tmf);
+        self.v_out.clone_from(&leader.v_out);
+        self.recv_cond.clone_from(&leader.recv_cond);
+        self.recv_tmf.clone_from(&leader.recv_tmf);
+        self.recv_out.clone_from(&leader.recv_out);
+        self.committed = leader.committed;
         true
     }
 

@@ -79,10 +79,11 @@ impl SyncProtocol for DenseFlood {
         self.view.merge_missing_from(msg);
     }
 
-    // No `fold`, on purpose: a union of views would fold, but this
-    // protocol exists to price one dense merge per delivery
-    // (`core.denseflood.*` in the benchmark), so it keeps the
-    // per-message loop.
+    // No `fold`, `adopt` or `catch_up`, on purpose: a union of views
+    // would fold, and two processes holding one view could run as one
+    // class, but this protocol exists to price one dense merge per
+    // delivery (`core.denseflood.*` in the benchmark), so it keeps the
+    // per-message loop and every process.
 
     fn compute(&mut self, round: usize) -> Step<usize> {
         if round >= self.rounds {

@@ -24,7 +24,8 @@
 //! forwarded a non-⊥ `v_cond` decides it (line 14), any other absorbs
 //! the round and decides by priority. A process adopting round 1
 //! ([`SyncProtocol::adopt`]) takes its twin's decide flag and broadcast
-//! count along with the primed slot.
+//! count along with the primed slot, and so does one catching up
+//! ([`SyncProtocol::catch_up`]) with Figure 2's state.
 //!
 //! The bounds consequently combine: decisions happen by round
 //! `min(bound_of_Figure_2, ⌊f/k⌋ + 2)` ([`setagree_sync::bounds`]'s
@@ -137,6 +138,18 @@ impl<V: ProposalValue, O: ConditionOracle<V>> SyncProtocol for EarlyConditionBas
         self.deciding = twin.deciding;
         self.heard_prev = twin.heard_prev;
         self.heard_now = 0;
+        true
+    }
+
+    /// [`ConditionBased`]'s catch-up, with the decide flag and the
+    /// broadcast counts along.
+    fn catch_up(&mut self, leader: &Self) -> bool {
+        if !self.figure_2.catch_up(&leader.figure_2) {
+            return false;
+        }
+        self.deciding = leader.deciding;
+        self.heard_prev = leader.heard_prev;
+        self.heard_now = leader.heard_now;
         true
     }
 

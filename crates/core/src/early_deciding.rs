@@ -138,6 +138,26 @@ impl<V: ProposalValue> SyncProtocol for EarlyDeciding<V> {
         self.deciding |= folded.deciding;
     }
 
+    /// Round 1 adopts: a process's own estimate is among what it
+    /// receives and every process enters the round with `nb_0 = n` and no
+    /// flag, so its estimate, its count and the early rule's verdict on
+    /// it are the twin's. A later round declines: the rule reads
+    /// `nb_{r−1}`, which two processes that received alike in round `r`
+    /// need not share.
+    fn adopt(&mut self, round: usize, twin: &Self) -> bool {
+        if round != 1 || (self.k, self.final_round) != (twin.k, twin.final_round) {
+            return false;
+        }
+        self.clone_from(twin);
+        true
+    }
+
+    /// The estimate, the counts and the flag are the whole state.
+    fn catch_up(&mut self, leader: &Self) -> bool {
+        self.clone_from(leader);
+        true
+    }
+
     fn compute(&mut self, round: usize) -> Step<V> {
         if self.deciding {
             // Either our own rule fired last round (we broadcast DECIDE

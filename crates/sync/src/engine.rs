@@ -18,16 +18,16 @@
 //!   participating (its sends for that round already happened — the
 //!   forward-then-return shape of Figure 2's lines 13–14).
 //!
-//! **A round's broadcast is folded once, not once per recipient.** What
-//! the senders that do not crash in a round broadcast reaches every
+//! **A round's broadcast is folded once, not once per recipient.**
+//! What the senders that do not crash in a round broadcast reaches every
 //! process, and only a crashing sender's delivery differs from recipient
 //! to recipient. The plain loop ([`run_protocol`],
 //! [`run_protocol_unordered`]) therefore offers the former to
 //! [`SyncProtocol::fold`] once a round; a protocol whose `receive` looks
 //! at neither sender nor order in that round folds them into one message,
-//! every recipient takes it in a single `receive_folded`, and only the
-//! crashing senders' messages still go through `receive`, each to the
-//! recipients it reached — a crash-free round costs O(n) calls, not n².
+//! every process it runs takes it in a single `receive_folded`, and only
+//! the crashing senders' messages still go through `receive`, each to the
+//! processes it reached — a crash-free round costs O(n) calls, not n².
 //! A protocol (or round) that declines gets the per-message loop,
 //! untouched. Either way the [`Trace`] is the same, `messages_delivered`
 //! included: folding changes how often the simulator repeats a
@@ -37,26 +37,43 @@
 //! round, and in a round that folds it skips the inbox shuffle: the
 //! protocol has declared that order does not matter there.
 //!
-//! **A declined round is received once per reach class.** In a round
-//! that does not fold, two recipients that the round's crashing senders
-//! reached alike receive the same messages, so what one of them makes of
-//! the round the other would make too. The plain loop records, per
-//! recipient, which of the round's crashers reached it (a `u64`
-//! signature, exact — a round with more than 64 crashers is not grouped)
-//! and serves the recipients one by one: the first of each run of
-//! consecutive survivors with one signature, the *representative*,
-//! receives and computes the round; each later survivor of the run is
-//! offered [`SyncProtocol::adopt`] of the representative's, and receives
-//! and computes in full only if it declines. A process that adopts gets
-//! the representative's step and delivered count. Under ordered sends a
-//! reach class is an interval of indices, so the runs are the classes —
-//! `c` round-1 crashers leave at most `c + 1` representatives, where
+//! **The plain loop runs one process per class.** Processes that have
+//! received the same messages since some round, and were alike then, stay
+//! alike (*Class-stable rounds* in [`SyncProtocol`]). The plain loop keeps
+//! the live processes in classes, each run by its smallest member, the
+//! leader; only leaders send, receive and compute. Every round:
+//!
+//! * each leader broadcasts once for its class, and the fold still walks
+//!   every sender not crashing in the round, ascending, each paired with
+//!   its leader's message;
+//! * which of the round's crashing senders reached a process is its
+//!   reach (a `u64` signature, exact): a class whose members were reached
+//!   unalike splits into its parts, and each new part's leader is first
+//!   made equal to the old one through [`SyncProtocol::catch_up`]. When
+//!   the crashes stop at prefixes that cut no class's index range, the
+//!   classes are refined without looking at their members. A round with
+//!   more than 64 crashers dissolves every class into singletons;
+//! * a victim of the round is counted — what reached it — and never
+//!   served, and a class it led is led by its smallest survivor;
+//! * a leader that the round's crashers reached as they reached an
+//!   earlier one received what that one did, and is offered
+//!   [`SyncProtocol::adopt`] of that one's round; if it adopts, and the
+//!   protocol catches up (asked once a run), its class joins the other.
+//!   That is how classes form — in round 1 from singletons, and later
+//!   where a protocol such as FloodSet can merge back what a crash split;
+//! * outcomes and `messages_delivered` are expanded from classes, a
+//!   class's deliveries counting once per member and its outcome being
+//!   taken, once, by each member as it leaves.
+//!
+//! A protocol that declines `catch_up` — the provided method does — runs
+//! one process per class, every process served every round, adopting
+//! where it adopts. Under ordered sends a reach class is an interval of
+//! indices, so `c` round-1 crashers leave at most `c + 1` classes, where
 //! Figure 2's round 1 used to assemble and decode `n` views; under
-//! arbitrary-subset crashes the runs split the classes further, which
-//! shares less and changes nothing else. A victim of the round receives
-//! what reached it, then crashes; it never represents or adopts. The
-//! fault-composed loop and the node tier never adopt.
+//! arbitrary-subset crashes the classes are whatever the reaches make
+//! them. The fault-composed loop and the node tier run every process.
 
+use std::cell::Cell;
 use std::error::Error;
 use std::fmt;
 use std::sync::{Arc, OnceLock};
@@ -126,16 +143,21 @@ pub(crate) trait DeliveryPolicy {
         round: usize,
         recipient: ProcessId,
     ) -> bool;
+    /// Where `sender`'s broadcast stops in its crash round when what it
+    /// reaches is a prefix — exactly the processes with a smaller index
+    /// — and `None` when it is any other subset. One look per crash.
+    fn prefix(&self, sender: ProcessId) -> Option<usize>;
     /// The same question for a whole round at once: calls `deliver` with
-    /// each of `recipients` (process indices, ascending) that `sender`'s
+    /// each of `recipients` (ascending by `id`) that `sender`'s
     /// round-`round` broadcast reaches, in that order — one look at the
     /// sender's crash per round, not one per recipient.
-    fn reached_while_crashing(
+    fn reached_while_crashing<T>(
         &self,
         sender: ProcessId,
         round: usize,
-        recipients: &[usize],
-        deliver: impl FnMut(usize),
+        recipients: &mut [T],
+        id: impl Fn(&T) -> usize,
+        deliver: impl FnMut(&mut T),
     );
 }
 
@@ -157,19 +179,22 @@ impl DeliveryPolicy for FailurePattern {
         let prefix = self.spec(sender).map(|s| s.after_sends).unwrap_or(0);
         recipient.index() < prefix
     }
-    fn reached_while_crashing(
+    fn prefix(&self, sender: ProcessId) -> Option<usize> {
+        Some(self.spec(sender).map(|s| s.after_sends).unwrap_or(0))
+    }
+    fn reached_while_crashing<T>(
         &self,
         sender: ProcessId,
         _round: usize,
-        recipients: &[usize],
-        deliver: impl FnMut(usize),
+        recipients: &mut [T],
+        id: impl Fn(&T) -> usize,
+        deliver: impl FnMut(&mut T),
     ) {
         let prefix = self.spec(sender).map(|s| s.after_sends).unwrap_or(0);
         // Ascending, so the prefix's recipients come first.
         recipients
-            .iter()
-            .copied()
-            .take_while(|&recipient| recipient < prefix)
+            .iter_mut()
+            .take_while(|recipient| id(recipient) < prefix)
             .for_each(deliver);
     }
 }
@@ -192,18 +217,21 @@ impl DeliveryPolicy for UnorderedFailurePattern {
             .map(|s| s.delivered_to.contains(recipient))
             .unwrap_or(false)
     }
-    fn reached_while_crashing(
+    fn prefix(&self, _sender: ProcessId) -> Option<usize> {
+        None
+    }
+    fn reached_while_crashing<T>(
         &self,
         sender: ProcessId,
         _round: usize,
-        recipients: &[usize],
-        deliver: impl FnMut(usize),
+        recipients: &mut [T],
+        id: impl Fn(&T) -> usize,
+        deliver: impl FnMut(&mut T),
     ) {
         if let Some(spec) = self.spec(sender) {
             recipients
-                .iter()
-                .copied()
-                .filter(|&recipient| spec.delivered_to.contains(ProcessId::new(recipient)))
+                .iter_mut()
+                .filter(|recipient| spec.delivered_to.contains(ProcessId::new(id(recipient))))
                 .for_each(deliver);
         }
     }
@@ -356,29 +384,34 @@ fn record_round(started: Option<Instant>) {
     }
 }
 
-/// One recipient's receive phase of the plain loop: hands `process` the
-/// round's `sends` in sender order, skipping what a crashing sender's
-/// broadcast did not reach; returns the number of messages delivered.
+/// One leader's receive phase in a round that does not fold: hands
+/// `process` the round's broadcasts — each sender with the message it
+/// sent, its leader's — in sender order, skipping what a crashing
+/// sender's broadcast did not reach; returns the number of messages
+/// delivered.
 ///
 /// Kept out of line on purpose. As a function, the process and the
-/// `sends` array are distinct arguments, so the compiler knows a
-/// `receive` cannot write into the messages being read and keeps the
-/// process's state in registers across the fold; and the crash-round
-/// check, the one call in the loop, is `#[cold]`, so those registers are
-/// spilled around it and not throughout. Inlined into the round loop the
-/// same fold stores and reloads the state per delivery: on a one-word
-/// flood at n = 64 a round takes 9 µs that way, 4 µs this way (8 µs
+/// broadcasts are distinct arguments, so the compiler knows a `receive`
+/// cannot write into the messages being read and keeps the process's
+/// state in registers across the fold; and the crash-round check, the
+/// one call in the loop, is `#[cold]`, so those registers are spilled
+/// around it and not throughout. Inlined into the round loop the same
+/// fold stores and reloads the state per delivery: on a one-word flood
+/// at n = 64 a round takes 9 µs that way, 4 µs this way (8 µs
 /// sender-major).
 #[inline(never)]
-fn receive_round<P: SyncProtocol, D: DeliveryPolicy>(
+fn receive_round<'m, P: SyncProtocol, D: DeliveryPolicy>(
     process: &mut P,
     recipient: ProcessId,
     round: usize,
-    sends: &[(usize, P::Msg, bool)],
+    sends: impl Iterator<Item = (usize, &'m P::Msg, bool)>,
     policy: &D,
-) -> u64 {
+) -> u64
+where
+    P::Msg: 'm,
+{
     let mut delivered = 0;
-    for &(sender, ref msg, crashing_now) in sends {
+    for (sender, msg, crashing_now) in sends {
         let sender = ProcessId::new(sender);
         if crashing_now && !policy.delivers_while_crashing(sender, round, recipient) {
             continue;
@@ -387,6 +420,201 @@ fn receive_round<P: SyncProtocol, D: DeliveryPolicy>(
         delivered += 1;
     }
     delivered
+}
+
+/// One leader's receive phase in a round that folds: the `steady`
+/// senders' `folded` message in one call, then each of the round's
+/// `crashers` whose broadcast reached it, in sender order — bit `b` of
+/// `reach` says whether the `b`-th did, or `policy` when the round has
+/// more crashers than a signature has bits. Returns the number of
+/// messages delivered: a fold of `m` is `m`.
+#[allow(clippy::too_many_arguments)]
+fn receive_folded_round<'m, P: SyncProtocol, D: DeliveryPolicy>(
+    process: &mut P,
+    recipient: ProcessId,
+    round: usize,
+    steady: usize,
+    folded: &P::Msg,
+    crashers: impl Iterator<Item = (usize, &'m P::Msg)>,
+    reach: Option<u64>,
+    policy: &D,
+) -> u64
+where
+    P::Msg: 'm,
+{
+    process.receive_folded(round, steady, folded);
+    let mut delivered = steady as u64;
+    for (bit, (sender, msg)) in crashers.enumerate() {
+        let sender = ProcessId::new(sender);
+        let reached = match reach {
+            Some(mask) => mask >> bit & 1 == 1,
+            None => policy.delivers_while_crashing(sender, round, recipient),
+        };
+        if reached {
+            process.receive(round, sender, msg);
+            delivered += 1;
+        }
+    }
+    delivered
+}
+
+/// How many crashing senders a reach signature can tell apart: a round
+/// with more dissolves the classes.
+const SIGNATURE_BITS: usize = u64::BITS as usize;
+
+/// No index: the end of a list, or a class that is gone.
+const NONE: usize = usize::MAX;
+
+/// The crash round of a process that never crashes: later than every
+/// round, so `crash > round` is "sends in full this round".
+const NO_CRASH: usize = usize::MAX;
+
+/// A process of the plain loop. `live` holds them in ascending order:
+/// every live process and, until the next pass that brings the members
+/// up to date ([`settle`]), victims of earlier rounds (`crash < round`,
+/// skipped by every pass) and members of classes that decided.
+#[derive(Debug, Clone, Copy)]
+struct Member {
+    /// Its process index.
+    id: usize,
+    /// The round during which it crashes, or [`NO_CRASH`].
+    crash: usize,
+    /// Its class, as the round's `classes` index it — and so the round's
+    /// `sends`, whose message is its broadcast.
+    class: usize,
+    /// In a round whose classes split: bit `b` is whether the round's
+    /// `b`-th crashing sender reached it. 0 between rounds.
+    reach: u64,
+    /// Its part, when a round splits the classes but the members move to
+    /// their parts only at the start of the next.
+    part: usize,
+}
+
+/// A class of the plain loop: live processes that have received the
+/// same messages since they joined it, run by one of them.
+#[derive(Debug, Clone, Copy)]
+struct Class {
+    /// Its smallest live member, the one process of it that is run.
+    leader: usize,
+    /// The round during which the leader crashes, or [`NO_CRASH`].
+    crash: usize,
+    /// At least its largest member's index.
+    last: usize,
+    /// Its live members, the leader included.
+    size: u64,
+    /// In a round with crashers: which reached its members (as
+    /// [`Member::reach`]).
+    reach: u64,
+    /// While a round splits the classes, on a class the round started
+    /// from: its newest part, or [`NONE`]; on a part: the part of the
+    /// same class made before it. Then, on a leader served in full: the
+    /// one served before it. Once the round's classes are renumbered:
+    /// its index from then on, or [`NONE`] if its members leave (they
+    /// decided) or it has none.
+    link: usize,
+    /// The class whose members it joins when the round ends: itself,
+    /// unless its leader adopted a twin's round and caught up with it.
+    joins: usize,
+}
+
+impl Class {
+    fn led_by(leader: usize, crash: usize, reach: u64) -> Class {
+        Class {
+            leader,
+            crash,
+            last: leader,
+            size: 0,
+            reach,
+            link: NONE,
+            joins: NONE,
+        }
+    }
+}
+
+/// How the members' classes changed since their `class` was set, to be
+/// brought up to date by the next pass over them.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Pending {
+    /// A round split the classes without moving the members: each
+    /// member's class is its `part`.
+    moved: bool,
+    /// The classes were renumbered: the previous table says where each
+    /// went, and which decided.
+    renumbered: bool,
+}
+
+const SETTLED: Pending = Pending {
+    moved: false,
+    renumbered: false,
+};
+
+/// Brings one member's class up to date for `round` (see [`Pending`]);
+/// `false` if it left — a victim of an earlier round, or a member of a
+/// class that decided, which takes its leader's outcome here.
+fn settle<Out: Clone>(
+    member: &mut Member,
+    round: usize,
+    pending: Pending,
+    previous: &[Class],
+    outcomes: &mut [Option<Outcome<Out>>],
+) -> bool {
+    if member.crash < round {
+        return false;
+    }
+    if pending.moved {
+        member.class = member.part;
+    }
+    if pending.renumbered {
+        let Class { leader, link, .. } = previous[member.class];
+        if link == NONE {
+            if member.id != leader {
+                outcomes[member.id] = outcomes[leader].clone();
+            }
+            return false;
+        }
+        member.class = link;
+    }
+    true
+}
+
+/// The bytes of class tables a thread keeps between runs.
+const KEPT_TABLES_BUDGET: usize = 1 << 20;
+
+/// The plain loop's tables: the members, the classes, and a spare class
+/// table — a round's parts, or the table its classes were renumbered
+/// from. A thread keeps them, cleared, for its next run, so a sweep of
+/// cells sizes them once per worker, not once per cell.
+#[derive(Debug, Default)]
+struct Tables {
+    live: Vec<Member>,
+    classes: Vec<Class>,
+    spare: Vec<Class>,
+}
+
+thread_local! {
+    /// The tables of the last plain run on this thread.
+    static KEPT_TABLES: Cell<Option<Tables>> = const { Cell::new(None) };
+}
+
+impl Tables {
+    /// This thread's kept tables, or new ones.
+    fn take() -> Tables {
+        KEPT_TABLES
+            .try_with(Cell::take)
+            .ok()
+            .flatten()
+            .unwrap_or_default()
+    }
+
+    /// Hands the tables back to this thread's slot, unless they outgrew
+    /// the budget.
+    fn keep(self) {
+        let bytes = self.live.capacity() * std::mem::size_of::<Member>()
+            + (self.classes.capacity() + self.spare.capacity()) * std::mem::size_of::<Class>();
+        if bytes <= KEPT_TABLES_BUDGET {
+            let _ = KEPT_TABLES.try_with(|slot| slot.set(Some(self)));
+        }
+    }
 }
 
 pub(crate) fn run_with_policy<P: SyncProtocol, D: DeliveryPolicy>(
@@ -401,152 +629,404 @@ pub(crate) fn run_with_policy<P: SyncProtocol, D: DeliveryPolicy>(
             pattern: policy.system_size(),
         });
     }
+    let mut tables = Tables::take();
+    let trace = run_in_classes(processes, policy, max_rounds, &mut tables);
+    tables.keep();
+    trace
+}
 
+/// [`run_with_policy`] on tables that are this run's to use.
+fn run_in_classes<P: SyncProtocol, D: DeliveryPolicy>(
+    processes: Vec<P>,
+    policy: &D,
+    max_rounds: usize,
+    tables: &mut Tables,
+) -> Result<Trace<P::Output>, EngineError> {
+    let n = processes.len();
     let mut procs = processes;
     let mut outcomes: Vec<Option<Outcome<P::Output>>> = (0..n).map(|_| None).collect();
     let mut messages_delivered: u64 = 0;
     let mut rounds_executed = 0;
     let obs_on = setagree_obs::enabled();
-    // The per-run table and the per-round buffers are sized once, before
-    // round 1, and cleared, never regrown: a `Vec` grown through an
-    // unsized `filter` is `realloc`ed every round, and a block that
-    // started life in another thread's malloc arena sends that `realloc`
-    // through the other arena's lock (what made parallel suite sweeps
-    // slower than serial ones).
-    let crash_rounds = crash_rounds(policy);
-    let mut active: Vec<usize> = Vec::with_capacity(n);
+    // The tables and the per-round buffers are sized before round 1 and
+    // cleared, never regrown: a `Vec` grown through an unsized `filter`
+    // is `realloc`ed every round, and a block that started life in
+    // another thread's malloc arena sends that `realloc` through the
+    // other arena's lock (what made parallel suite sweeps slower than
+    // serial ones). Before round 1 every process is a class of its own.
+    let Tables {
+        mut live,
+        mut classes,
+        mut spare,
+    } = std::mem::take(tables);
+    live.clear();
+    live.extend((0..n).map(|id| Member {
+        id,
+        crash: NO_CRASH,
+        class: id,
+        reach: 0,
+        part: NONE,
+    }));
+    for (id, round) in policy.crashes() {
+        live[id.index()].crash = round;
+    }
+    // Victims of earlier rounds still in `live`.
+    let mut dead = 0;
+    classes.clear();
+    classes.extend(live.iter().map(|member| Class {
+        size: 1,
+        ..Class::led_by(member.id, member.crash, 0)
+    }));
+    spare.clear();
+    spare.reserve(n);
+    let mut pending = SETTLED;
     let mut sends: Vec<(usize, P::Msg, bool)> = Vec::with_capacity(n);
-    let mut reach: Vec<u64> = vec![0; n];
+    // The round's crashing senders, each with its class, while they fit
+    // a signature.
+    let mut crashers = [(0, 0); SIGNATURE_BITS];
+    // Where each one's broadcast stops, when the policy sends prefixes.
+    let mut prefixes = [0; SIGNATURE_BITS];
+    // Whether the protocol catches up: asked once, at the first join.
+    let mut follows = None;
 
     for round in 1..=max_rounds {
-        active.clear();
-        active.extend((0..n).filter(|&i| outcomes[i].is_none()));
-        if active.is_empty() {
+        if classes.is_empty() {
             break;
         }
         rounds_executed = round;
         let round_started = obs_on.then(Instant::now);
 
-        // Send phase: collect each active process's broadcast.
+        // Send phase: each class's leader broadcasts, for every member.
+        // A process crashing mid-send still "sends" from the protocol's
+        // point of view (part of the broadcast is lost).
         sends.clear();
-        let mut crashing = 0;
-        for &i in &active {
-            let crashing_now = crash_rounds[i] == round;
-            crashing += usize::from(crashing_now);
-            // A process crashing mid-send still "sends" from the
-            // protocol's point of view (part of the broadcast is lost).
-            let msg = procs[i].message(round);
-            sends.push((i, msg, crashing_now));
+        for class in &classes {
+            let leader = class.leader;
+            sends.push((leader, procs[leader].message(round), class.crash == round));
         }
-
-        // Receive phase. Every process still participating this round
-        // receives: `active`, this round's victims included. What the
-        // senders not crashing now broadcast reaches all of them alike,
-        // so it is offered to the protocol once: if it folds, each
-        // recipient takes the whole batch in one call and then, per
-        // message and in sender order, only what a crashing sender's
-        // broadcast reached it with — a crash-free round is O(n), not
-        // n². The count is what the per-message loop's would be: a
-        // folded batch of m messages is m deliveries.
-        let mut steady = sends
-            .iter()
-            .filter(|&&(_, _, crashing_now)| !crashing_now)
-            .map(|&(sender, ref msg, _)| (ProcessId::new(sender), msg));
-        if let Some(folded) = P::fold(round, &mut steady) {
-            let batch = sends.len() - crashing;
-            for &recipient in &active {
-                procs[recipient].receive_folded(round, batch, &folded);
-            }
-            messages_delivered += (batch * active.len()) as u64;
-            // `take`: a round without crashers scans nothing.
-            let crashers = sends.iter().filter(|&&(_, _, crashing_now)| crashing_now);
-            for &(sender, ref msg, _) in crashers.take(crashing) {
-                let sender = ProcessId::new(sender);
-                policy.reached_while_crashing(sender, round, &active, |recipient| {
-                    procs[recipient].receive(round, sender, msg);
-                    messages_delivered += 1;
-                });
-            }
-
-            // Crashes of this round take effect before the compute phase:
-            // a process that crashed mid-send performs no local
-            // computation.
-            for &i in &active {
-                if crash_rounds[i] == round {
-                    outcomes[i] = Some(Outcome::Crashed { round });
+        // The round's crashing senders, found in one pass over the
+        // members — which, if their classes changed, first follow them.
+        let mut crashing = 0;
+        let mut record = |member: &Member| {
+            if member.crash == round {
+                if let Some(slot) = crashers.get_mut(crashing) {
+                    *slot = (member.id, member.class);
                 }
+                crashing += 1;
             }
-
-            // Compute phase.
-            for &i in &active {
-                if outcomes[i].is_some() {
-                    continue;
-                }
-                if let Step::Decide(value) = procs[i].compute(round) {
-                    outcomes[i] = Some(Outcome::Decided { value, round });
-                }
-            }
+        };
+        if pending == SETTLED {
+            live.iter().for_each(&mut record);
         } else {
-            // Declined: recipient-major, each process folding the whole
-            // `sends` array, in sender order, while its own state stays
-            // in cache — a round-1 `view.set` per delivery lands in one
-            // view, not in n views in turn. Every recipient borrows the
-            // one owned message the sender produced — a round's fan-out
-            // is n deliveries, zero clones. Each recipient's round ends
-            // (in its crash, or its compute phase) before the next one's
-            // starts.
-            //
-            // Recipients that this round's crashing senders reached alike
-            // receive alike: bit `b` of `reach[i]` is whether the `b`-th
-            // crashing sender reached `i`. The first of each run of
-            // survivors with one signature is the run's representative
-            // and is served in full; each later one is offered
-            // `adopt(round, representative)` instead. A round with more
-            // crashers than a signature has bits is served in full.
-            let grouped = crashing <= u64::BITS as usize;
-            if grouped {
-                reach.fill(0);
-                let crashers = sends.iter().filter(|&&(_, _, crashing_now)| crashing_now);
-                for (bit, &(sender, _, _)) in crashers.take(crashing).enumerate() {
+            let mut kept = 0;
+            for at in 0..live.len() {
+                let mut member = live[at];
+                if settle(&mut member, round, pending, &spare, &mut outcomes) {
+                    record(&member);
+                    live[kept] = member;
+                    kept += 1;
+                }
+            }
+            live.truncate(kept);
+            dead = 0;
+        }
+        pending = SETTLED;
+        let steady = live.len() - dead - crashing;
+        let grouped = crashing <= SIGNATURE_BITS;
+        // No follower: `sends` is every broadcast, in sender order.
+        let everyone_sent = sends.len() == live.len() - dead;
+
+        // What the senders not crashing now broadcast reaches every
+        // process alike, so it is offered to the protocol once, each
+        // sender with its class's message.
+        let folded = {
+            let mut batch = live
+                .iter()
+                .filter(|member| member.crash > round)
+                .map(|member| (ProcessId::new(member.id), &sends[member.class].1));
+            P::fold(round, &mut batch)
+        };
+
+        // Partition phase: only a crashing sender's broadcast reaches
+        // some processes and not others. Crashes take effect before the
+        // compute phase: a victim is counted, never served.
+        let partitioned = crashing > 0;
+        let mut emptied = false;
+        // Where every crasher's broadcast stops at a prefix, a member's
+        // reach is its index against the prefixes; and where no prefix
+        // cuts a class's index range, no class splits.
+        let mut prefixed = partitioned && grouped;
+        if prefixed {
+            for (prefix, &(sender, _)) in prefixes.iter_mut().zip(&crashers[..crashing]) {
+                match policy.prefix(ProcessId::new(sender)) {
+                    Some(stop) => *prefix = stop,
+                    None => prefixed = false,
+                }
+            }
+        }
+        let reach_of = |id: usize| {
+            let mut reach = 0;
+            for (bit, &prefix) in prefixes[..crashing].iter().enumerate() {
+                reach |= u64::from(id < prefix) << bit;
+            }
+            reach
+        };
+        // Then the classes stay whole, and the victims stay in `live`
+        // until the next pass brings it up to date — unless one of them
+        // leads others, whose class the split below hands on.
+        let mut whole = prefixed
+            && crashers[..crashing]
+                .iter()
+                .all(|&(victim, at)| classes[at].leader != victim || classes[at].size == 1);
+        if whole {
+            for class in &mut classes {
+                let mut reach = 0;
+                for (bit, &prefix) in prefixes[..crashing].iter().enumerate() {
+                    if class.last < prefix {
+                        reach |= 1 << bit;
+                    } else if class.leader < prefix {
+                        whole = false;
+                    }
+                }
+                class.reach = reach;
+            }
+        }
+        if whole {
+            for &(victim, at) in &crashers[..crashing] {
+                let class = &mut classes[at];
+                let reached_by = class.reach.count_ones() as usize;
+                messages_delivered += (steady + reached_by) as u64;
+                outcomes[victim] = Some(Outcome::Crashed { round });
+                class.size -= 1;
+                emptied |= class.size == 0;
+                dead += 1;
+            }
+        } else if partitioned {
+            // Each class splits into its parts reached alike, each led by
+            // its smallest member — first caught up with the old leader,
+            // before that one receives anything. A round with more
+            // crashers than a signature has bits dissolves every class
+            // into singletons. Unless a member's class of the round is
+            // still needed — by the per-message receive of a round that
+            // neither folds nor has a leader per process, or to find the
+            // crashers of a dissolving one — the members move to their
+            // parts at once and the victims leave; otherwise in the next
+            // round's pass.
+            let in_place = grouped && (folded.is_some() || everyone_sent);
+            if grouped && !prefixed {
+                for (bit, &(sender, _)) in crashers[..crashing].iter().enumerate() {
                     let sender = ProcessId::new(sender);
-                    policy.reached_while_crashing(sender, round, &active, |recipient| {
-                        reach[recipient] |= 1 << bit;
+                    let id = |member: &Member| member.id;
+                    policy.reached_while_crashing(sender, round, &mut live, id, |member| {
+                        member.reach |= 1 << bit;
                     });
                 }
             }
-            // The run's representative, and how many messages it received.
-            let mut representative: Option<(usize, u64)> = None;
-            for &i in &active {
-                if crash_rounds[i] == round {
-                    // A victim receives what reached it and is gone: it
-                    // neither computes nor stands for anyone, and adopts
-                    // from nobody.
-                    messages_delivered +=
-                        receive_round(&mut procs[i], ProcessId::new(i), round, &sends, policy);
-                    outcomes[i] = Some(Outcome::Crashed { round });
+            for class in &mut classes {
+                class.link = NONE;
+            }
+            spare.clear();
+            let parts = &mut spare;
+            // The last part found: the next member's, most of the time.
+            let mut last = (NONE, 0, NONE);
+            let mut kept = 0;
+            for at in 0..live.len() {
+                let mut member = live[at];
+                if member.crash < round {
                     continue;
                 }
-                let twin = representative.filter(|&(rep, _)| grouped && reach[rep] == reach[i]);
-                if let Some((rep, delivered)) = twin {
-                    // `rep` came earlier in ascending `active`.
-                    let (served, rest) = procs.split_at_mut(i);
-                    if rest[0].adopt(round, &served[rep]) {
-                        messages_delivered += delivered;
-                        // The representative's step: `None` if it went on.
-                        outcomes[i] = outcomes[rep].clone();
-                        continue;
+                if prefixed {
+                    member.reach = reach_of(member.id);
+                } else {
+                    live[at].reach = 0;
+                }
+                if member.crash == round {
+                    let reached_by = if grouped {
+                        member.reach.count_ones() as usize
+                    } else {
+                        let reaches = |sender: &&Member| {
+                            sender.crash == round
+                                && policy.delivers_while_crashing(
+                                    ProcessId::new(sender.id),
+                                    round,
+                                    ProcessId::new(member.id),
+                                )
+                        };
+                        live.iter().filter(reaches).count()
+                    };
+                    messages_delivered += (steady + reached_by) as u64;
+                    outcomes[member.id] = Some(Outcome::Crashed { round });
+                    continue;
+                }
+                let part = if grouped && (member.class, member.reach) == (last.0, last.1) {
+                    last.2
+                } else {
+                    let from = &mut classes[member.class];
+                    let mut part = if grouped { from.link } else { NONE };
+                    while part != NONE && parts[part].reach != member.reach {
+                        part = parts[part].link;
                     }
-                }
-                let delivered =
-                    receive_round(&mut procs[i], ProcessId::new(i), round, &sends, policy);
-                messages_delivered += delivered;
-                if let Step::Decide(value) = procs[i].compute(round) {
-                    outcomes[i] = Some(Outcome::Decided { value, round });
-                }
-                if twin.is_none() {
-                    representative = Some((i, delivered));
+                    if part == NONE {
+                        part = parts.len();
+                        parts.push(Class {
+                            link: from.link,
+                            ..Class::led_by(member.id, member.crash, member.reach)
+                        });
+                        from.link = part;
+                        let old = from.leader;
+                        if old != member.id {
+                            // `old` is its class's smallest member.
+                            let (earlier, rest) = procs.split_at_mut(member.id);
+                            assert!(
+                                rest[0].catch_up(&earlier[old]),
+                                "a process that caught up with its leader once must catch up again"
+                            );
+                        }
+                    }
+                    last = (member.class, member.reach, part);
+                    part
+                };
+                parts[part].size += 1;
+                parts[part].last = member.id;
+                if in_place {
+                    live[kept] = Member {
+                        class: part,
+                        reach: 0,
+                        ..member
+                    };
+                    kept += 1;
+                } else {
+                    live[at].part = part;
                 }
             }
+            if in_place {
+                live.truncate(kept);
+                dead = 0;
+            } else {
+                dead += crashing;
+                pending.moved = true;
+            }
+            std::mem::swap(&mut classes, &mut spare);
+        }
+
+        // Receive phase, one leader for each class. A leader that the
+        // round's crashers reached as they reached an earlier one
+        // received what that one did: it is offered `adopt(round, twin)`,
+        // and, adopting, its class joins the twin's — if the protocol
+        // catches up. Any other leader receives: in a round that folds,
+        // the fold in one call and then, in sender order, what a
+        // crashing sender's broadcast reached it with; otherwise every
+        // message, in sender order. A class's deliveries count once per
+        // member.
+        let mut changed = emptied;
+        let mut twins = NONE;
+        for at in 0..classes.len() {
+            let Class {
+                leader: l,
+                size,
+                reach,
+                last,
+                ..
+            } = classes[at];
+            classes[at].joins = at;
+            if size == 0 {
+                // Every member crashed this round.
+                continue;
+            }
+            let reach = if partitioned { reach } else { 0 };
+            // Without crashers every leader was reached alike.
+            let mut twin = if grouped { twins } else { NONE };
+            while twin != NONE && partitioned && classes[twin].reach != reach {
+                twin = classes[twin].link;
+            }
+            if twin != NONE {
+                // `twin`'s leader came earlier in ascending order.
+                let twin_leader = classes[twin].leader;
+                let (served, rest) = procs.split_at_mut(l);
+                if rest[0].adopt(round, &served[twin_leader]) {
+                    let delivered = (steady + reach.count_ones() as usize) as u64;
+                    messages_delivered += delivered * size;
+                    // The twin's step, if it did not go on.
+                    if let Some(step) = &outcomes[twin_leader] {
+                        outcomes[l] = Some(step.clone());
+                        changed = true;
+                    }
+                    if *follows.get_or_insert_with(|| rest[0].catch_up(&served[twin_leader])) {
+                        classes[twin].size += size;
+                        classes[twin].last = classes[twin].last.max(last);
+                        classes[at].joins = twin;
+                        changed = true;
+                    }
+                    continue;
+                }
+            }
+            let recipient = ProcessId::new(l);
+            let process = &mut procs[l];
+            let delivered = match &folded {
+                Some(folded) if grouped => {
+                    let crashers = crashers[..crashing]
+                        .iter()
+                        .map(|&(sender, class)| (sender, &sends[class].1));
+                    let reach = Some(reach);
+                    receive_folded_round(
+                        process, recipient, round, steady, folded, crashers, reach, policy,
+                    )
+                }
+                Some(folded) => {
+                    let crashers = live
+                        .iter()
+                        .filter(|member| member.crash == round)
+                        .map(|member| (member.id, &sends[member.class].1));
+                    receive_folded_round(
+                        process, recipient, round, steady, folded, crashers, None, policy,
+                    )
+                }
+                None if everyone_sent => {
+                    let sends = sends
+                        .iter()
+                        .map(|&(sender, ref msg, crashing_now)| (sender, msg, crashing_now));
+                    receive_round(process, recipient, round, sends, policy)
+                }
+                None => {
+                    let sends = live
+                        .iter()
+                        .filter(|member| member.crash >= round)
+                        .map(|member| {
+                            let msg = &sends[member.class].1;
+                            (member.id, msg, member.crash == round)
+                        });
+                    receive_round(process, recipient, round, sends, policy)
+                }
+            };
+            messages_delivered += delivered * size;
+            if let Step::Decide(value) = process.compute(round) {
+                outcomes[l] = Some(Outcome::Decided { value, round });
+                changed = true;
+            }
+            if twin == NONE {
+                classes[at].link = twins;
+                twins = at;
+            }
+        }
+
+        // Classes that decided or lost every member go, and a class that
+        // joined a twin's goes on as part of it: the classes are
+        // renumbered, and the members follow in the next pass over them.
+        if changed {
+            spare.clear();
+            for at in 0..classes.len() {
+                let class = classes[at];
+                classes[at].link = if class.joins != at {
+                    classes[class.joins].link
+                } else if class.size == 0 || outcomes[class.leader].is_some() {
+                    NONE
+                } else {
+                    spare.push(class);
+                    spare.len() - 1
+                };
+            }
+            std::mem::swap(&mut classes, &mut spare);
+            pending.renumbered = true;
         }
         record_round(round_started);
     }
@@ -554,6 +1034,15 @@ pub(crate) fn run_with_policy<P: SyncProtocol, D: DeliveryPolicy>(
     if obs_on {
         engine_metrics().messages_delivered.add(messages_delivered);
     }
+    // The last round's departures take their outcomes.
+    for member in &mut live {
+        settle(member, rounds_executed + 1, pending, &spare, &mut outcomes);
+    }
+    *tables = Tables {
+        live,
+        classes,
+        spare,
+    };
     if outcomes.iter().any(|o| o.is_none()) {
         return Err(EngineError::RoundLimitExceeded { limit: max_rounds });
     }
@@ -1157,12 +1646,15 @@ mod tests {
     }
 
     thread_local! {
-        /// Every `receive` and every `adopt` offer made to an
-        /// [`AdoptLog`] on this thread, as `(round, me, from)` and
-        /// `(round, me, twin)`: test instrumentation, read by no process.
+        /// Every `receive`, every `adopt` offer and every `catch_up` made
+        /// to an [`AdoptLog`] on this thread, as `(round, me, from)`,
+        /// `(round, me, twin)` and `(me, leader)`: test instrumentation,
+        /// read by no process.
         static RECEIVES: std::cell::RefCell<Vec<(usize, usize, usize)>> =
             const { std::cell::RefCell::new(Vec::new()) };
         static OFFERS: std::cell::RefCell<Vec<(usize, usize, usize)>> =
+            const { std::cell::RefCell::new(Vec::new()) };
+        static CATCH_UPS: std::cell::RefCell<Vec<(usize, usize)>> =
             const { std::cell::RefCell::new(Vec::new()) };
     }
 
@@ -1170,14 +1662,16 @@ mod tests {
     /// received. When `ADOPTS` it adopts whenever its log so far is the
     /// twin's, by taking over the twin's receipts of the round — the law
     /// for a log: from there on the two log and decide alike. Otherwise
-    /// it declines, like any protocol that overrides nothing.
+    /// it declines, like any protocol that overrides nothing. When
+    /// `FOLLOWS` it catches up by copying the leader's log, which is all
+    /// a later call observes; otherwise it declines and runs on its own.
     #[derive(Debug)]
-    struct AdoptLog<const ADOPTS: bool> {
+    struct AdoptLog<const ADOPTS: bool, const FOLLOWS: bool = false> {
         me: usize,
         received: Vec<(usize, usize)>,
     }
 
-    impl<const ADOPTS: bool> SyncProtocol for AdoptLog<ADOPTS> {
+    impl<const ADOPTS: bool, const FOLLOWS: bool> SyncProtocol for AdoptLog<ADOPTS, FOLLOWS> {
         type Msg = ();
         type Output = Vec<(usize, usize)>;
 
@@ -1200,6 +1694,14 @@ mod tests {
             true
         }
 
+        fn catch_up(&mut self, leader: &Self) -> bool {
+            CATCH_UPS.with_borrow_mut(|log| log.push((self.me, leader.me)));
+            if FOLLOWS {
+                self.received.clone_from(&leader.received);
+            }
+            FOLLOWS
+        }
+
         fn compute(&mut self, round: usize) -> Step<Self::Output> {
             if round >= 3 {
                 Step::Decide(self.received.clone())
@@ -1209,21 +1711,27 @@ mod tests {
         }
     }
 
-    /// Runs `n` [`AdoptLog`]s under the pattern with the logs cleared
-    /// first, and returns the trace with the receives and offers made.
-    #[allow(clippy::type_complexity)]
-    fn adopt_logs<const ADOPTS: bool>(
-        n: usize,
-        pattern: &FailurePattern,
-    ) -> (
+    /// What [`adopt_logs`] returns: the trace, and the receives, offers
+    /// and catch-ups made.
+    type Logged = (
         Trace<Vec<(usize, usize)>>,
         Vec<(usize, usize, usize)>,
         Vec<(usize, usize, usize)>,
-    ) {
+        Vec<(usize, usize)>,
+    );
+
+    /// Runs `n` [`AdoptLog`]s under the pattern with the logs cleared
+    /// first, and returns the trace with the receives, offers and
+    /// catch-ups made.
+    fn adopt_logs<const ADOPTS: bool, const FOLLOWS: bool>(
+        n: usize,
+        pattern: &FailurePattern,
+    ) -> Logged {
         RECEIVES.with_borrow_mut(Vec::clear);
         OFFERS.with_borrow_mut(Vec::clear);
+        CATCH_UPS.with_borrow_mut(Vec::clear);
         let procs = (0..n)
-            .map(|me| AdoptLog::<ADOPTS> {
+            .map(|me| AdoptLog::<ADOPTS, FOLLOWS> {
                 me,
                 received: Vec::new(),
             })
@@ -1233,6 +1741,7 @@ mod tests {
             trace,
             RECEIVES.with_borrow_mut(std::mem::take),
             OFFERS.with_borrow_mut(std::mem::take),
+            CATCH_UPS.with_borrow_mut(std::mem::take),
         )
     }
 
@@ -1263,12 +1772,15 @@ mod tests {
     #[test]
     fn a_representative_receives_per_message_and_each_twin_adopts_once() {
         // p1 crashes in round 1 reaching p1..p3: p2 and p3 form one reach
-        // class, p4..p6 the other. Rounds 2 and 3 lose nobody.
+        // class, p4..p6 the other. Rounds 2 and 3 lose nobody. The logs
+        // decline `catch_up`, so every class stays a singleton and each
+        // process is offered, round by round, the first leader that was
+        // reached as it was.
         let pattern = pattern_of(6, [(0, 1, 3)]);
-        let (trace, receives, offers) = adopt_logs::<true>(6, &pattern);
-        // Round 1: the victim and one representative per class receive,
-        // each everything that reached it, in sender order.
-        assert_eq!(receivers(&receives, 1), [0, 1, 3]);
+        let (trace, receives, offers, catch_ups) = adopt_logs::<true, false>(6, &pattern);
+        // Round 1: one representative per class receives, everything that
+        // reached it, in sender order; the victim is counted, not served.
+        assert_eq!(receivers(&receives, 1), [1, 3]);
         let of = |me: usize| -> Vec<usize> {
             receives
                 .iter()
@@ -1298,8 +1810,11 @@ mod tests {
             ]
         );
         assert_eq!(receivers(&receives, 2), [1, 3, 4, 5]);
+        // The first adopter was asked to catch up, declined, and so
+        // answered for the whole run.
+        assert_eq!(catch_ups, [(2, 1)]);
         // The trace is the per-message loop's, count included.
-        let (reference, all_receive, _) = adopt_logs::<false>(6, &pattern);
+        let (reference, all_receive, _, _) = adopt_logs::<false, false>(6, &pattern);
         assert_eq!(trace, reference);
         assert_eq!(receivers(&all_receive, 2), [1, 2, 3, 4, 5]);
         assert_eq!(trace.messages_delivered(), (5 * 6 + 3) + 5 * 5 + 5 * 5);
@@ -1310,31 +1825,27 @@ mod tests {
         // In round 1 p1 crashes reaching nobody and p4 reaching everybody:
         // every survivor is reached alike, and p4 sits between p3 and p5.
         let pattern = pattern_of(6, [(0, 1, 0), (3, 1, 6)]);
-        let (trace, receives, offers) = adopt_logs::<true>(6, &pattern);
+        let (trace, receives, offers, _) = adopt_logs::<true, false>(6, &pattern);
         let round_one: Vec<_> = offers.iter().filter(|&&(r, _, _)| r == 1).collect();
         assert_eq!(round_one, [&(1, 2, 1), &(1, 4, 1), &(1, 5, 1)]);
-        // The victims receive what reached them, per message.
-        assert_eq!(receivers(&receives, 1), [0, 1, 3]);
-        let victim: Vec<usize> = receives
-            .iter()
-            .filter(|&&(r, me, _)| r == 1 && me == 3)
-            .map(|&(_, _, from)| from)
-            .collect();
-        assert_eq!(victim, [1, 2, 3, 4, 5]);
+        // The victims are counted, never served: only p2 receives.
+        assert_eq!(receivers(&receives, 1), [1]);
         assert!(trace.outcome(ProcessId::new(3)).is_crashed());
-        let (reference, _, _) = adopt_logs::<false>(6, &pattern);
+        let (reference, _, _, _) = adopt_logs::<false, false>(6, &pattern);
         assert_eq!(trace, reference);
+        // Each victim heard p2 to p6, and p4 heard itself too.
+        assert_eq!(trace.messages_delivered(), (4 + 1) * 6 + 4 * 4 + 4 * 4);
     }
 
     #[test]
     fn a_declining_adopt_falls_back_with_identical_counts() {
-        let (declining, receives, offers) = adopt_logs::<false>(6, &three_crashes());
+        let (declining, receives, offers, _) = adopt_logs::<false, false>(6, &three_crashes());
         // Offered as often as an adopting protocol is, and every offer
         // declined: every survivor received per message, every round.
-        let (adopting, _, adopted) = adopt_logs::<true>(6, &three_crashes());
+        let (adopting, _, adopted, _) = adopt_logs::<true, false>(6, &three_crashes());
         assert_eq!(offers, adopted);
         assert!(!offers.is_empty());
-        assert_eq!(receivers(&receives, 1), [0, 1, 2, 3, 4, 5]);
+        assert_eq!(receivers(&receives, 1), [1, 2, 3, 4, 5]);
         assert_eq!(declining, adopting);
         // The count of the folding and of the per-message loop alike.
         let per_message = run_protocol(call_logs::<false>(6), &three_crashes(), 5).unwrap();
@@ -1349,15 +1860,64 @@ mod tests {
         // 65 of 70 processes crash in round 1, each reaching nobody: the
         // five survivors are reached alike, but a `u64` cannot say so.
         let silent = |crashers: usize| pattern_of(70, (0..crashers).map(|i| (i, 1, 0)));
-        let (trace, receives, offers) = adopt_logs::<true>(70, &silent(65));
+        let (trace, receives, offers, _) = adopt_logs::<true, false>(70, &silent(65));
         assert!(offers.iter().all(|&(r, _, _)| r > 1), "round 1 grouped");
-        assert_eq!(receivers(&receives, 1), (0..70).collect::<Vec<_>>());
-        let (reference, _, _) = adopt_logs::<false>(70, &silent(65));
+        assert_eq!(receivers(&receives, 1), (65..70).collect::<Vec<_>>());
+        let (reference, _, _, _) = adopt_logs::<false, false>(70, &silent(65));
         assert_eq!(trace, reference);
         // At 64 crashers the signature holds them all, and round 1 groups
         // the six survivors: one representative, five offers.
-        let (_, _, offers) = adopt_logs::<true>(70, &silent(64));
+        let (_, _, offers, _) = adopt_logs::<true, false>(70, &silent(64));
         assert_eq!(offers.iter().filter(|&&(r, _, _)| r == 1).count(), 5);
+    }
+
+    #[test]
+    fn a_follower_is_called_no_more_until_a_crash_splits_its_class() {
+        // Round 1 loses nobody: p1 receives, p2..p6 adopt, one class —
+        // p2's catch-up, the first join's, answers for the run. In round 2 its leader p1 crashes reaching p1..p3:
+        // the class splits into p2–p3 and p4–p6, each part's leader
+        // caught up with p1 before p1's round, and p1 counted, not
+        // served. In round 3 p4 is reached as p2 is, but its history
+        // differs: it declines, receives, and the parts stay apart.
+        let pattern = pattern_of(6, [(0, 2, 3)]);
+        let (trace, receives, offers, catch_ups) = adopt_logs::<true, true>(6, &pattern);
+        assert_eq!(receivers(&receives, 1), [0]);
+        assert_eq!(receivers(&receives, 2), [1, 3]);
+        assert_eq!(receivers(&receives, 3), [1, 3]);
+        assert_eq!(
+            offers,
+            [
+                (1, 1, 0),
+                (1, 2, 0),
+                (1, 3, 0),
+                (1, 4, 0),
+                (1, 5, 0),
+                (3, 3, 1)
+            ]
+        );
+        assert_eq!(catch_ups, [(1, 0), (1, 0), (3, 0)]);
+        // Outcomes and counts are expanded per member: the per-message
+        // loop's trace, bit for bit.
+        let (reference, _, _, _) = adopt_logs::<false, false>(6, &pattern);
+        assert_eq!(trace, reference);
+        assert_eq!(trace.messages_delivered(), 6 * 6 + (6 * 5 + 3) + 5 * 5);
+    }
+
+    #[test]
+    fn a_round_with_more_crashers_than_signature_bits_dissolves_the_classes() {
+        // Round 1 loses nobody: one class of 70. In round 2, 65 of them
+        // crash reaching nobody: every survivor is caught up with the
+        // leader and served on its own, and none is offered a twin. In
+        // round 3 the five are reached alike again: they rejoin.
+        let pattern = pattern_of(70, (0..65).map(|i| (i, 2, 0)));
+        let (trace, receives, offers, catch_ups) = adopt_logs::<true, true>(70, &pattern);
+        assert_eq!(receivers(&receives, 2), (65..70).collect::<Vec<_>>());
+        assert!(offers.iter().all(|&(r, _, _)| r != 2), "round 2 grouped");
+        let leaving: Vec<_> = (65..70).map(|me| (me, 0)).collect();
+        assert_eq!(catch_ups[1..], leaving);
+        assert_eq!(receivers(&receives, 3), [65]);
+        let (reference, _, _, _) = adopt_logs::<false, false>(70, &pattern);
+        assert_eq!(trace, reference);
     }
 
     #[test]

@@ -45,15 +45,20 @@ impl<Out: fmt::Display> fmt::Display for Step<Out> {
 ///    `p_1, …, p_n` in that predetermined order, and a crash mid-send
 ///    delivers only a prefix);
 /// 2. [`receive`](SyncProtocol::receive) — once per message delivered this
-///    round, in sender order (a process always receives its own broadcast
-///    unless it crashed before reaching itself in the send order); where
-///    the protocol opted in (*Folded rounds* below), possibly one
-///    [`receive_folded`](SyncProtocol::receive_folded) for many of them;
+///    round, in sender order (a process that does not crash in the round
+///    always receives its own broadcast); where the protocol opted in
+///    (*Folded rounds* below), possibly one
+///    [`receive_folded`](SyncProtocol::receive_folded) for many of them.
+///    A process crashing in the round never computes, so an executor
+///    may count what reached it and hand it nothing;
 /// 3. [`compute`](SyncProtocol::compute) — local computation; returning
 ///    [`Step::Decide`] ends the process's participation.
 ///
 /// Where the protocol opted in (*Adopted rounds* below), one
-/// [`adopt`](SyncProtocol::adopt) may stand for steps 2 and 3 together.
+/// [`adopt`](SyncProtocol::adopt) may stand for steps 2 and 3 together,
+/// and (*Class-stable rounds* below) a process that adopted may stop
+/// being called at all until [`catch_up`](SyncProtocol::catch_up)
+/// brings it level with the process it follows.
 ///
 /// Rounds are numbered from 1, matching the paper.
 ///
@@ -98,11 +103,11 @@ impl<Out: fmt::Display> fmt::Display for Step<Out> {
 /// **Adopted rounds.** What a process makes of a round is often a
 /// function of what it received in it (Figure 2's round 1: lines 5–8
 /// read the view `V_i` and nothing else), so two processes that received
-/// the same messages end it alike. In a round whose fold declines, a
-/// crashing sender's broadcast reaches some recipients and not others,
-/// but recipients it reached alike receive alike; a protocol may let one
-/// of them take over what another made of the round, round by round, by
-/// overriding [`adopt`](SyncProtocol::adopt):
+/// the same messages end it alike. A crashing sender's broadcast reaches
+/// some recipients and not others, but recipients it reached alike
+/// receive alike; a protocol may let one of them take over what another
+/// made of the round, round by round, by overriding
+/// [`adopt`](SyncProtocol::adopt):
 ///
 /// * **The law.** `self.adopt(r, &twin)` returning `true` leaves `self`,
 ///   as far as every later call can observe, as if it had received in
@@ -111,17 +116,50 @@ impl<Out: fmt::Display> fmt::Display for Step<Out> {
 ///   executor gives `self` the [`Step`] that `twin` took. Returning
 ///   `false` leaves `self` untouched, and it receives and computes the
 ///   round as ever.
-/// * An executor offers `adopt` only where the law can hold: in a round
-///   whose fold declined, between two processes of which neither crashes
-///   in it, that received the same messages, and once `twin` has computed
-///   the round (by receiving it, or by adopting it in turn).
-///   [`run_protocol`](crate::run_protocol) and
-///   [`run_protocol_unordered`](crate::run_protocol_unordered) do — each
-///   run of consecutive recipients that the round's crashing senders
-///   reached alike is served once, to its first member, and offered to
-///   the rest; the fault-composed loops and the node tier never adopt.
+/// * An executor offers `adopt` only where the law can hold: between two
+///   processes of which neither crashes in the round, that received the
+///   same messages in it, and once `twin` has computed the round (by
+///   receiving it, or by adopting it in turn) — whether or not the round
+///   folds. [`run_protocol`](crate::run_protocol) and
+///   [`run_protocol_unordered`](crate::run_protocol_unordered) offer it
+///   every round to each class leader (*Class-stable rounds*) that the
+///   round's crashing senders reached as they reached an earlier leader;
+///   the fault-composed loops and the node tier never adopt.
 /// * Whether a process adopts is decided by what `adopt` returns and
 ///   nothing else: the provided method declines every round.
+///
+/// **Class-stable rounds.** Two processes that end a round alike, and
+/// from then on receive alike, stay alike: a simulator need run only one
+/// of them. A protocol may say that a process which adopted a round is,
+/// from then on, *the same process* as its twin, by overriding
+/// [`catch_up`](SyncProtocol::catch_up):
+///
+/// * **The law.** Once both have computed round 1,
+///   `self.catch_up(&leader)` returning `true` leaves `self`, as far as
+///   every later call can observe, exactly as `leader` is: handed the
+///   same calls, the two return the same and stay alike. Returning
+///   `false` leaves `self` untouched. A protocol that catches up declares
+///   with it that `adopt` makes processes alike too: a process that
+///   adopted round `r` from `twin` is, as long as it receives what `twin`
+///   receives, as `twin` is — `catch_up` only copies what is already
+///   equal. It must then catch up every time it is asked, so an executor
+///   may ask once per execution and take the answer for every process.
+/// * [`run_protocol`](crate::run_protocol) and
+///   [`run_protocol_unordered`](crate::run_protocol_unordered) keep the
+///   live processes in *classes*: sets that have received the same
+///   messages since they joined, each run by its smallest member, the
+///   leader. A process joins a class when it adopts the leader's round
+///   (a whole class joins when its leader does); from then on it is
+///   called no more — its broadcast is the leader's message, its step
+///   the leader's step. When a round's crashing senders reach the
+///   members of a class unalike, the class splits by reach, and each
+///   part's new leader is first caught up with the old one, between the
+///   round's `message` and its first delivery; so is a class's smallest
+///   survivor when its leader crashes. The fault-composed loops and the
+///   node tier run every process.
+/// * The provided method declines, and a protocol that declines runs one
+///   process per class: every process is called every round, as the
+///   contract above describes.
 ///
 /// Delivery is **zero-copy**: a broadcast produces one owned message per
 /// sender per round, and every executor hands that same message to each
@@ -197,6 +235,21 @@ pub trait SyncProtocol {
         Self: Sized,
     {
         let _ = (round, twin);
+        false
+    }
+
+    /// Makes `self` exactly what `leader` is, as far as every later call
+    /// can observe — or declines with `false`, leaving `self` untouched.
+    /// See *Class-stable rounds* above for the law and for when an
+    /// executor asks.
+    ///
+    /// `Self: Sized` only keeps the trait usable as a `dyn` object. The
+    /// provided implementation declines.
+    fn catch_up(&mut self, leader: &Self) -> bool
+    where
+        Self: Sized,
+    {
+        let _ = leader;
         false
     }
 

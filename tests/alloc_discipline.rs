@@ -34,6 +34,11 @@
 //!   the same cell with every process on its own, and no `realloc` after
 //!   round 1.
 //!
+//! * **Classes split and merge in place.** The plain loop's class tables
+//!   are sized before round 1: under the staircase, whose crashes split
+//!   a class in every round, a protocol that adopts and catches up
+//!   (`SyncProtocol::catch_up`) runs with no `realloc` after round 1.
+//!
 //! * **A plan's link fates are decided once per thread.** A second cell
 //!   under the plan this thread ran last allocates no table of fates,
 //!   so it calls `alloc` less often than the first; and the table the
@@ -56,7 +61,7 @@ use std::sync::atomic::{AtomicU32, AtomicUsize, Ordering};
 
 use setagree::conditions::{ConditionOracle, LegalityParams, MaxCondition};
 use setagree::core::{
-    ConditionBased, ConditionBasedConfig, ProtocolSpec, ScenarioSuite, SuiteCache,
+    ConditionBased, ConditionBasedConfig, FloodSet, ProtocolSpec, ScenarioSuite, SuiteCache,
 };
 use setagree::sync::{
     run_protocol, run_protocol_faulty, FailurePattern, FaultPlan, LinkFault, Step, SyncProtocol,
@@ -610,9 +615,10 @@ fn a_benign_plan_allocates_exactly_what_the_plain_loop_does() {
 }
 
 /// A protocol that marks the rounds as [`Flood`] does, forwarding all
-/// else. When `SHARES`, it forwards `fold`, `receive_folded` and `adopt`
-/// too; otherwise it keeps the trait's declining defaults, and every
-/// process receives every message and computes every round itself.
+/// else. When `SHARES`, it forwards `fold`, `receive_folded`, `adopt`
+/// and `catch_up` too; otherwise it keeps the trait's declining
+/// defaults, and every process receives every message and computes
+/// every round itself.
 struct Marking<P, const SHARES: bool> {
     me: usize,
     inner: P,
@@ -647,6 +653,10 @@ impl<P: SyncProtocol, const SHARES: bool> SyncProtocol for Marking<P, SHARES> {
 
     fn adopt(&mut self, round: usize, twin: &Self) -> bool {
         SHARES && self.inner.adopt(round, &twin.inner)
+    }
+
+    fn catch_up(&mut self, leader: &Self) -> bool {
+        SHARES && self.inner.catch_up(&leader.inner)
     }
 
     fn compute(&mut self, round: usize) -> Step<P::Output> {
@@ -695,6 +705,31 @@ fn an_adopted_round_one_builds_one_view_not_n() {
     // Round 2 on: nothing regrows.
     let (_, after_round_one) = counted_from_mark(2, run::<true>);
     assert_eq!(after_round_one.reallocs, 0, "a buffer was regrown");
+}
+
+#[test]
+fn the_class_loop_never_reallocs_after_round_one() {
+    // The staircase at `N`: from round 1 on, two crashers a round, one
+    // reaching nobody and one the lower half, so every round splits a
+    // class and catches a new leader up. FloodSet adopts every round and
+    // catches up, so parts reached alike merge again.
+    let t = 16;
+    let pattern = FailurePattern::staircase(N, t, 2);
+    let system = || {
+        (0..N)
+            .map(|me| Marking::<_, true> {
+                me,
+                inner: FloodSet::new(t, 1, (me % 7) as u32),
+            })
+            .collect()
+    };
+    let (rounds, after_round_one) = counted_from_mark(2, || {
+        run_protocol(system(), &pattern, t + 2)
+            .expect("the flood terminates")
+            .rounds_executed()
+    });
+    assert_eq!(rounds, t + 1, "FloodSet runs ⌊t/k⌋ + 1 rounds");
+    assert_eq!(after_round_one.reallocs, 0, "a class table was regrown");
 }
 
 #[test]

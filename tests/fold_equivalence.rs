@@ -4,11 +4,12 @@
 //! `SyncProtocol::fold` lets a protocol combine the messages a round
 //! delivers to every process alike into one, and `receive_folded` take
 //! that one in their place; the plain round loop then hands each
-//! recipient a single call where it used to make `n`. In a round that
-//! declines to fold, `SyncProtocol::adopt` lets a process that received
-//! what another did take over what that one made of the round; the plain
-//! loop then serves one recipient per reach class. Three things are
-//! checked here, none through a switch in the library:
+//! recipient a single call where it used to make `n`.
+//! `SyncProtocol::adopt` lets a process that received what another did
+//! take over what that one made of the round, and `catch_up` lets it
+//! follow that one from then on; the plain loop then runs one leader per
+//! class of processes that have received alike. Three things are checked
+//! here, none through a switch in the library:
 //!
 //! * **the fold law**, family by family — whatever state a process is
 //!   in, `receive_folded(fold(batch))` leaves it as the batch's
@@ -16,18 +17,21 @@
 //!   `receive`s in any other order: from then on the three emit equal
 //!   messages and compute equal steps. A batch holding a round-1
 //!   `Proposal` declines, and so does an empty one;
-//! * **the adopt law**, for the two families that adopt — a process that
+//! * **the adopt and catch-up laws**, family by family — a process that
 //!   adopts round 1 from one that received it, or from one that adopted
-//!   it in turn, is from then on indistinguishable from it;
+//!   it in turn, is from then on indistinguishable from it, and so is a
+//!   process made equal to it mid-run, by adopting or catching up;
 //! * **whole runs** — every family under seeded ordered and unordered
-//!   crash patterns, run as it is and wrapped in [`Unfolded`], a newtype
-//!   that forwards `message` / `receive` / `compute` and so inherits the
-//!   declining `fold` and `adopt`: the wrapper *is* the per-message
-//!   reference for both paths, and the two [`Trace`]s — outcomes,
-//!   rounds, `messages_delivered` — are equal. The same holds through
-//!   the fault-composed loops under seeded plans that drop, delay,
-//!   duplicate and reorder: there a round that folds is delivered
-//!   unshuffled, and the wrapper's every round shuffled.
+//!   crash patterns, and under every shape of class (the staircase, the
+//!   chain, a leader crashing mid-round, more than 64 crashers in one
+//!   round), run as it is and wrapped in [`Unfolded`], a newtype that
+//!   forwards `message` / `receive` / `compute` and so inherits the
+//!   declining `fold`, `adopt` and `catch_up`: the wrapper *is* the
+//!   per-message, per-process reference for every path, and the two
+//!   [`Trace`]s — outcomes, rounds, `messages_delivered` — are equal.
+//!   The same holds through the fault-composed loops under seeded plans
+//!   that drop, delay, duplicate and reorder: there a round that folds is
+//!   delivered unshuffled, and the wrapper's every round shuffled.
 
 use proptest::prelude::*;
 
@@ -51,17 +55,21 @@ const T: usize = 5;
 /// where the families run their longest (`T + 1` rounds) and one
 /// miscounted message flips the early-deciding rule.
 fn config(k: usize) -> ConditionBasedConfig {
-    ConditionBasedConfig::builder(N, T, k)
+    config_at(N, T, k)
+}
+
+fn config_at(n: usize, t: usize, k: usize) -> ConditionBasedConfig {
+    ConditionBasedConfig::builder(n, t, k)
         .condition_degree(2)
         .ell(k)
         .build()
         .expect("valid")
 }
 
-/// The per-message reference for both the fold and the adopt path: the
-/// wrapped protocol with `fold`, `receive_folded` and `adopt` left at the
-/// trait's declining defaults, so every recipient receives every message
-/// and computes every round itself.
+/// The per-message reference for the fold, adopt and class paths: the
+/// wrapped protocol with `fold`, `receive_folded`, `adopt` and
+/// `catch_up` left at the trait's declining defaults, so every recipient
+/// receives every message and computes every round itself.
 #[derive(Debug)]
 struct Unfolded<P>(P);
 
@@ -304,64 +312,106 @@ proptest! {
     }
 }
 
-/// Checks the adopt law on one round-1 batch. The three processes `mes`
-/// (distinct), each proposing `values[me]`, are handed the same round 1:
-/// a proposal from every process not `silent`, their own three among
-/// them. The first receives it and computes; the second adopts from the
-/// first and the third from the second, each taking the first's step.
-/// From then on the three must send equal messages, take equal steps
-/// through the state rounds `later`, and decline to adopt any of those.
+/// Checks the adopt and catch-up laws on one run. The three processes
+/// `mes` (distinct), each proposing `values[me]`, are handed the same
+/// round 1: a proposal from every process not `silent`, their own three
+/// among them. The first receives it and computes; the second adopts
+/// from the first and the third from the second, each taking the first's
+/// step. A fourth process, the one after the third, receives a proposal
+/// from everybody in round 1 — so it may end the round unlike the others
+/// — and in round 2, having sent, is made equal to the first: by
+/// adopting the first's round 2 where the family adopts state rounds,
+/// else by `catch_up` before it receives. Each state round's batch is
+/// one of `later`, with the four's own broadcasts in it. From then on
+/// the four must send equal messages and take equal steps; the second is
+/// offered each state round of the first's, and adopts it exactly when
+/// `adopts_state_rounds`.
 fn adopt_law_holds<P>(
     fresh: impl Fn(ProcessId, u32) -> P,
     proposal: impl Fn(u32) -> P::Msg,
     mes: [usize; 3],
     values: &[u32],
     silent: &[usize],
-    later: &[Vec<(ProcessId, P::Msg)>],
+    later: &[Vec<Option<P::Msg>>],
+    adopts_state_rounds: bool,
 ) where
     P: SyncProtocol,
-    P::Msg: PartialEq,
+    P::Msg: PartialEq + Clone,
 {
+    let fourth = (mes[2] + 1) % N;
     let round_1: Vec<_> = (0..N)
         .filter(|&from| mes.contains(&from) || !silent.contains(&from))
         .map(|from| (ProcessId::new(from), proposal(values[from])))
         .collect();
-    let [mut first, mut second, mut third] = mes.map(|me| fresh(ProcessId::new(me), values[me]));
-    for process in [&mut first, &mut second, &mut third] {
+    let ids = [mes[0], mes[1], mes[2], fourth];
+    let mut processes = ids.map(|me| fresh(ProcessId::new(me), values[me]));
+    for process in &mut processes {
         process.message(1);
     }
+    let [first, second, third, own] = &mut processes;
     for (from, msg) in &round_1 {
         first.receive(1, *from, msg);
     }
     let step = first.compute(1);
-    assert!(second.adopt(1, &first), "round 1 adopts");
-    assert!(third.adopt(1, &second), "an adopted round 1 adopts in turn");
-    let mut steps = [step.clone(), step.clone(), step];
-    let mut processes = [first, second, third];
-    for (earlier, batch) in later.iter().enumerate() {
+    assert!(second.adopt(1, first), "round 1 adopts");
+    assert!(third.adopt(1, second), "an adopted round 1 adopts in turn");
+    for (from, &value) in values.iter().enumerate() {
+        own.receive(1, ProcessId::new(from), &proposal(value));
+    }
+    let own_step = own.compute(1);
+    assert_eq!(step, own_step, "round 1 decides nothing");
+    let mut steps = [step.clone(), step.clone(), step.clone(), step];
+    for (earlier, slots) in later.iter().enumerate() {
         if steps[0] != Step::Continue {
             break;
         }
         let round = earlier + 2;
-        let [first, second, third] = processes.each_mut().map(|p| p.message(round));
-        assert_eq!(first, second, "round {round} after {round_1:?}");
-        assert_eq!(first, third, "round {round} after {round_1:?}");
-        let [a, b, c] = &mut processes;
-        assert!(!b.adopt(round, a), "a state round declines");
-        assert!(!c.adopt(round, a), "a state round declines");
-        for process in &mut processes {
-            for (from, msg) in batch {
+        let messages = processes.each_mut().map(|p| p.message(round));
+        assert_eq!(messages[0], messages[1], "round {round} after {round_1:?}");
+        assert_eq!(messages[0], messages[2], "round {round} after {round_1:?}");
+        if round > 2 {
+            assert_eq!(messages[0], messages[3], "round {round} after {round_1:?}");
+        }
+        // The batch, with each of the four's own broadcast in its slot.
+        let mut slots = slots.clone();
+        for (&me, msg) in ids.iter().zip(&messages) {
+            slots[me] = Some(msg.clone());
+        }
+        let batch = batch_of(slots);
+        let receive = |process: &mut P| {
+            for (from, msg) in &batch {
                 process.receive(round, *from, msg);
             }
+            process.compute(round)
+        };
+        let [first, second, third, own] = &mut processes;
+        let step = receive(first);
+        let adopted = second.adopt(round, first);
+        assert_eq!(adopted, adopts_state_rounds, "round {round} adopts");
+        steps[1] = if adopted {
+            step.clone()
+        } else {
+            receive(second)
+        };
+        steps[2] = receive(third);
+        steps[3] = if round > 2 {
+            receive(own)
+        } else if own.adopt(round, first) {
+            step.clone()
+        } else {
+            assert!(own.catch_up(first), "every paper family catches up");
+            receive(own)
+        };
+        steps[0] = step;
+        for other in &steps[1..] {
+            assert_eq!(&steps[0], other, "round {round} after {round_1:?}");
         }
-        steps = processes.each_mut().map(|p| p.compute(round));
-        assert_eq!(steps[0], steps[1], "round {round} after {round_1:?}");
-        assert_eq!(steps[0], steps[2], "round {round} after {round_1:?}");
     }
 }
 
 /// Three distinct processes: `first` and the two after it, `gaps` apart
-/// (gaps of 1 to 4 never wrap onto `first` at `N = 10`).
+/// (gaps of 1 to 4 never wrap onto `first` at `N = 10`, nor does the
+/// one after the third).
 fn three_processes(first: usize, (gap_a, gap_b): (usize, usize)) -> [usize; 3] {
     [first, (first + gap_a) % N, (first + gap_a + gap_b) % N]
 }
@@ -375,7 +425,7 @@ proptest! {
         gaps in (1usize..=4, 1usize..=4),
         values in proptest::collection::vec(value(), N),
         silent in proptest::collection::vec(0usize..N, 0..=5),
-        later in proptest::collection::vec(slots(cb_state()), 0..=3),
+        later in proptest::collection::vec(slots(cb_state()), 1..=3),
         k in 1usize..=2,
     ) {
         let cfg = config(k);
@@ -386,7 +436,8 @@ proptest! {
             three_processes(first, gaps),
             &values,
             &silent,
-            &later.into_iter().map(batch_of).collect::<Vec<_>>(),
+            &later,
+            false,
         );
     }
 
@@ -396,7 +447,7 @@ proptest! {
         gaps in (1usize..=4, 1usize..=4),
         values in proptest::collection::vec(value(), N),
         silent in proptest::collection::vec(0usize..N, 0..=5),
-        later in proptest::collection::vec(slots(ecb_state()), 0..=3),
+        later in proptest::collection::vec(slots(ecb_state()), 1..=3),
         k in 1usize..=2,
     ) {
         let cfg = config(k);
@@ -407,7 +458,48 @@ proptest! {
             three_processes(first, gaps),
             &values,
             &silent,
-            &later.into_iter().map(batch_of).collect::<Vec<_>>(),
+            &later,
+            false,
+        );
+    }
+
+    #[test]
+    fn flood_set_adopts_by_the_law(
+        first in 0usize..N,
+        gaps in (1usize..=4, 1usize..=4),
+        values in proptest::collection::vec(value(), N),
+        silent in proptest::collection::vec(0usize..N, 0..=5),
+        later in proptest::collection::vec(slots(value()), 1..=3),
+        k in 1usize..=2,
+    ) {
+        adopt_law_holds(
+            |_, v| FloodSet::new(T, k, v),
+            |v| v,
+            three_processes(first, gaps),
+            &values,
+            &silent,
+            &later,
+            true,
+        );
+    }
+
+    #[test]
+    fn early_deciding_adopts_by_the_law(
+        first in 0usize..N,
+        gaps in (1usize..=4, 1usize..=4),
+        values in proptest::collection::vec(value(), N),
+        silent in proptest::collection::vec(0usize..N, 0..=5),
+        later in proptest::collection::vec(slots(ed_message()), 1..=3),
+        k in 1usize..=2,
+    ) {
+        adopt_law_holds(
+            |_, v| EarlyDeciding::new(N, T, k, v),
+            |estimate| EdMessage { estimate, deciding: false },
+            three_processes(first, gaps),
+            &values,
+            &silent,
+            &later,
+            false,
         );
     }
 }
@@ -516,13 +608,26 @@ fn assert_every_family(
     unordered: &UnorderedFailurePattern,
     plan: Option<&FaultPlan>,
 ) {
+    assert_every_family_at(T, inputs, ordered, unordered, plan);
+}
+
+/// [`assert_every_family`] in a system of `inputs.len()` processes
+/// tolerating `t` crashes.
+fn assert_every_family_at(
+    t: usize,
+    inputs: &[u32],
+    ordered: &FailurePattern,
+    unordered: &UnorderedFailurePattern,
+    plan: Option<&FaultPlan>,
+) {
+    let n = inputs.len();
     for k in [1, 2] {
-        let cfg = config(k);
+        let cfg = config_at(n, t, k);
         let oracle = MaxCondition::new(cfg.legality());
         let limit = cfg.round_limit();
         assert_folding_changes_nothing(
             || {
-                (0..N)
+                (0..n)
                     .map(|i| ConditionBased::new(cfg, ProcessId::new(i), inputs[i], oracle))
                     .collect()
             },
@@ -533,7 +638,7 @@ fn assert_every_family(
         );
         assert_folding_changes_nothing(
             || {
-                (0..N)
+                (0..n)
                     .map(|i| EarlyConditionBased::new(cfg, ProcessId::new(i), inputs[i], oracle))
                     .collect()
             },
@@ -546,7 +651,7 @@ fn assert_every_family(
             || {
                 inputs
                     .iter()
-                    .map(|&v| EarlyDeciding::new(N, T, k, v))
+                    .map(|&v| EarlyDeciding::new(n, t, k, v))
                     .collect()
             },
             ordered,
@@ -555,7 +660,7 @@ fn assert_every_family(
             limit,
         );
         assert_folding_changes_nothing(
-            || inputs.iter().map(|&v| FloodSet::new(T, k, v)).collect(),
+            || inputs.iter().map(|&v| FloodSet::new(t, k, v)).collect(),
             ordered,
             unordered,
             plan,
@@ -565,9 +670,71 @@ fn assert_every_family(
 }
 
 fn subset(members: impl IntoIterator<Item = usize>) -> ProcessSet {
-    let mut set = ProcessSet::empty(N);
+    subset_of(N, members)
+}
+
+fn subset_of(n: usize, members: impl IntoIterator<Item = usize>) -> ProcessSet {
+    let mut set = ProcessSet::empty(n);
     set.extend(members.into_iter().map(ProcessId::new));
     set
+}
+
+/// The ordered pattern and its unordered twin: each victim crashes in
+/// the same round, and under the twin reaches as many processes as its
+/// prefix holds, but the last ones — a suffix where the ordered send
+/// reaches a prefix.
+fn with_unordered_twin(ordered: FailurePattern) -> (FailurePattern, UnorderedFailurePattern) {
+    let n = ordered.system_size();
+    let mut unordered = UnorderedFailurePattern::none(n);
+    for (victim, spec) in ordered.iter() {
+        let reached = subset_of(n, n - spec.after_sends..n);
+        unordered
+            .crash(victim, SubsetCrash::new(spec.round, reached))
+            .expect("valid");
+    }
+    (ordered, unordered)
+}
+
+/// An ordered pattern over `n` processes from `(victim, round, prefix)`.
+fn ordered_of(
+    n: usize,
+    crashes: impl IntoIterator<Item = (usize, usize, usize)>,
+) -> FailurePattern {
+    let mut pattern = FailurePattern::none(n);
+    for (victim, round, prefix) in crashes {
+        pattern
+            .crash(ProcessId::new(victim), CrashSpec::new(round, prefix))
+            .expect("valid");
+    }
+    pattern
+}
+
+/// Every shape of class the plain loop keeps, each run whole by all four
+/// families under ordered and unordered sends against [`Unfolded`]:
+/// * the staircase, whose crashes split a class in every round;
+/// * the chain, whose carrier is each round a class of one;
+/// * a class whose leader crashes mid-round: round 1 loses nobody (one
+///   class where the family adopts it), then in round 2 its leader p1
+///   crashes reaching p1..p4, and in round 3 the new leader p2 crashes
+///   reaching p1..p2;
+/// * more than 64 crashers in one round, at n = 80: round 1 loses
+///   nobody, then 66 processes, p1 among them, crash in round 2 with
+///   prefixes spread over the system, and the classes dissolve.
+#[test]
+fn every_shape_of_class_runs_to_the_per_message_trace() {
+    let inputs = |n: usize| (0..n).map(|i| (i * 7 % 6) as u32 + 1).collect::<Vec<_>>();
+    for ordered in [
+        FailurePattern::staircase(N, T, 2),
+        FailurePattern::chain(N, T),
+        ordered_of(N, [(0, 2, 4), (1, 3, 2)]),
+    ] {
+        let (ordered, unordered) = with_unordered_twin(ordered);
+        assert_every_family(&inputs(N), &ordered, &unordered, None);
+    }
+    let (n, t) = (80, 70);
+    let many = ordered_of(n, (0..66).map(|victim| (victim, 2, victim * 37 % (n + 1))));
+    let (ordered, unordered) = with_unordered_twin(many);
+    assert_every_family_at(t, &inputs(n), &ordered, &unordered, None);
 }
 
 /// Each shape of round the fold path distinguishes, in one run: round 1
