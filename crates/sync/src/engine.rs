@@ -49,10 +49,11 @@
 //! * which of the round's crashing senders reached a process is its
 //!   reach (a `u64` signature, exact): a class whose members were reached
 //!   unalike splits into its parts, and each new part's leader is first
-//!   made equal to the old one through [`SyncProtocol::catch_up`]. When
-//!   the crashes stop at prefixes that cut no class's index range, the
-//!   classes are refined without looking at their members. A round with
-//!   more than 64 crashers dissolves every class into singletons;
+//!   made equal to the old one through [`SyncProtocol::catch_up`]. The
+//!   classes are kept as runs of consecutive indices, so a crasher's reach
+//!   cuts a run where it starts or stops — a binary search, not a pass
+//!   over the members. A round with more than 64 crashers dissolves every
+//!   class into singletons;
 //! * a victim of the round is counted — what reached it — and never
 //!   served, and a class it led is led by its smallest survivor;
 //! * a leader that the round's crashers reached as they reached an
@@ -66,8 +67,8 @@
 //!   taken, once, by each member as it leaves.
 //!
 //! A protocol that declines `catch_up` — the provided method does — runs
-//! one process per class, every process served every round, adopting
-//! where it adopts. Under ordered sends a reach class is an interval of
+//! one process per class, every process but the round's victims served
+//! every round, adopting where it adopts. Under ordered sends a reach class is an interval of
 //! indices, so `c` round-1 crashers leave at most `c + 1` classes, where
 //! Figure 2's round 1 used to assemble and decode `n` views; under
 //! arbitrary-subset crashes the classes are whatever the reaches make
@@ -143,22 +144,11 @@ pub(crate) trait DeliveryPolicy {
         round: usize,
         recipient: ProcessId,
     ) -> bool;
-    /// Where `sender`'s broadcast stops in its crash round when what it
-    /// reaches is a prefix — exactly the processes with a smaller index
-    /// — and `None` when it is any other subset. One look per crash.
-    fn prefix(&self, sender: ProcessId) -> Option<usize>;
-    /// The same question for a whole round at once: calls `deliver` with
-    /// each of `recipients` (ascending by `id`) that `sender`'s
-    /// round-`round` broadcast reaches, in that order — one look at the
+    /// The same question for a whole round at once: calls `reached` with
+    /// each maximal run `lo..hi` of process indices that `sender`'s
+    /// round-`round` broadcast reaches, ascending — one look at the
     /// sender's crash per round, not one per recipient.
-    fn reached_while_crashing<T>(
-        &self,
-        sender: ProcessId,
-        round: usize,
-        recipients: &mut [T],
-        id: impl Fn(&T) -> usize,
-        deliver: impl FnMut(&mut T),
-    );
+    fn reached_runs(&self, sender: ProcessId, round: usize, reached: impl FnMut(usize, usize));
 }
 
 impl DeliveryPolicy for FailurePattern {
@@ -179,23 +169,16 @@ impl DeliveryPolicy for FailurePattern {
         let prefix = self.spec(sender).map(|s| s.after_sends).unwrap_or(0);
         recipient.index() < prefix
     }
-    fn prefix(&self, sender: ProcessId) -> Option<usize> {
-        Some(self.spec(sender).map(|s| s.after_sends).unwrap_or(0))
-    }
-    fn reached_while_crashing<T>(
+    fn reached_runs(
         &self,
         sender: ProcessId,
         _round: usize,
-        recipients: &mut [T],
-        id: impl Fn(&T) -> usize,
-        deliver: impl FnMut(&mut T),
+        mut reached: impl FnMut(usize, usize),
     ) {
         let prefix = self.spec(sender).map(|s| s.after_sends).unwrap_or(0);
-        // Ascending, so the prefix's recipients come first.
-        recipients
-            .iter_mut()
-            .take_while(|recipient| id(recipient) < prefix)
-            .for_each(deliver);
+        if prefix > 0 {
+            reached(0, prefix);
+        }
     }
 }
 
@@ -217,22 +200,29 @@ impl DeliveryPolicy for UnorderedFailurePattern {
             .map(|s| s.delivered_to.contains(recipient))
             .unwrap_or(false)
     }
-    fn prefix(&self, _sender: ProcessId) -> Option<usize> {
-        None
-    }
-    fn reached_while_crashing<T>(
+    fn reached_runs(
         &self,
         sender: ProcessId,
         _round: usize,
-        recipients: &mut [T],
-        id: impl Fn(&T) -> usize,
-        deliver: impl FnMut(&mut T),
+        mut reached: impl FnMut(usize, usize),
     ) {
-        if let Some(spec) = self.spec(sender) {
-            recipients
-                .iter_mut()
-                .filter(|recipient| spec.delivered_to.contains(ProcessId::new(id(recipient))))
-                .for_each(deliver);
+        let Some(spec) = self.spec(sender) else {
+            return;
+        };
+        let mut run: Option<(usize, usize)> = None;
+        for id in spec.delivered_to.iter().map(ProcessId::index) {
+            run = match run {
+                Some((lo, hi)) if hi == id => Some((lo, id + 1)),
+                _ => {
+                    if let Some((lo, hi)) = run {
+                        reached(lo, hi);
+                    }
+                    Some((id, id + 1))
+                }
+            };
+        }
+        if let Some((lo, hi)) = run {
+            reached(lo, hi);
         }
     }
 }
@@ -462,32 +452,27 @@ where
 /// with more dissolves the classes.
 const SIGNATURE_BITS: usize = u64::BITS as usize;
 
-/// No index: the end of a list, or a class that is gone.
+/// No index: the end of a list, a class that is gone, or the class of a
+/// span whose one member crashes this round.
 const NONE: usize = usize::MAX;
 
-/// The crash round of a process that never crashes: later than every
-/// round, so `crash > round` is "sends in full this round".
-const NO_CRASH: usize = usize::MAX;
-
-/// A process of the plain loop. `live` holds them in ascending order:
-/// every live process and, until the next pass that brings the members
-/// up to date ([`settle`]), victims of earlier rounds (`crash < round`,
-/// skipped by every pass) and members of classes that decided.
+/// Consecutive live processes `lo..hi` of one class. The plain loop keeps
+/// its spans disjoint and ascending, one or more per class, covering
+/// every live process and nothing else — a victim of the round is cut
+/// out into a span of its own (of class [`NONE`]) and dropped at the
+/// round's end — so a span's members are `lo..hi`, no process looked at.
 #[derive(Debug, Clone, Copy)]
-struct Member {
-    /// Its process index.
-    id: usize,
-    /// The round during which it crashes, or [`NO_CRASH`].
-    crash: usize,
-    /// Its class, as the round's `classes` index it — and so the round's
-    /// `sends`, whose message is its broadcast.
+struct Span {
+    lo: usize,
+    hi: usize,
+    /// Its members' class, as `classes` indexes it.
     class: usize,
+    /// Its members' class when the round's messages were sent — and so
+    /// the round's `sends` entry that is their broadcast.
+    sent: usize,
     /// In a round whose classes split: bit `b` is whether the round's
-    /// `b`-th crashing sender reached it. 0 between rounds.
+    /// `b`-th crashing sender reached its members.
     reach: u64,
-    /// Its part, when a round splits the classes but the members move to
-    /// their parts only at the start of the next.
-    part: usize,
 }
 
 /// A class of the plain loop: live processes that have received the
@@ -496,98 +481,56 @@ struct Member {
 struct Class {
     /// Its smallest live member, the one process of it that is run.
     leader: usize,
-    /// The round during which the leader crashes, or [`NO_CRASH`].
-    crash: usize,
-    /// At least its largest member's index.
-    last: usize,
     /// Its live members, the leader included.
     size: u64,
     /// In a round with crashers: which reached its members (as
-    /// [`Member::reach`]).
+    /// [`Span::reach`]).
     reach: u64,
     /// While a round splits the classes, on a class the round started
     /// from: its newest part, or [`NONE`]; on a part: the part of the
     /// same class made before it. Then, on a leader served in full: the
     /// one served before it. Once the round's classes are renumbered:
     /// its index from then on, or [`NONE`] if its members leave (they
-    /// decided) or it has none.
+    /// decided).
     link: usize,
     /// The class whose members it joins when the round ends: itself,
     /// unless its leader adopted a twin's round and caught up with it.
     joins: usize,
 }
 
-impl Class {
-    fn led_by(leader: usize, crash: usize, reach: u64) -> Class {
-        Class {
-            leader,
-            crash,
-            last: leader,
-            size: 0,
-            reach,
-            link: NONE,
-            joins: NONE,
-        }
-    }
+/// The span that live process `id` is in.
+fn span_of(spans: &[Span], id: usize) -> usize {
+    spans.partition_point(|span| span.lo <= id) - 1
 }
 
-/// How the members' classes changed since their `class` was set, to be
-/// brought up to date by the next pass over them.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct Pending {
-    /// A round split the classes without moving the members: each
-    /// member's class is its `part`.
-    moved: bool,
-    /// The classes were renumbered: the previous table says where each
-    /// went, and which decided.
-    renumbered: bool,
-}
-
-const SETTLED: Pending = Pending {
-    moved: false,
-    renumbered: false,
-};
-
-/// Brings one member's class up to date for `round` (see [`Pending`]);
-/// `false` if it left — a victim of an earlier round, or a member of a
-/// class that decided, which takes its leader's outcome here.
-fn settle<Out: Clone>(
-    member: &mut Member,
-    round: usize,
-    pending: Pending,
-    previous: &[Class],
-    outcomes: &mut [Option<Outcome<Out>>],
-) -> bool {
-    if member.crash < round {
-        return false;
-    }
-    if pending.moved {
-        member.class = member.part;
-    }
-    if pending.renumbered {
-        let Class { leader, link, .. } = previous[member.class];
-        if link == NONE {
-            if member.id != leader {
-                outcomes[member.id] = outcomes[leader].clone();
-            }
-            return false;
+/// Splits the span that `at` falls strictly inside into the part below
+/// `at` and the part from `at` on. Spans are disjoint and never empty,
+/// so a table sized to the system never grows here.
+fn cut(spans: &mut Vec<Span>, at: usize) {
+    let next = spans.partition_point(|span| span.lo < at);
+    if let Some(below) = next.checked_sub(1) {
+        let span = spans[below];
+        if at < span.hi {
+            spans[below].hi = at;
+            spans.insert(next, Span { lo: at, ..span });
         }
-        member.class = link;
     }
-    true
 }
 
 /// The bytes of class tables a thread keeps between runs.
 const KEPT_TABLES_BUDGET: usize = 1 << 20;
 
-/// The plain loop's tables: the members, the classes, and a spare class
-/// table — a round's parts, or the table its classes were renumbered
-/// from. A thread keeps them, cleared, for its next run, so a sweep of
-/// cells sizes them once per worker, not once per cell.
+/// The plain loop's tables. A thread keeps them, cleared, for its next
+/// run, so a sweep sizes them once per worker, not once per cell:
+/// allocated anew for every run, they made an n = 1024 condition-based
+/// run ≈ 2× slower (measured against the same loop on kept tables).
 #[derive(Debug, Default)]
 struct Tables {
-    live: Vec<Member>,
+    /// Every crash as `(round, process, class)`.
+    crashes: Vec<(usize, usize, usize)>,
+    spans: Vec<Span>,
     classes: Vec<Class>,
+    /// A round's parts, or the table its classes are renumbered into.
     spare: Vec<Class>,
 }
 
@@ -606,10 +549,11 @@ impl Tables {
             .unwrap_or_default()
     }
 
-    /// Hands the tables back to this thread's slot, unless they outgrew
-    /// the budget.
+    /// Hands the tables back to this thread, unless they outgrew the
+    /// budget.
     fn keep(self) {
-        let bytes = self.live.capacity() * std::mem::size_of::<Member>()
+        let bytes = self.crashes.capacity() * std::mem::size_of::<(usize, usize, usize)>()
+            + self.spans.capacity() * std::mem::size_of::<Span>()
             + (self.classes.capacity() + self.spare.capacity()) * std::mem::size_of::<Class>();
         if bytes <= KEPT_TABLES_BUDGET {
             let _ = KEPT_TABLES.try_with(|slot| slot.set(Some(self)));
@@ -629,20 +573,7 @@ pub(crate) fn run_with_policy<P: SyncProtocol, D: DeliveryPolicy>(
             pattern: policy.system_size(),
         });
     }
-    let mut tables = Tables::take();
-    let trace = run_in_classes(processes, policy, max_rounds, &mut tables);
-    tables.keep();
-    trace
-}
 
-/// [`run_with_policy`] on tables that are this run's to use.
-fn run_in_classes<P: SyncProtocol, D: DeliveryPolicy>(
-    processes: Vec<P>,
-    policy: &D,
-    max_rounds: usize,
-    tables: &mut Tables,
-) -> Result<Trace<P::Output>, EngineError> {
-    let n = processes.len();
     let mut procs = processes;
     let mut outcomes: Vec<Option<Outcome<P::Output>>> = (0..n).map(|_| None).collect();
     let mut messages_delivered: u64 = 0;
@@ -655,37 +586,44 @@ fn run_in_classes<P: SyncProtocol, D: DeliveryPolicy>(
     // other arena's lock (what made parallel suite sweeps slower than
     // serial ones). Before round 1 every process is a class of its own.
     let Tables {
-        mut live,
+        mut crashes,
+        mut spans,
         mut classes,
         mut spare,
-    } = std::mem::take(tables);
-    live.clear();
-    live.extend((0..n).map(|id| Member {
-        id,
-        crash: NO_CRASH,
+    } = Tables::take();
+    // The crashes by round and then by process; a round's entries learn
+    // their class, or [`NONE`] for a process that decided before its
+    // crash round.
+    crashes.clear();
+    crashes.extend(
+        policy
+            .crashes()
+            .map(|(id, round)| (round, id.index(), NONE)),
+    );
+    crashes.sort_unstable();
+    let mut next_crash = 0;
+    spans.clear();
+    spans.reserve(n);
+    spans.extend((0..n).map(|id| Span {
+        lo: id,
+        hi: id + 1,
         class: id,
+        sent: id,
         reach: 0,
-        part: NONE,
     }));
-    for (id, round) in policy.crashes() {
-        live[id.index()].crash = round;
-    }
-    // Victims of earlier rounds still in `live`.
-    let mut dead = 0;
     classes.clear();
-    classes.extend(live.iter().map(|member| Class {
+    classes.extend((0..n).map(|leader| Class {
+        leader,
         size: 1,
-        ..Class::led_by(member.id, member.crash, 0)
+        reach: 0,
+        link: NONE,
+        joins: NONE,
     }));
     spare.clear();
     spare.reserve(n);
-    let mut pending = SETTLED;
     let mut sends: Vec<(usize, P::Msg, bool)> = Vec::with_capacity(n);
-    // The round's crashing senders, each with its class, while they fit
-    // a signature.
-    let mut crashers = [(0, 0); SIGNATURE_BITS];
-    // Where each one's broadcast stops, when the policy sends prefixes.
-    let mut prefixes = [0; SIGNATURE_BITS];
+    // The live processes: the classes' sizes summed.
+    let mut live = n;
     // Whether the protocol catches up: asked once, at the first join.
     let mut follows = None;
 
@@ -702,48 +640,53 @@ fn run_in_classes<P: SyncProtocol, D: DeliveryPolicy>(
         sends.clear();
         for class in &classes {
             let leader = class.leader;
-            sends.push((leader, procs[leader].message(round), class.crash == round));
+            sends.push((leader, procs[leader].message(round), false));
         }
-        // The round's crashing senders, found in one pass over the
-        // members — which, if their classes changed, first follow them.
-        let mut crashing = 0;
-        let mut record = |member: &Member| {
-            if member.crash == round {
-                if let Some(slot) = crashers.get_mut(crashing) {
-                    *slot = (member.id, member.class);
-                }
-                crashing += 1;
+        // The round's crashing senders, ascending, each cut out of its
+        // span into one of its own.
+        let first_crash = next_crash;
+        while crashes
+            .get(next_crash)
+            .is_some_and(|&(at, _, _)| at == round)
+        {
+            let (_, victim, class) = &mut crashes[next_crash];
+            next_crash += 1;
+            if outcomes[*victim].is_some() {
+                continue;
             }
+            let at = span_of(&spans, *victim);
+            *class = spans[at].class;
+            sends[*class].2 |= classes[*class].leader == *victim;
+            cut(&mut spans, *victim);
+            cut(&mut spans, *victim + 1);
+            let at = span_of(&spans, *victim);
+            spans[at].class = NONE;
+        }
+        let crashers = &crashes[first_crash..next_crash];
+        let crashers = || {
+            crashers
+                .iter()
+                .filter(|&&(_, _, class)| class != NONE)
+                .map(|&(_, victim, class)| (victim, class))
         };
-        if pending == SETTLED {
-            live.iter().for_each(&mut record);
-        } else {
-            let mut kept = 0;
-            for at in 0..live.len() {
-                let mut member = live[at];
-                if settle(&mut member, round, pending, &spare, &mut outcomes) {
-                    record(&member);
-                    live[kept] = member;
-                    kept += 1;
-                }
-            }
-            live.truncate(kept);
-            dead = 0;
-        }
-        pending = SETTLED;
-        let steady = live.len() - dead - crashing;
+        let crashing = crashers().count();
+        let steady = live - crashing;
         let grouped = crashing <= SIGNATURE_BITS;
         // No follower: `sends` is every broadcast, in sender order.
-        let everyone_sent = sends.len() == live.len() - dead;
+        let everyone_sent = sends.len() == live;
 
         // What the senders not crashing now broadcast reaches every
         // process alike, so it is offered to the protocol once, each
         // sender with its class's message.
         let folded = {
-            let mut batch = live
+            let sends = &sends;
+            let mut batch = spans
                 .iter()
-                .filter(|member| member.crash > round)
-                .map(|member| (ProcessId::new(member.id), &sends[member.class].1));
+                .filter(|span| span.class != NONE)
+                .flat_map(|span| {
+                    let msg = &sends[span.sent].1;
+                    (span.lo..span.hi).map(move |id| (ProcessId::new(id), msg))
+                });
             P::fold(round, &mut batch)
         };
 
@@ -751,162 +694,92 @@ fn run_in_classes<P: SyncProtocol, D: DeliveryPolicy>(
         // some processes and not others. Crashes take effect before the
         // compute phase: a victim is counted, never served.
         let partitioned = crashing > 0;
-        let mut emptied = false;
-        // Where every crasher's broadcast stops at a prefix, a member's
-        // reach is its index against the prefixes; and where no prefix
-        // cuts a class's index range, no class splits.
-        let mut prefixed = partitioned && grouped;
-        if prefixed {
-            for (prefix, &(sender, _)) in prefixes.iter_mut().zip(&crashers[..crashing]) {
-                match policy.prefix(ProcessId::new(sender)) {
-                    Some(stop) => *prefix = stop,
-                    None => prefixed = false,
-                }
+        if partitioned {
+            // The spans are cut where a crasher's broadcast starts or
+            // stops reaching, so that each is reached alike; a round with
+            // more crashers than a signature has bits cuts them into
+            // single processes.
+            for span in &mut spans {
+                span.reach = 0;
             }
-        }
-        let reach_of = |id: usize| {
-            let mut reach = 0;
-            for (bit, &prefix) in prefixes[..crashing].iter().enumerate() {
-                reach |= u64::from(id < prefix) << bit;
-            }
-            reach
-        };
-        // Then the classes stay whole, and the victims stay in `live`
-        // until the next pass brings it up to date — unless one of them
-        // leads others, whose class the split below hands on.
-        let mut whole = prefixed
-            && crashers[..crashing]
-                .iter()
-                .all(|&(victim, at)| classes[at].leader != victim || classes[at].size == 1);
-        if whole {
-            for class in &mut classes {
-                let mut reach = 0;
-                for (bit, &prefix) in prefixes[..crashing].iter().enumerate() {
-                    if class.last < prefix {
-                        reach |= 1 << bit;
-                    } else if class.leader < prefix {
-                        whole = false;
-                    }
-                }
-                class.reach = reach;
-            }
-        }
-        if whole {
-            for &(victim, at) in &crashers[..crashing] {
-                let class = &mut classes[at];
-                let reached_by = class.reach.count_ones() as usize;
-                messages_delivered += (steady + reached_by) as u64;
-                outcomes[victim] = Some(Outcome::Crashed { round });
-                class.size -= 1;
-                emptied |= class.size == 0;
-                dead += 1;
-            }
-        } else if partitioned {
-            // Each class splits into its parts reached alike, each led by
-            // its smallest member — first caught up with the old leader,
-            // before that one receives anything. A round with more
-            // crashers than a signature has bits dissolves every class
-            // into singletons. Unless a member's class of the round is
-            // still needed — by the per-message receive of a round that
-            // neither folds nor has a leader per process, or to find the
-            // crashers of a dissolving one — the members move to their
-            // parts at once and the victims leave; otherwise in the next
-            // round's pass.
-            let in_place = grouped && (folded.is_some() || everyone_sent);
-            if grouped && !prefixed {
-                for (bit, &(sender, _)) in crashers[..crashing].iter().enumerate() {
+            if grouped {
+                for (bit, (sender, _)) in crashers().enumerate() {
                     let sender = ProcessId::new(sender);
-                    let id = |member: &Member| member.id;
-                    policy.reached_while_crashing(sender, round, &mut live, id, |member| {
-                        member.reach |= 1 << bit;
+                    policy.reached_runs(sender, round, |lo, hi| {
+                        cut(&mut spans, lo);
+                        cut(&mut spans, hi);
+                        let from = spans.partition_point(|span| span.lo < lo);
+                        for span in spans[from..].iter_mut().take_while(|span| span.lo < hi) {
+                            span.reach |= 1 << bit;
+                        }
                     });
                 }
+            } else {
+                for at in 1..n {
+                    cut(&mut spans, at);
+                }
             }
+            // Each class splits into its parts reached alike — every
+            // process its own part when the round dissolves the classes —
+            // each led by its smallest member, first caught up with the
+            // old leader before that one receives anything. Where every
+            // class is one process, none splits: each takes its reach,
+            // and a victim's class is left to go with it.
+            let singletons = classes.len() == live;
             for class in &mut classes {
                 class.link = NONE;
             }
             spare.clear();
             let parts = &mut spare;
-            // The last part found: the next member's, most of the time.
-            let mut last = (NONE, 0, NONE);
-            let mut kept = 0;
-            for at in 0..live.len() {
-                let mut member = live[at];
-                if member.crash < round {
+            for span in spans.iter_mut().filter(|span| span.class != NONE) {
+                if singletons {
+                    classes[span.class].reach = span.reach;
                     continue;
                 }
-                if prefixed {
-                    member.reach = reach_of(member.id);
-                } else {
-                    live[at].reach = 0;
+                let from = &mut classes[span.class];
+                let mut part = if grouped { from.link } else { NONE };
+                while part != NONE && parts[part].reach != span.reach {
+                    part = parts[part].link;
                 }
-                if member.crash == round {
-                    let reached_by = if grouped {
-                        member.reach.count_ones() as usize
-                    } else {
-                        let reaches = |sender: &&Member| {
-                            sender.crash == round
-                                && policy.delivers_while_crashing(
-                                    ProcessId::new(sender.id),
-                                    round,
-                                    ProcessId::new(member.id),
-                                )
-                        };
-                        live.iter().filter(reaches).count()
+                if part == NONE {
+                    part = parts.len();
+                    parts.push(Class {
+                        leader: span.lo,
+                        size: 0,
+                        reach: span.reach,
+                        link: from.link,
+                        joins: NONE,
+                    });
+                    from.link = part;
+                    let old = from.leader;
+                    if old != span.lo {
+                        // `old` is its class's smallest member.
+                        let (earlier, rest) = procs.split_at_mut(span.lo);
+                        assert!(
+                            rest[0].catch_up(&earlier[old]),
+                            "a process that caught up with its leader once must catch up again"
+                        );
+                    }
+                }
+                parts[part].size += (span.hi - span.lo) as u64;
+                span.class = part;
+            }
+            for (victim, _) in crashers() {
+                let reached_by = if grouped {
+                    spans[span_of(&spans, victim)].reach.count_ones() as usize
+                } else {
+                    let reaches = |&(sender, _): &(usize, usize)| {
+                        let (sender, victim) = (ProcessId::new(sender), ProcessId::new(victim));
+                        policy.delivers_while_crashing(sender, round, victim)
                     };
-                    messages_delivered += (steady + reached_by) as u64;
-                    outcomes[member.id] = Some(Outcome::Crashed { round });
-                    continue;
-                }
-                let part = if grouped && (member.class, member.reach) == (last.0, last.1) {
-                    last.2
-                } else {
-                    let from = &mut classes[member.class];
-                    let mut part = if grouped { from.link } else { NONE };
-                    while part != NONE && parts[part].reach != member.reach {
-                        part = parts[part].link;
-                    }
-                    if part == NONE {
-                        part = parts.len();
-                        parts.push(Class {
-                            link: from.link,
-                            ..Class::led_by(member.id, member.crash, member.reach)
-                        });
-                        from.link = part;
-                        let old = from.leader;
-                        if old != member.id {
-                            // `old` is its class's smallest member.
-                            let (earlier, rest) = procs.split_at_mut(member.id);
-                            assert!(
-                                rest[0].catch_up(&earlier[old]),
-                                "a process that caught up with its leader once must catch up again"
-                            );
-                        }
-                    }
-                    last = (member.class, member.reach, part);
-                    part
+                    crashers().filter(reaches).count()
                 };
-                parts[part].size += 1;
-                parts[part].last = member.id;
-                if in_place {
-                    live[kept] = Member {
-                        class: part,
-                        reach: 0,
-                        ..member
-                    };
-                    kept += 1;
-                } else {
-                    live[at].part = part;
-                }
+                messages_delivered += (steady + reached_by) as u64;
+                outcomes[victim] = Some(Outcome::Crashed { round });
             }
-            if in_place {
-                live.truncate(kept);
-                dead = 0;
-            } else {
-                dead += crashing;
-                pending.moved = true;
+            if !singletons {
+                std::mem::swap(&mut classes, &mut spare);
             }
-            std::mem::swap(&mut classes, &mut spare);
         }
 
         // Receive phase, one leader for each class. A leader that the
@@ -918,19 +791,18 @@ fn run_in_classes<P: SyncProtocol, D: DeliveryPolicy>(
         // crashing sender's broadcast reached it with; otherwise every
         // message, in sender order. A class's deliveries count once per
         // member.
-        let mut changed = emptied;
+        let mut changed = false;
         let mut twins = NONE;
         for at in 0..classes.len() {
             let Class {
                 leader: l,
                 size,
                 reach,
-                last,
                 ..
             } = classes[at];
             classes[at].joins = at;
-            if size == 0 {
-                // Every member crashed this round.
+            if outcomes[l].is_some() {
+                // A victim, alone in its class.
                 continue;
             }
             let reach = if partitioned { reach } else { 0 };
@@ -953,7 +825,6 @@ fn run_in_classes<P: SyncProtocol, D: DeliveryPolicy>(
                     }
                     if *follows.get_or_insert_with(|| rest[0].catch_up(&served[twin_leader])) {
                         classes[twin].size += size;
-                        classes[twin].last = classes[twin].last.max(last);
                         classes[at].joins = twin;
                         changed = true;
                     }
@@ -963,22 +834,11 @@ fn run_in_classes<P: SyncProtocol, D: DeliveryPolicy>(
             let recipient = ProcessId::new(l);
             let process = &mut procs[l];
             let delivered = match &folded {
-                Some(folded) if grouped => {
-                    let crashers = crashers[..crashing]
-                        .iter()
-                        .map(|&(sender, class)| (sender, &sends[class].1));
-                    let reach = Some(reach);
+                Some(folded) => {
+                    let crashers = crashers().map(|(sender, class)| (sender, &sends[class].1));
+                    let reach = grouped.then_some(reach);
                     receive_folded_round(
                         process, recipient, round, steady, folded, crashers, reach, policy,
-                    )
-                }
-                Some(folded) => {
-                    let crashers = live
-                        .iter()
-                        .filter(|member| member.crash == round)
-                        .map(|member| (member.id, &sends[member.class].1));
-                    receive_folded_round(
-                        process, recipient, round, steady, folded, crashers, None, policy,
                     )
                 }
                 None if everyone_sent => {
@@ -988,13 +848,12 @@ fn run_in_classes<P: SyncProtocol, D: DeliveryPolicy>(
                     receive_round(process, recipient, round, sends, policy)
                 }
                 None => {
-                    let sends = live
-                        .iter()
-                        .filter(|member| member.crash >= round)
-                        .map(|member| {
-                            let msg = &sends[member.class].1;
-                            (member.id, msg, member.crash == round)
-                        });
+                    let sends = &sends;
+                    let sends = spans.iter().flat_map(|span| {
+                        let msg = &sends[span.sent].1;
+                        let crashing_now = span.class == NONE;
+                        (span.lo..span.hi).map(move |id| (id, msg, crashing_now))
+                    });
                     receive_round(process, recipient, round, sends, policy)
                 }
             };
@@ -1009,40 +868,65 @@ fn run_in_classes<P: SyncProtocol, D: DeliveryPolicy>(
             }
         }
 
-        // Classes that decided or lost every member go, and a class that
-        // joined a twin's goes on as part of it: the classes are
-        // renumbered, and the members follow in the next pass over them.
-        if changed {
+        // Victims leave; classes that decided go, their members taking
+        // the leader's outcome; and a class that joined a twin's goes on
+        // as part of it: the classes are renumbered, the spans follow,
+        // and neighbouring spans of one class become one.
+        if changed || partitioned {
             spare.clear();
             for at in 0..classes.len() {
                 let class = classes[at];
                 classes[at].link = if class.joins != at {
                     classes[class.joins].link
-                } else if class.size == 0 || outcomes[class.leader].is_some() {
+                } else if outcomes[class.leader].is_some() {
                     NONE
                 } else {
                     spare.push(class);
                     spare.len() - 1
                 };
             }
+            let mut kept: usize = 0;
+            for at in 0..spans.len() {
+                let span = spans[at];
+                let Some(&Class { leader, link, .. }) = classes.get(span.class) else {
+                    // A victim.
+                    continue;
+                };
+                if link == NONE {
+                    for id in (span.lo..span.hi).filter(|&id| id != leader) {
+                        outcomes[id] = outcomes[leader].clone();
+                    }
+                    continue;
+                }
+                match kept.checked_sub(1).map(|last| &mut spans[last]) {
+                    Some(last) if last.class == link && last.hi == span.lo => last.hi = span.hi,
+                    _ => {
+                        spans[kept] = Span {
+                            class: link,
+                            sent: link,
+                            ..span
+                        };
+                        kept += 1;
+                    }
+                }
+            }
+            spans.truncate(kept);
             std::mem::swap(&mut classes, &mut spare);
-            pending.renumbered = true;
+            live = classes.iter().map(|class| class.size as usize).sum();
         }
         record_round(round_started);
     }
 
+    Tables {
+        crashes,
+        spans,
+        classes,
+        spare,
+    }
+    .keep();
     if obs_on {
         engine_metrics().messages_delivered.add(messages_delivered);
     }
-    // The last round's departures take their outcomes.
-    for member in &mut live {
-        settle(member, rounds_executed + 1, pending, &spare, &mut outcomes);
-    }
-    *tables = Tables {
-        live,
-        classes,
-        spare,
-    };
     if outcomes.iter().any(|o| o.is_none()) {
         return Err(EngineError::RoundLimitExceeded { limit: max_rounds });
     }

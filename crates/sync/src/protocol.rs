@@ -158,8 +158,10 @@ impl<Out: fmt::Display> fmt::Display for Step<Out> {
 ///   survivor when its leader crashes. The fault-composed loops and the
 ///   node tier run every process.
 /// * The provided method declines, and a protocol that declines runs one
-///   process per class: every process is called every round, as the
-///   contract above describes.
+///   process per class: every live process is called every round, as the
+///   contract above describes — a process crashing in the round is
+///   counted and handed nothing, and one reached as an earlier process
+///   was is offered `adopt` first.
 ///
 /// Delivery is **zero-copy**: a broadcast produces one owned message per
 /// sender per round, and every executor hands that same message to each
